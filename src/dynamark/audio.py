@@ -29,7 +29,7 @@ from .errors import ConfigError, DecodeError, EmptyInputError
 SAMPLE_RATE = 22050
 HOP = 441
 WINDOW = 1024
-FPS = SAMPLE_RATE / HOP  # exactly 50
+FPS = SAMPLE_RATE // HOP  # frames per second, exactly 50
 N_BINS = WINDOW // 2 + 1
 PEAK_TARGET = 10.0 ** (-1.0 / 20.0)  # -1 dBFS
 DB_REFERENCE = 96.0  # full-scale power == 96 dB SPL
@@ -65,7 +65,7 @@ class PowerSpectrogram:
 
     bins: np.ndarray
     bin_hz: np.ndarray
-    fps: float
+    fps: int
 
 
 @dataclass
@@ -162,14 +162,14 @@ def stft_power(wav: Waveform) -> PowerSpectrogram:
     spec = np.fft.rfft(frames * window, axis=1)
     power = (spec.real ** 2 + spec.imag ** 2).T  # (513, T)
     bin_hz = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)
-    return PowerSpectrogram(bins=power, bin_hz=bin_hz, fps=SAMPLE_RATE / HOP)
+    return PowerSpectrogram(bins=power, bin_hz=bin_hz, fps=FPS)
 
 
 def _check_provenance(spec: PowerSpectrogram) -> None:
     if spec.bins.shape[0] != N_BINS:
         raise ConfigError(f"expected {N_BINS} frequency bins, got {spec.bins.shape[0]}")
     expected = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)
-    if spec.fps != SAMPLE_RATE / HOP or not np.allclose(spec.bin_hz, expected):
+    if spec.fps != FPS or not np.allclose(spec.bin_hz, expected):
         raise ConfigError("spectrogram was not produced by the 22.05 kHz / 50 fps frontend")
 
 

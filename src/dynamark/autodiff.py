@@ -293,7 +293,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    data = _sigmoid_np(x.data)
+    data = sigmoid_np(x.data)
 
     def back(g, grads):
         _accum(grads, x, g * data * (1 - data))
@@ -301,7 +301,8 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(data, (x,), back)
 
 
-def _sigmoid_np(x: Array) -> Array:
+def sigmoid_np(x: Array) -> Array:
+    """Overflow-free logistic function of a numpy array (same dtype)."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -315,7 +316,7 @@ def softplus(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0) + np.log1p(np.exp(-np.abs(x.data)))
 
     def back(g, grads):
-        _accum(grads, x, g * _sigmoid_np(x.data))
+        _accum(grads, x, g * sigmoid_np(x.data))
 
     return _node(data, (x,), back)
 
@@ -338,11 +339,15 @@ def texp(x: Tensor) -> Tensor:
     return _node(data, (x,), back)
 
 
+def softmax_np(x: Array) -> Array:
+    """Max-shifted softmax of a numpy array over its last dimension."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last dimension."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = softmax_np(x.data)
 
     def back(g, grads):
         dot = (g * data).sum(axis=-1, keepdims=True)
@@ -707,27 +712,3 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
     return matmul(softmax(scores), v)
 
-
-LAYER_KINDS = {
-    "conv1d": conv1d,
-    "conv2d": conv2d,
-    "conv_transpose1d": conv_transpose1d,
-    "linear": linear,
-    "relu": relu,
-    "softmax-over-last-dim": softmax,
-    "batchnorm2d": batchnorm2d,
-    "maxpool1d": maxpool1d,
-    "add": add,
-    "concat": concat,
-    "layernorm": layernorm,
-    "scaled-dot-product-attention": attention,
-}
-
-
-def layer_forward(kind: str, *args, **kwargs) -> Tensor:
-    """Dispatch a forward pass by layer-kind name."""
-    try:
-        fn = LAYER_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown layer kind {kind!r}; expected one of {sorted(LAYER_KINDS)}") from None
-    return fn(*args, **kwargs)

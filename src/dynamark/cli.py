@@ -22,18 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import bssl, decode_and_prepare, extract_features, save_features, stft_power, total_loudness
+from .audio import FPS, bssl, decode_and_prepare, extract_features, save_features, stft_power, total_loudness
 from .dataset import load_annotation, load_corpus, make_folds, write_segment_manifest
 from .errors import ConfigError, DynamarkError, SchemaError
-from .metrics import (
-    changepoint_f1,
-    dynamics_macro_f1,
-    event_f1,
-    mean_std,
-    snap_times_to_beat_indices,
-)
+from .metrics import changepoint_f1, dynamics_macro_f1, event_f1, mean_std
 from .network import ModelConfig
-from .postprocess import EventReport
+from .postprocess import EventReport, snap_to_nearest
 from .trainer import (
     ABLATIONS,
     TASK_F1_KEYS,
@@ -266,7 +260,7 @@ def _load_reference(path: Path) -> _Reference:
     if path.suffix == ".json":
         report = EventReport.from_json(path)
         beats = np.asarray(report.beats)
-        cp = snap_times_to_beat_indices(report.change_points, beats).tolist()
+        cp = snap_to_nearest(report.change_points, beats).tolist()
         return _Reference(beat_times=beats, downbeat_times=np.asarray(report.downbeats),
                           markings=list(report.markings), change_point_beats=cp)
     ann = load_annotation(path, Path(str(path).replace("_beats.csv", "_markings.csv")))
@@ -292,7 +286,7 @@ def evaluate_report_pair(pred: EventReport, ref: _Reference) -> dict:
     beat = event_f1(pred.beats, ref.beat_times)
     downbeat = event_f1(pred.downbeats, ref.downbeat_times)
     dynamics = dynamics_macro_f1(_labels_at_reference_beats(pred, ref.beat_times), ref.markings)
-    cp_idx = snap_times_to_beat_indices(pred.change_points, ref.beat_times)
+    cp_idx = snap_to_nearest(pred.change_points, ref.beat_times)
     cpt = changepoint_f1(cp_idx, ref.change_point_beats)
     return {"beat_f1": beat.f1, "downbeat_f1": downbeat.f1,
             "dynamics_f1": dynamics.macro_f1, "change_point_f1": cpt.f1,
@@ -305,7 +299,9 @@ def _pair_eval_files(pred_path: Path, ref_path: Path) -> list[tuple[str, Path, P
         return [(pred_path.stem, pred_path, ref_path)]
     pairs = []
     for pred_file in sorted(pred_path.glob("*.json")):
-        stem = pred_file.stem
+        if pred_file.stem.endswith((".manifest", "_manifest")):
+            continue  # run manifests that annotate and eval write next to reports
+        stem = pred_file.stem.removesuffix(".events")
         candidates = [ref_path / f"{stem}_beats.csv", ref_path / f"{stem}.json"]
         ref_file = next((c for c in candidates if c.exists()), None)
         if ref_file is None:
@@ -389,7 +385,7 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
         with open(loud_path, "w") as fh:
             fh.write("time_s,total_loudness_sone\n")
             for i, value in enumerate(curve):
-                fh.write(f"{i / 50.0:.3f},{value:.5f}\n")
+                fh.write(f"{i / FPS:.3f},{value:.5f}\n")
         outputs.append(loud_path)
     write_manifest(Path(f"{prefix}.manifest.json"), "annotate", opts,
                    [audio_path, opts["checkpoint"]], outputs, seed=None,
@@ -486,14 +482,26 @@ def _resolve_for_command(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _read_rerun_manifest(path: Path) -> tuple[str, dict]:
+    """The command and resolved options recorded in a run manifest."""
+    try:
+        manifest = json.loads(path.read_text())
+        command, opts = manifest["command"], manifest["resolved_options"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"{path}: not a run manifest: {exc!r}") from exc
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise SchemaError(f"{path}: unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    if not isinstance(opts, dict):
+        raise SchemaError(f"{path}: resolved_options must be a JSON object")
+    return command, opts
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
-            manifest = json.loads(Path(args.manifest).read_text())
-            command = manifest["command"]
-            opts = manifest["resolved_options"]
+            command, opts = _read_rerun_manifest(Path(args.manifest))
             code, report = COMMANDS[command](opts)
         else:
             opts = _resolve_for_command(args)

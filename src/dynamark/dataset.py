@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import FPS, load_features
 from .errors import EmptyInputError, SchemaError
-from .objectives import DYNAMIC_LABELS, LABEL_TO_CLASS, FrameTargets
+from .objectives import LABEL_TO_CLASS, FrameTargets
 
-FPS = 50
 MARKING_TOKENS = ("pp", "p", "mf", "f", "ff")
 SEGMENT_SECONDS = 60
 TRAIN_HOP_FRACTION = 0.5
@@ -153,9 +153,9 @@ def load_annotation(beat_file, marking_file, piece_id: str | None = None,
     )
 
 
-def time_to_frame(t: float, fps: int = FPS) -> int:
+def time_to_frame(t: float) -> int:
     """Nearest frame, half-up ties."""
-    return int(np.floor(t * fps + 0.5))
+    return int(np.floor(t * FPS + 0.5))
 
 
 def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
@@ -194,14 +194,8 @@ def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
     return targets
 
 
-def read_markings_at_beats(targets: FrameTargets, beat_frames) -> list[str]:
-    """Inverse of rasterisation: class labels at the given beat frames."""
-    return [DYNAMIC_LABELS[int(targets.dynamic_class[f])] for f in beat_frames]
-
-
 def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str = "",
-                  window_s: int = SEGMENT_SECONDS, mode: str = "train",
-                  fps: int = FPS) -> list[Segment]:
+                  window_s: int = SEGMENT_SECONDS, mode: str = "train") -> list[Segment]:
     """Slice a recording into fixed windows.
 
     Train mode advances by half a window and uses only fully covered
@@ -212,7 +206,7 @@ def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     f, t = features.shape
-    win = window_s * fps
+    win = window_s * FPS
     hop = int(win * TRAIN_HOP_FRACTION) if mode == "train" else win
     if mode == "train":
         starts = list(range(0, t - win + 1, hop)) if t >= win else [0]
@@ -234,7 +228,7 @@ def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str
             beat_mask=_pad(targets.beat_mask[sl], pad),
         )
         segments.append(Segment(features=feat, targets=tg, recording_id=recording_id,
-                                start_s=start / fps, n_valid=stop - start))
+                                start_s=start / FPS, n_valid=stop - start))
     return segments
 
 
@@ -278,8 +272,6 @@ def discover_recording_ids(annotations_dir) -> list[str]:
 
 def load_corpus(features_dir, annotations_dir) -> list[Recording]:
     """Pair DYNF feature files with annotation CSVs by recording id."""
-    from .audio import load_features
-
     features_dir = Path(features_dir)
     annotations_dir = Path(annotations_dir)
     ids = discover_recording_ids(annotations_dir)

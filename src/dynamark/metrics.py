@@ -130,25 +130,6 @@ def changepoint_f1(pred_beat_indices, ref_beat_indices) -> F1Result:
     return F1Result.from_counts(tp, len(pred) - tp, len(ref) - tp)
 
 
-def snap_times_to_beat_indices(times, beat_times) -> np.ndarray:
-    """Map event times to indices of the nearest beat (ties earlier)."""
-    beat_times = np.asarray(beat_times, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    if beat_times.size == 0 or times.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    pos = np.searchsorted(beat_times, times)
-    out = np.empty(len(times), dtype=np.intp)
-    for i, (x, p) in enumerate(zip(times, pos)):
-        if p == 0:
-            out[i] = 0
-        elif p == len(beat_times):
-            out[i] = len(beat_times) - 1
-        else:
-            left, right = beat_times[p - 1], beat_times[p]
-            out[i] = p - 1 if x - left <= right - x else p
-    return np.unique(out)
-
-
 def mean_std(values) -> dict:
     """Table-style aggregate: mean and (population) std across folds."""
     arr = np.asarray([v for v in values if v is not None], dtype=np.float64)

@@ -5,7 +5,9 @@ lengths T, T/s and T/s^2 (strided max-pooling down, transposed
 convolution back up) and are fused by elementwise sum into a shared
 T x 8 latent sequence.  A pool of 8 convolutional experts with four
 softmax gates forms per-task features, and four linear heads emit the
-dynamics (6-class), change-point, beat and downbeat logits.
+dynamics (6-class), change-point, beat and downbeat logits.  The 8
+experts run as one stacked conv pair: their first convs share the
+latent input, and their second convs form one block-diagonal conv.
 
 Branch internals: ``blocks_per_branch`` residual 3x3 conv blocks over
 the (band, time) plane, a frequency-collapsing linear map down to
@@ -16,7 +18,7 @@ stays exactly 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .objectives import N_DYNAMIC_CLASSES, TASKS
 
 LATENT_DIM = 8
 NUM_EXPERTS = 8
+# Keeps expert e's second conv on its own 8 first-conv channels.
+EXPERT_BLOCKS = np.kron(np.eye(NUM_EXPERTS), np.ones((LATENT_DIM, LATENT_DIM)))[:, :, None]
 
 
 @dataclass
@@ -62,13 +66,6 @@ class ModelConfig:
 
 
 @dataclass
-class LatentSequence:
-    """Shared encoder output, (B, T, 8)."""
-
-    values: Tensor
-
-
-@dataclass
 class TaskLogits:
     """Raw per-frame logits; dynamics is (B, T, 6), the rest (B, T)."""
 
@@ -76,13 +73,6 @@ class TaskLogits:
     change_point: Tensor
     beat: Tensor
     downbeat: Tensor
-
-
-@dataclass
-class GateWeights:
-    """Per-task softmax gate rows, each (B, T, 8)."""
-
-    per_task: dict[str, Tensor] = field(default_factory=dict)
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -192,7 +182,7 @@ class DynamicsModel:
                                     self.params[f"{prefix}.up{stage}.b"], stride=s)
         return h  # (B, 8, T_padded)
 
-    def encode(self, features: np.ndarray | Tensor, training: bool = False) -> LatentSequence:
+    def encode(self, features: np.ndarray | Tensor, training: bool = False) -> Tensor:
         """(B, F, T) or (F, T) features -> shared latent (B, T, 8).
 
         The input is right-padded with zeros to a multiple of s^2 and
@@ -219,30 +209,30 @@ class DynamicsModel:
         fused = ad.add(fused, self._branch(x4d, 2, training))
         if t_pad != t:
             fused = ad.narrow(fused, 2, 0, t)
-        return LatentSequence(values=ad.transpose(fused, (0, 2, 1)))
+        return ad.transpose(fused, (0, 2, 1))
 
-    def mmoe(self, latent: LatentSequence) -> tuple[dict[str, Tensor], GateWeights]:
-        """Experts + per-task gates; returns task features and gate rows."""
+    def mmoe(self, latent: Tensor) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
+        """Experts + per-task gates on the (B, T, 8) latent; returns task
+        features and the (B, T, 8) softmax gate rows, both keyed by task."""
         if not self.cfg.use_mmoe:
             raise ConfigError("mmoe called on a model configured without MMoE")
-        z = latent.values  # (B, T, 8)
-        zc = ad.transpose(z, (0, 2, 1))  # (B, 8, T)
-        experts = []
-        for e in range(NUM_EXPERTS):
-            h = ad.conv1d(zc, self.params[f"expert{e}.conv0.w"], self.params[f"expert{e}.conv0.b"])
-            h = ad.conv1d(ad.relu(h), self.params[f"expert{e}.conv1.w"], self.params[f"expert{e}.conv1.b"])
-            experts.append(ad.transpose(h, (0, 2, 1)))  # (B, T, 8)
-        gates = GateWeights()
+        bsz, t, _ = latent.shape
+
+        def stacked(name):
+            return ad.concat([self.params[f"expert{e}.{name}"] for e in range(NUM_EXPERTS)], axis=0)
+
+        h = ad.conv1d(ad.transpose(latent, (0, 2, 1)), stacked("conv0.w"), stacked("conv0.b"))
+        w1 = ad.mul_const(ad.concat([stacked("conv1.w")] * NUM_EXPERTS, axis=1), EXPERT_BLOCKS)
+        h = ad.conv1d(ad.relu(h), w1, stacked("conv1.b"))  # (B, 64, T), expert-major channels
+        experts = ad.reshape(ad.transpose(h, (0, 2, 1)), (bsz, t, NUM_EXPERTS, LATENT_DIM))
+        gates: dict[str, Tensor] = {}
         task_features: dict[str, Tensor] = {}
         for task in TASKS:
-            w = ad.softmax(self._apply_linear(f"gate_{task}", z))  # (B, T, 8)
-            gates.per_task[task] = w
-            mixed = None
-            for e in range(NUM_EXPERTS):
-                we = ad.narrow(w, 2, e, 1)  # (B, T, 1)
-                contrib = ad.mul(experts[e], we)
-                mixed = contrib if mixed is None else ad.add(mixed, contrib)
-            task_features[task] = mixed
+            gates[task] = ad.softmax(self._apply_linear(f"gate_{task}", latent))
+            weights = ad.reshape(gates[task], (bsz, t, NUM_EXPERTS, 1))
+            # the axis-2 sum adds the experts one after another, as the per-expert
+            # chain of adds did, so outputs stay bit-identical; a matmul would not
+            task_features[task] = ad.tsum(ad.mul(experts, weights), axis=2)
         return task_features, gates
 
     def forward(self, features, training: bool = False, return_gates: bool = False):
@@ -251,8 +241,8 @@ class DynamicsModel:
         if self.cfg.use_mmoe:
             task_features, gates = self.mmoe(latent)
         else:
-            task_features = {task: latent.values for task in TASKS}
-            gates = GateWeights()
+            task_features = {task: latent for task in TASKS}
+            gates = {}
         heads = {}
         for task in TASKS:
             out = self._apply_linear(f"head_{task}", task_features[task])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 TASKS = ("dynamics", "change_point", "beat", "downbeat")
 N_DYNAMIC_CLASSES = 6
@@ -208,7 +208,8 @@ def multitask_loss(logits, targets: TargetBatch, cfg: LossConfig | None = None):
     """Sum of the four task losses; returns (scalar Tensor, LossReport)."""
     from .network import TaskLogits  # local import to avoid a cycle
 
-    assert isinstance(logits, TaskLogits)
+    if not isinstance(logits, TaskLogits):
+        raise ConfigError(f"multitask_loss expects TaskLogits, got {type(logits).__name__}")
     cfg = cfg or LossConfig()
     zero = Tensor(np.zeros((), dtype=logits.beat.data.dtype))
 

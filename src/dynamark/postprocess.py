@@ -17,32 +17,13 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
+from .audio import FPS
 from .errors import SchemaError
 from .objectives import DYNAMIC_LABELS
 
-FPS = 50.0
 PEAK_THRESHOLD = 0.5
 PEAK_RADIUS = 3
 CHANGE_POINT_THRESHOLD = 0.75
-
-
-@dataclass
-class ProbSequence:
-    """Frame-wise probabilities in [0, 1] at a fixed frame rate."""
-
-    values: np.ndarray
-    fps: float = FPS
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.fps <= 0:
-            raise SchemaError(f"fps must be positive, got {self.fps}")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise SchemaError("probabilities must lie in [0, 1]")
-
-
-def _prob_values(probs) -> np.ndarray:
-    return probs.values if isinstance(probs, ProbSequence) else np.asarray(probs, dtype=np.float64)
 
 
 @dataclass
@@ -98,9 +79,9 @@ def pick_peaks(probs: np.ndarray, threshold: float = PEAK_THRESHOLD,
     A frame survives when it is >= every neighbour within ``radius``
     and no earlier surviving frame lies within ``radius`` (so selected
     frames are at least radius+1 apart; plateau ties go to the earlier
-    frame).  Accepts a plain array or a :class:`ProbSequence`.
+    frame).
     """
-    probs = _prob_values(probs)
+    probs = np.asarray(probs, dtype=np.float64)
     if probs.size == 0:
         return np.zeros(0, dtype=np.intp)
     win_max = maximum_filter1d(probs, size=2 * radius + 1, mode="constant", cval=-np.inf)
@@ -124,21 +105,18 @@ def markings_at_beats(dyn_probs: np.ndarray, beat_frames) -> list[str]:
     return labels
 
 
-def snap_to_nearest(frames: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Index of the nearest anchor for each frame; ties to the earlier one."""
+def snap_to_nearest(values, anchors) -> np.ndarray:
+    """Index of the nearest anchor for each value; ties go to the earlier
+    anchor.  ``anchors`` must be ascending; with no anchors the result is
+    empty."""
     anchors = np.asarray(anchors, dtype=np.float64)
-    frames = np.asarray(frames, dtype=np.float64)
-    pos = np.searchsorted(anchors, frames)
-    out = np.empty(len(frames), dtype=np.intp)
-    for i, (x, p) in enumerate(zip(frames, pos)):
-        if p == 0:
-            out[i] = 0
-        elif p == len(anchors):
-            out[i] = len(anchors) - 1
-        else:
-            left, right = anchors[p - 1], anchors[p]
-            out[i] = p - 1 if x - left <= right - x else p
-    return out
+    values = np.asarray(values, dtype=np.float64)
+    if anchors.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    pos = np.searchsorted(anchors, values)
+    left = np.maximum(pos - 1, 0)
+    right = np.minimum(pos, anchors.size - 1)
+    return np.where(values - anchors[left] <= anchors[right] - values, left, right)
 
 
 def change_points(cp_probs: np.ndarray, beat_frames,
@@ -148,22 +126,17 @@ def change_points(cp_probs: np.ndarray, beat_frames,
     Returns sorted unique indices into ``beat_frames``; empty when
     there are no beats to snap to.
     """
-    beat_frames = np.asarray(beat_frames)
-    if beat_frames.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    candidates = np.nonzero(_prob_values(cp_probs) > threshold)[0]
-    if candidates.size == 0:
-        return np.zeros(0, dtype=np.intp)
+    candidates = np.nonzero(np.asarray(cp_probs, dtype=np.float64) > threshold)[0]
     return np.unique(snap_to_nearest(candidates, beat_frames))
 
 
-def to_seconds(frames, fps: float = FPS) -> np.ndarray:
-    return np.asarray(frames, dtype=np.float64) / fps
+def to_seconds(frames) -> np.ndarray:
+    return np.asarray(frames, dtype=np.float64) / FPS
 
 
 def build_event_report(beat_probs: np.ndarray, downbeat_probs: np.ndarray,
                        cp_probs: np.ndarray, dyn_probs: np.ndarray,
-                       fps: float = FPS, align_downbeats: bool = False,
+                       align_downbeats: bool = False,
                        beat_frames_override: np.ndarray | None = None) -> EventReport:
     """Assemble an EventReport from per-frame probabilities.
 
@@ -183,8 +156,8 @@ def build_event_report(beat_probs: np.ndarray, downbeat_probs: np.ndarray,
         downbeat_frames = np.unique(beat_frames[snapped[keep]])
     cp_idx = change_points(cp_probs, beat_frames)
     return EventReport(
-        beats=[float(t) for t in to_seconds(beat_frames, fps)],
-        downbeats=[float(t) for t in to_seconds(downbeat_frames, fps)],
+        beats=[float(t) for t in to_seconds(beat_frames)],
+        downbeats=[float(t) for t in to_seconds(downbeat_frames)],
         markings=markings_at_beats(dyn_probs, beat_frames),
-        change_points=[float(t) for t in to_seconds(beat_frames[cp_idx], fps)],
+        change_points=[float(t) for t in to_seconds(beat_frames[cp_idx])],
     )

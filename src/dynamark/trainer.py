@@ -9,6 +9,7 @@ change-point F1) and the best-scoring epoch is kept.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -19,16 +20,10 @@ from . import autodiff as ad
 from .autodiff import ParameterStore
 from .dataset import Recording, Segment, make_segments, time_to_frame
 from .errors import CheckpointError, TrainingError
-from .metrics import (
-    changepoint_f1,
-    dynamics_macro_f1,
-    event_f1,
-    mean_std,
-    snap_times_to_beat_indices,
-)
+from .metrics import changepoint_f1, dynamics_macro_f1, event_f1, mean_std
 from .network import DynamicsModel, ModelConfig
-from .objectives import TASKS, LossConfig, TargetBatch, multitask_loss
-from .postprocess import build_event_report
+from .objectives import TASKS, FrameTargets, LossConfig, TargetBatch, multitask_loss
+from .postprocess import build_event_report, markings_at_beats, snap_to_nearest
 
 CHECKPOINT_MAGIC = b"DYNC"
 CHECKPOINT_VERSION = 1
@@ -120,15 +115,6 @@ class AdamW:
         self.store.zero_grads()
 
 
-def adamw_step(store: ParameterStore, cfg: TrainConfig, optimizer: AdamW | None = None) -> AdamW:
-    """Single optimiser step; returns the (new or reused) optimiser."""
-    if optimizer is None:
-        optimizer = AdamW(store, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
-                          weight_decay=cfg.weight_decay)
-    optimizer.step()
-    return optimizer
-
-
 # --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------
@@ -176,8 +162,11 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
         body += _pack_tensor(name, arr)
     blob = CHECKPOINT_MAGIC + struct.pack("<I", cp.version)
     blob += struct.pack("<I", zlib.crc32(body)) + body
-    with open(path, "wb") as fh:
+    # tmp + rename, so a write that fails midway leaves the old file intact
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(blob)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -192,36 +181,42 @@ def load_checkpoint(path) -> Checkpoint:
     body = blob[12:]
     if zlib.crc32(body) != crc:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt or truncated")
-    (config_len,) = struct.unpack_from("<I", body, 0)
-    config = json.loads(body[4:4 + config_len].decode("utf-8"))
-    offset = 4 + config_len
-    (n_tensors,) = struct.unpack_from("<I", body, offset)
-    offset += 4
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<H", body, offset)
-        offset += 2
-        name = body[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", body, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}I", body, offset)
-        offset += 4 * rank
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
-        offset += 4 * count
-        tensors[name] = arr.copy()
-    model_cfg = ModelConfig.from_dict(config["model_config"])
-    train_cfg = TrainConfig.from_dict(config["train_config"])
+    # a matching CRC does not prove the writer was sound: a malformed body
+    # surfaces as one of these and is reported as a corrupt checkpoint
+    try:
+        (config_len,) = struct.unpack_from("<I", body, 0)
+        config = json.loads(body[4:4 + config_len].decode("utf-8"))
+        offset = 4 + config_len
+        (n_tensors,) = struct.unpack_from("<I", body, offset)
+        offset += 4
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(n_tensors):
+            (name_len,) = struct.unpack_from("<H", body, offset)
+            offset += 2
+            name = body[offset:offset + name_len].decode("utf-8")
+            offset += name_len
+            (rank,) = struct.unpack_from("<B", body, offset)
+            offset += 1
+            shape = struct.unpack_from(f"<{rank}I", body, offset)
+            offset += 4 * rank
+            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
+            offset += 4 * count
+            tensors[name] = arr.copy()
+        model_cfg = ModelConfig.from_dict(config["model_config"])
+        train_cfg = TrainConfig.from_dict(config["train_config"])
+        n_params, n_state = config["n_params"], config["n_state"]
+        epoch, val_summary = config["epoch"], config["val_summary"]
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint body: {exc!r}") from exc
     probe = DynamicsModel(model_cfg, seed=0)
     param_set = set(probe.params.names())
     params = {k: v for k, v in tensors.items() if k in param_set}
     bn_state = {k: v for k, v in tensors.items() if k not in param_set}
-    if len(params) != config["n_params"] or len(bn_state) != config["n_state"]:
+    if len(params) != n_params or len(bn_state) != n_state:
         raise CheckpointError(f"{path}: tensor inventory does not match the recorded model")
     return Checkpoint(version=version, model_config=model_cfg, train_config=train_cfg,
-                      params=params, bn_state=bn_state, epoch=config["epoch"],
-                      val_summary=config["val_summary"])
+                      params=params, bn_state=bn_state, epoch=epoch, val_summary=val_summary)
 
 
 def model_from_checkpoint(cp: Checkpoint) -> DynamicsModel:
@@ -237,9 +232,9 @@ def model_from_checkpoint(cp: Checkpoint) -> DynamicsModel:
 
 def predict_frames(model: DynamicsModel, features: np.ndarray,
                    window_s: int = 60) -> dict[str, np.ndarray]:
-    """Eval-mode logits for a whole recording, stitched over windows."""
-    from .objectives import FrameTargets
-
+    """Eval-mode per-frame probabilities for a whole recording, stitched
+    over windows: a (T, 6) softmax for dynamics, (T,) sigmoids for the
+    three binary tasks."""
     t = features.shape[1]
     dummy = FrameTargets(beat=np.zeros(t, dtype=np.uint8), downbeat=np.zeros(t, dtype=np.uint8),
                          change_point=np.zeros(t, dtype=np.uint8),
@@ -248,61 +243,42 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
     pieces = {"dynamics": [], "change_point": [], "beat": [], "downbeat": []}
     for seg in make_segments(features, dummy, mode="eval", window_s=window_s):
         logits = model.forward(seg.features, training=False)
-        pieces["dynamics"].append(logits.dynamics.data[0, :seg.n_valid])
-        pieces["change_point"].append(logits.change_point.data[0, :seg.n_valid])
-        pieces["beat"].append(logits.beat.data[0, :seg.n_valid])
-        pieces["downbeat"].append(logits.downbeat.data[0, :seg.n_valid])
-    return {k: np.concatenate(v, axis=0) for k, v in pieces.items()}
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+        for task, piece in pieces.items():
+            piece.append(getattr(logits, task).data[0, :seg.n_valid])
+    frames = {task: np.concatenate(piece, axis=0) for task, piece in pieces.items()}
+    return {task: ad.softmax_np(v) if task == "dynamics" else ad.sigmoid_np(v)
+            for task, v in frames.items()}
 
 
 def annotate_features(model: DynamicsModel, features: np.ndarray,
                       beat_times_override=None, align_downbeats: bool = False,
                       window_s: int = 60):
     """Features -> EventReport via forward pass + post-processing."""
-    frames = predict_frames(model, features, window_s=window_s)
+    probs = predict_frames(model, features, window_s=window_s)
     override_frames = None
     if beat_times_override is not None:
         t = features.shape[1]
         override_frames = np.asarray(
             [min(time_to_frame(bt), t - 1) for bt in beat_times_override], dtype=np.intp)
-    return build_event_report(
-        _sigmoid(frames["beat"]), _sigmoid(frames["downbeat"]),
-        _sigmoid(frames["change_point"]), _softmax_rows(frames["dynamics"]),
-        align_downbeats=align_downbeats, beat_frames_override=override_frames)
+    return build_event_report(probs["beat"], probs["downbeat"], probs["change_point"],
+                              probs["dynamics"], align_downbeats=align_downbeats,
+                              beat_frames_override=override_frames)
 
 
 def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int = 60) -> dict:
     """The four validation F1s for one recording."""
-    frames = predict_frames(model, rec.features, window_s=window_s)
-    report = build_event_report(_sigmoid(frames["beat"]), _sigmoid(frames["downbeat"]),
-                                _sigmoid(frames["change_point"]), _softmax_rows(frames["dynamics"]))
+    probs = predict_frames(model, rec.features, window_s=window_s)
+    report = build_event_report(probs["beat"], probs["downbeat"], probs["change_point"],
+                                probs["dynamics"])
     ann = rec.annotation
     beat = event_f1(report.beats, ann.beat_times)
     downbeat = event_f1(report.downbeats, ann.beat_times[ann.downbeat_flags])
     # dynamics: sample the predicted class curve at ground-truth beats
     t = rec.features.shape[1]
     gt_frames = [min(time_to_frame(bt), t - 1) for bt in ann.beat_times]
-    dyn_probs = _softmax_rows(frames["dynamics"])
-    from .postprocess import markings_at_beats
-    pred_labels = markings_at_beats(dyn_probs, gt_frames)
-    dynamics = dynamics_macro_f1(pred_labels, ann.markings)
+    dynamics = dynamics_macro_f1(markings_at_beats(probs["dynamics"], gt_frames), ann.markings)
     # change points: snap predicted times to the ground-truth beat grid
-    pred_cp = snap_times_to_beat_indices(report.change_points, ann.beat_times)
+    pred_cp = snap_to_nearest(report.change_points, ann.beat_times)
     cpt = changepoint_f1(pred_cp, ann.change_point_beats())
     return {
         "beat_f1": beat.f1,

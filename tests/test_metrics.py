@@ -14,7 +14,6 @@ from dynamark.metrics import (
     dynamics_macro_f1,
     event_f1,
     mean_std,
-    snap_times_to_beat_indices,
 )
 
 
@@ -148,14 +147,6 @@ def test_changepoint_f1_cases():
     assert abs(res.f1 - 2 / 3) < 1e-12
     assert changepoint_f1(set(), set()).f1 == 1.0
     assert changepoint_f1({1}, set()).f1 == 0.0
-
-
-def test_snap_times_to_beat_indices():
-    beats = [0.5, 1.0, 1.5]
-    idx = snap_times_to_beat_indices([0.55, 1.4, 0.75], beats)
-    assert idx.tolist() == [0, 2]  # 0.75 ties to the earlier beat, deduped
-    assert snap_times_to_beat_indices([], beats).size == 0
-    assert snap_times_to_beat_indices([1.0], []).size == 0
 
 
 event_lists = st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=10).map(sorted)

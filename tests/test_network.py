@@ -10,6 +10,8 @@ from dynamark.autodiff import Tensor
 from dynamark.errors import ConfigError
 from dynamark.network import DynamicsModel, ModelConfig, param_count
 
+from test_autodiff import check_gradients
+
 SMALL = dict(channels=4, blocks_per_branch=1, attention_dim=4)
 
 
@@ -25,7 +27,7 @@ def test_encode_shapes_60s_s5():
     model = small_model(scaling_factor=5)
     rng = np.random.default_rng(0)
     latent = model.encode(rand_features(rng, t=3000))
-    assert latent.values.shape == (1, 3000, 8)
+    assert latent.shape == (1, 3000, 8)
 
 
 def test_branch_lengths_3000_600_120():
@@ -39,13 +41,13 @@ def test_branch_lengths_3000_600_120():
 def test_encode_s1_all_branches_full_length():
     model = small_model(scaling_factor=1)
     latent = model.encode(rand_features(np.random.default_rng(1), t=47))
-    assert latent.values.shape == (1, 47, 8)
+    assert latent.shape == (1, 47, 8)
 
 
 def test_encode_pads_and_crops():
     model = small_model(scaling_factor=5)
     latent = model.encode(rand_features(np.random.default_rng(2), t=7))
-    assert latent.values.shape == (1, 7, 8)
+    assert latent.shape == (1, 7, 8)
 
 
 def test_encode_rejects_wrong_bins():
@@ -60,14 +62,14 @@ def test_encode_output_length_matches_input(t, s):
     t = max(t, s * s)
     model = small_model(scaling_factor=s, channels=2, attention_dim=2)
     latent = model.encode(np.zeros((22, t), dtype=np.float32))
-    assert latent.values.shape == (1, t, 8)
+    assert latent.shape == (1, t, 8)
 
 
 def test_gate_rows_sum_to_one():
     model = small_model()
     rng = np.random.default_rng(3)
     _, gates = model.forward(rand_features(rng, t=40), return_gates=True)
-    for task, w in gates.per_task.items():
+    for task, w in gates.items():
         rows = w.data.reshape(-1, 8)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-6)
         assert (rows > 0).all() and (rows < 1).all()
@@ -85,18 +87,36 @@ def test_mmoe_uniform_gates_give_expert_mean():
     experts = _expert_outputs(model, latent)
     mean = np.mean(experts, axis=0)
     for task in obj.TASKS:
-        np.testing.assert_allclose(gates.per_task[task].data, 0.125, atol=1e-6)
+        np.testing.assert_allclose(gates[task].data, 0.125, atol=1e-6)
         np.testing.assert_allclose(task_features[task].data, mean, atol=1e-5)
 
 
 def _expert_outputs(model, latent):
-    zc = ad.transpose(latent.values, (0, 2, 1))
+    zc = ad.transpose(latent, (0, 2, 1))
     outs = []
     for e in range(8):
         h = ad.conv1d(zc, model.params[f"expert{e}.conv0.w"], model.params[f"expert{e}.conv0.b"])
         h = ad.conv1d(ad.relu(h), model.params[f"expert{e}.conv1.w"], model.params[f"expert{e}.conv1.b"])
         outs.append(ad.transpose(h, (0, 2, 1)).data)
     return np.stack(outs)
+
+
+def test_mmoe_gradcheck():
+    # the stacked experts concat one tensor 8 times and mask it block-diagonal
+    model = small_model(seed=3)
+    leaves = [t for name, t in model.params.items() if name.startswith(("expert", "gate_"))]
+    for t in leaves:
+        t.data = t.data.astype(np.float64)
+    rng = np.random.default_rng(21)
+    latent = Tensor(rng.standard_normal((2, 5, 8)))
+    r = rng.standard_normal((2, 5, 2 * 8 * len(obj.TASKS)))
+
+    def f(*_):
+        task_features, gates = model.mmoe(latent)
+        outputs = [task_features[task] for task in obj.TASKS] + [gates[task] for task in obj.TASKS]
+        return ad.tsum(ad.mul_const(ad.concat(outputs, axis=-1), r))
+
+    check_gradients(f, leaves)
 
 
 def test_mmoe_saturated_gate_selects_expert():

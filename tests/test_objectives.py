@@ -6,7 +6,7 @@ import pytest
 from dynamark import autodiff as ad
 from dynamark import objectives as obj
 from dynamark.autodiff import Tensor
-from dynamark.errors import ShapeError
+from dynamark.errors import ConfigError, ShapeError
 from dynamark.network import TaskLogits
 
 from test_autodiff import check_gradients
@@ -212,3 +212,10 @@ def test_multitask_perfect_fit_near_zero():
                         beat=Tensor(strong), downbeat=Tensor(strong))
     _, report = obj.multitask_loss(logits, targets)
     assert report.total < 4e-3
+
+
+def test_multitask_rejects_non_tasklogits():
+    # a typed error, not an assert: ``python -O`` strips asserts
+    logits, targets = _toy_batch(np.random.default_rng(7))
+    with pytest.raises(ConfigError, match="TaskLogits"):
+        obj.multitask_loss(vars(logits), targets)

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynamark.errors import SchemaError
 from dynamark.postprocess import (
@@ -143,6 +144,23 @@ def test_snap_tie_goes_earlier():
     assert idx.tolist() == [0]
 
 
+def test_snap_to_nearest_times():
+    beats = [0.5, 1.0, 1.5]
+    assert snap_to_nearest([0.55, 1.4, 0.75], beats).tolist() == [0, 2, 0]  # 0.75 ties earlier
+    assert snap_to_nearest([], beats).size == 0
+    assert snap_to_nearest([1.0], []).size == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=20),
+       st.lists(st.integers(-60, 60), min_size=1, max_size=12, unique=True))
+def test_snap_matches_brute_force_argmin(values, anchors):
+    anchors = np.sort(np.asarray(anchors, dtype=np.float64))
+    # np.argmin returns the first of equal distances: the earlier anchor
+    want = [int(np.argmin(np.abs(anchors - v))) for v in values]
+    assert snap_to_nearest(values, anchors).tolist() == want
+
+
 def test_to_seconds():
     np.testing.assert_allclose(to_seconds([50]), [1.0])
     np.testing.assert_allclose(to_seconds([0]), [0.0])
@@ -197,19 +215,6 @@ def test_report_silence_is_empty():
     t = 100
     report = build_event_report(np.zeros(t), np.zeros(t), np.zeros(t), np.zeros((t, 6)))
     assert report.beats == [] and report.markings == [] and report.change_points == []
-
-
-def test_prob_sequence_validation():
-    from dynamark.postprocess import ProbSequence
-    seq = ProbSequence(np.array([0.1, 0.9, 0.0]))
-    assert seq.fps == 50.0
-    with pytest.raises(SchemaError, match=r"\[0, 1\]"):
-        ProbSequence(np.array([0.2, 1.2]))
-    with pytest.raises(SchemaError, match="fps"):
-        ProbSequence(np.array([0.2]), fps=-1)
-    probs = np.zeros(60)
-    probs[20] = 0.8
-    assert pick_peaks(ProbSequence(probs)).tolist() == [20]
 
 
 def test_downbeat_alignment_flag():

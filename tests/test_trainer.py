@@ -1,13 +1,21 @@
 """Optimiser semantics, checkpoint persistence, training determinism."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from dynamark import autodiff as ad
+from dynamark import trainer
 from dynamark.autodiff import ParameterStore, Tensor
 from dynamark.errors import CheckpointError, TrainingError
 from dynamark.network import DynamicsModel, ModelConfig
+from dynamark.cli import main
 from dynamark.trainer import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     AdamW,
     Checkpoint,
     TrainConfig,
@@ -140,6 +148,60 @@ def test_checkpoint_not_a_checkpoint(tmp_path):
     bad.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(CheckpointError, match="not a checkpoint"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_save_failing_midway_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "model.dync"
+    save_checkpoint(Checkpoint.from_model(small_model(), TrainConfig(), epoch=1), path)
+
+    class TornWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    real_open = open
+    monkeypatch.setattr(trainer, "open", lambda *a, **k: TornWrite(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(Checkpoint.from_model(small_model(seed=1), TrainConfig(), epoch=2), path)
+    monkeypatch.undo()
+    assert load_checkpoint(path).epoch == 1
+
+
+def _forge_checkpoint(path, config_blob: bytes, tensor_table: bytes) -> None:
+    """A checkpoint whose CRC matches whatever body it carries."""
+    body = struct.pack("<I", len(config_blob)) + config_blob + tensor_table
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, zlib.crc32(body)) + body)
+
+
+GOOD_CONFIG = json.dumps({"model_config": ModelConfig(**SMALL).as_dict(),
+                          "train_config": TrainConfig().as_dict(), "epoch": 1,
+                          "val_summary": {}, "n_params": 0, "n_state": 0}).encode()
+
+
+@pytest.mark.parametrize("config_blob, tensor_table", [
+    (b"{not json", struct.pack("<I", 0)),                          # malformed JSON
+    (b"[]", struct.pack("<I", 0)),                                 # JSON, wrong shape
+    (GOOD_CONFIG, struct.pack("<I", 3)),                           # short tensor table
+    (GOOD_CONFIG, struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+     + struct.pack("<BI", 1, 1000) + b"\0" * 8),                   # short tensor payload
+], ids=["json", "json-shape", "table", "payload"])
+def test_checkpoint_malformed_body_with_valid_crc(tmp_path, capsys, config_blob, tensor_table):
+    path = tmp_path / "forged.dync"
+    _forge_checkpoint(path, config_blob, tensor_table)
+    with pytest.raises(CheckpointError, match="malformed"):
+        load_checkpoint(path)
+    # the CLI reports it as an input error (exit 1), not an internal one (2)
+    assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
+    assert "malformed" in capsys.readouterr().err
 
 
 # -- training loop -----------------------------------------------------------------
