@@ -133,6 +133,8 @@ def decode_and_prepare(path) -> Waveform:
     if x.ndim == 2:
         x = x.mean(axis=1)
     peak = np.abs(x).max()
+    if not np.isfinite(peak):
+        raise DecodeError(f"{path}: audio holds NaN or infinite samples")
     if peak > 0:
         x = x * (PEAK_TARGET / peak)
     x = _resample(x, int(rate), SAMPLE_RATE)

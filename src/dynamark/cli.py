@@ -25,7 +25,7 @@ from . import __version__
 from .audio import FPS, bssl, decode_and_prepare, extract_features, save_features, stft_power, total_loudness
 from .dataset import load_annotation, load_corpus, make_folds, write_segment_manifest
 from .errors import ConfigError, DynamarkError, SchemaError
-from .metrics import changepoint_f1, dynamics_macro_f1, event_f1, mean_std
+from .metrics import mean_std, score_recording
 from .network import ModelConfig
 from .postprocess import EventReport, snap_to_nearest
 from .trainer import (
@@ -274,24 +274,7 @@ def _labels_at_reference_beats(pred: EventReport, ref_beats: np.ndarray) -> list
     """Marking of the predicted beat nearest each reference beat."""
     if not pred.beats:
         return ["blank"] * len(ref_beats)
-    pred_beats = np.asarray(pred.beats)
-    labels = []
-    for t in ref_beats:
-        idx = int(np.argmin(np.abs(pred_beats - t)))
-        labels.append(pred.markings[idx])
-    return labels
-
-
-def evaluate_report_pair(pred: EventReport, ref: _Reference) -> dict:
-    beat = event_f1(pred.beats, ref.beat_times)
-    downbeat = event_f1(pred.downbeats, ref.downbeat_times)
-    dynamics = dynamics_macro_f1(_labels_at_reference_beats(pred, ref.beat_times), ref.markings)
-    cp_idx = snap_to_nearest(pred.change_points, ref.beat_times)
-    cpt = changepoint_f1(cp_idx, ref.change_point_beats)
-    return {"beat_f1": beat.f1, "downbeat_f1": downbeat.f1,
-            "dynamics_f1": dynamics.macro_f1, "change_point_f1": cpt.f1,
-            "detail": {"beat": beat.as_dict(), "downbeat": downbeat.as_dict(),
-                       "dynamics": dynamics.as_dict(), "change_point": cpt.as_dict()}}
+    return [pred.markings[i] for i in snap_to_nearest(ref_beats, pred.beats)]
 
 
 def _pair_eval_files(pred_path: Path, ref_path: Path) -> list[tuple[str, Path, Path]]:
@@ -319,7 +302,9 @@ def cmd_eval(opts: dict) -> tuple[int, dict]:
     for stem, pred_file, ref_file in pairs:
         pred = EventReport.from_json(pred_file)
         ref = _load_reference(ref_file)
-        per_recording[stem] = evaluate_report_pair(pred, ref)
+        per_recording[stem] = score_recording(
+            pred, ref.beat_times, ref.downbeat_times, ref.change_point_beats,
+            _labels_at_reference_beats(pred, ref.beat_times), ref.markings)
     report = {"per_recording": per_recording}
     for key in TASK_F1_KEYS:
         report[key] = mean_std([r[key] for r in per_recording.values()])
@@ -346,13 +331,16 @@ def _read_beats_from(path: Path) -> list[float]:
     from .dataset import _read_rows
 
     lines = path.read_text().strip().splitlines()
-    if lines and lines[0].replace(" ", "").startswith("beat_index,"):
-        times = [float(row[1]) for _, row in _read_rows(path, ["beat_index", "time_s", "is_downbeat"])]
-        return times
     try:
-        return [float(line) for line in lines if line.strip()]
+        if lines and lines[0].replace(" ", "").startswith("beat_index,"):
+            times = [float(row[1]) for _, row in _read_rows(path, ["beat_index", "time_s", "is_downbeat"])]
+        else:
+            times = [float(line) for line in lines if line.strip()]
     except ValueError as exc:
         raise SchemaError(f"{path}: expected one beat time per line or a beats CSV: {exc}") from exc
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise SchemaError(f"{path}: beat times go backwards")
+    return times
 
 
 def cmd_annotate(opts: dict) -> tuple[int, dict]:
@@ -493,6 +481,9 @@ def _read_rerun_manifest(path: Path) -> tuple[str, dict]:
         raise SchemaError(f"{path}: unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     if not isinstance(opts, dict):
         raise SchemaError(f"{path}: resolved_options must be a JSON object")
+    missing = [key for key in OPTION_KEYS[command] if key not in opts]
+    if missing:
+        raise SchemaError(f"{path}: resolved_options lacks {', '.join(missing)}")
     return command, opts
 
 

@@ -2,8 +2,11 @@
 dynamics F1 (five classes, blank excluded), and index-based
 change-point F1.
 
-Event matching is maximum-cardinality bipartite matching inside the
-+-tolerance window, so the score does not depend on greedy order.
+Event matching is a maximum-cardinality one-to-one matching inside the
++-tolerance window (the F-measure of mir_eval), computed by one sweep
+over the sorted events, so the score does not depend on input order.
+``score_recording`` gives the four task scores of one recording, for
+validation and for ``eval`` alike.
 Conventions: empty prediction and empty reference score F1 = 1; a
 one-sided empty scores 0; a class absent from both sides is excluded
 from the macro mean.
@@ -17,6 +20,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .objectives import DYNAMIC_LABELS
+from .postprocess import snap_to_nearest
 
 EVENT_TOLERANCE_S = 0.070
 DYNAMIC_CLASSES = DYNAMIC_LABELS[1:]  # pp, p, mf, f, ff
@@ -45,33 +49,23 @@ class F1Result:
                 "tp": self.tp, "fp": self.fp, "fn": self.fn}
 
 
-def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size (Kuhn's augmenting paths)."""
-    match_right = [-1] * n_right
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_right[v] == -1 or try_augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adjacency)):
-        if try_augment(u, [False] * n_right):
-            size += 1
-    return size
-
-
 def event_f1(pred, ref, tol: float = EVENT_TOLERANCE_S) -> F1Result:
-    """F1 of time-stamped events matched one-to-one within ``tol`` seconds."""
-    pred = np.asarray(pred, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    adjacency = [list(np.nonzero(np.abs(ref - p) <= tol)[0]) for p in pred]
-    tp = _max_matching(adjacency, len(ref)) if len(pred) and len(ref) else 0
+    """F1 of time-stamped events matched one-to-one within ``tol`` seconds.
+
+    Ascending predictions each take the earliest unmatched reference with
+    ``|ref - pred| <= tol``.  On a line the windows of ascending
+    predictions move forward together, so this sweep finds a maximum
+    matching."""
+    pred = np.sort(np.asarray(pred, dtype=np.float64)).tolist()
+    ref = np.sort(np.asarray(ref, dtype=np.float64)).tolist()
+    tp = j = 0
+    for p in pred:
+        # references too early for p are too early for every later prediction
+        while j < len(ref) and ref[j] < p and abs(ref[j] - p) > tol:
+            j += 1
+        if j < len(ref) and abs(ref[j] - p) <= tol:
+            tp += 1
+            j += 1
     return F1Result.from_counts(tp, len(pred) - tp, len(ref) - tp)
 
 
@@ -128,6 +122,24 @@ def changepoint_f1(pred_beat_indices, ref_beat_indices) -> F1Result:
     ref = set(int(i) for i in ref_beat_indices)
     tp = len(pred & ref)
     return F1Result.from_counts(tp, len(pred) - tp, len(ref) - tp)
+
+
+def score_recording(pred, ref_beats, ref_downbeats, ref_change_point_beats,
+                    pred_labels, ref_labels) -> dict:
+    """Beat, downbeat, dynamics and change-point F1 of one recording.
+
+    ``pred`` is an ``EventReport``; ``ref_beats`` must be ascending, and
+    predicted change points are snapped to them.  ``pred_labels`` and
+    ``ref_labels`` are markings per reference beat.
+    """
+    beat = event_f1(pred.beats, ref_beats)
+    downbeat = event_f1(pred.downbeats, ref_downbeats)
+    dynamics = dynamics_macro_f1(pred_labels, ref_labels)
+    cpt = changepoint_f1(snap_to_nearest(pred.change_points, ref_beats), ref_change_point_beats)
+    return {"beat_f1": beat.f1, "downbeat_f1": downbeat.f1,
+            "dynamics_f1": dynamics.macro_f1, "change_point_f1": cpt.f1,
+            "detail": {"beat": beat.as_dict(), "downbeat": downbeat.as_dict(),
+                       "dynamics": dynamics.as_dict(), "change_point": cpt.as_dict()}}
 
 
 def mean_std(values) -> dict:

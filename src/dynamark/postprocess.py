@@ -54,10 +54,13 @@ class EventReport:
                          downbeats=[float(t) for t in d["downbeats"]],
                          markings=[str(m) for m in d["markings"]],
                          change_points=[float(t) for t in d["change_points"]])
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: not a valid event report: {exc}") from exc
         if len(report.markings) != len(report.beats):
             raise SchemaError(f"{path}: {len(report.markings)} markings for {len(report.beats)} beats")
+        # equal neighbours are legal: --beats-from can put two beats on one frame
+        if not (np.diff(report.beats) >= 0).all():
+            raise SchemaError(f"{path}: beat times are not ascending")
         return report
 
     def write_csv(self, path) -> None:
@@ -107,8 +110,8 @@ def markings_at_beats(dyn_probs: np.ndarray, beat_frames) -> list[str]:
 
 def snap_to_nearest(values, anchors) -> np.ndarray:
     """Index of the nearest anchor for each value; ties go to the earlier
-    anchor.  ``anchors`` must be ascending; with no anchors the result is
-    empty."""
+    anchor, also among equal anchors.  ``anchors`` must be ascending; with
+    no anchors the result is empty."""
     anchors = np.asarray(anchors, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if anchors.size == 0:
@@ -116,7 +119,8 @@ def snap_to_nearest(values, anchors) -> np.ndarray:
     pos = np.searchsorted(anchors, values)
     left = np.maximum(pos - 1, 0)
     right = np.minimum(pos, anchors.size - 1)
-    return np.where(values - anchors[left] <= anchors[right] - values, left, right)
+    nearest = np.where(values - anchors[left] <= anchors[right] - values, left, right)
+    return np.searchsorted(anchors, anchors[nearest])
 
 
 def change_points(cp_probs: np.ndarray, beat_frames,

@@ -20,10 +20,10 @@ from . import autodiff as ad
 from .autodiff import ParameterStore
 from .dataset import Recording, Segment, make_segments, time_to_frame
 from .errors import CheckpointError, TrainingError
-from .metrics import changepoint_f1, dynamics_macro_f1, event_f1, mean_std
+from .metrics import mean_std, score_recording
 from .network import DynamicsModel, ModelConfig
 from .objectives import TASKS, FrameTargets, LossConfig, TargetBatch, multitask_loss
-from .postprocess import build_event_report, markings_at_beats, snap_to_nearest
+from .postprocess import build_event_report, markings_at_beats
 
 CHECKPOINT_MAGIC = b"DYNC"
 CHECKPOINT_VERSION = 1
@@ -266,28 +266,17 @@ def annotate_features(model: DynamicsModel, features: np.ndarray,
 
 
 def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int = 60) -> dict:
-    """The four validation F1s for one recording."""
+    """The four validation F1s for one recording; dynamics are read from
+    the class probabilities at the ground-truth beats."""
     probs = predict_frames(model, rec.features, window_s=window_s)
     report = build_event_report(probs["beat"], probs["downbeat"], probs["change_point"],
                                 probs["dynamics"])
     ann = rec.annotation
-    beat = event_f1(report.beats, ann.beat_times)
-    downbeat = event_f1(report.downbeats, ann.beat_times[ann.downbeat_flags])
-    # dynamics: sample the predicted class curve at ground-truth beats
     t = rec.features.shape[1]
     gt_frames = [min(time_to_frame(bt), t - 1) for bt in ann.beat_times]
-    dynamics = dynamics_macro_f1(markings_at_beats(probs["dynamics"], gt_frames), ann.markings)
-    # change points: snap predicted times to the ground-truth beat grid
-    pred_cp = snap_to_nearest(report.change_points, ann.beat_times)
-    cpt = changepoint_f1(pred_cp, ann.change_point_beats())
-    return {
-        "beat_f1": beat.f1,
-        "downbeat_f1": downbeat.f1,
-        "dynamics_f1": dynamics.macro_f1,
-        "change_point_f1": cpt.f1,
-        "detail": {"beat": beat.as_dict(), "downbeat": downbeat.as_dict(),
-                   "dynamics": dynamics.as_dict(), "change_point": cpt.as_dict()},
-    }
+    return score_recording(report, ann.beat_times, ann.beat_times[ann.downbeat_flags],
+                           ann.change_point_beats(),
+                           markings_at_beats(probs["dynamics"], gt_frames), ann.markings)
 
 
 TASK_F1_KEYS = ("dynamics_f1", "change_point_f1", "beat_f1", "downbeat_f1")

@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.io import wavfile
 
 from dynamark.audio import load_features
-from dynamark.cli import main, parse_config_file
+from dynamark.cli import _labels_at_reference_beats, main, parse_config_file
 from dynamark.errors import ConfigError
+from dynamark.objectives import DYNAMIC_LABELS
 
 from _synth import write_corpus
 
@@ -195,6 +198,36 @@ def test_annotate_beats_from(corpus, trained, tmp_path):
     assert len(report["markings"]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    "beat_index,time_s,is_downbeat\n0,abc,1\n",
+    "1.0\n0.5\n",
+], ids=["bad-csv-time", "times-go-backwards"])
+def test_annotate_malformed_beats_from_exit_1(corpus, trained, tmp_path, capsys, text):
+    wav = sorted((corpus / "audio").glob("*.wav"))[0]
+    beats_file = tmp_path / "grid.csv"
+    beats_file.write_text(text)
+    code = main(["annotate", str(wav), "--checkpoint", str(trained / "fold0.dync"),
+                 "--out-prefix", str(tmp_path / "scored"), "--beats-from", str(beats_file)])
+    assert code == 1
+    assert str(beats_file) in capsys.readouterr().err
+
+
+def test_non_finite_audio_fails_extract_and_annotate(trained, tmp_path, capsys):
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    samples = np.zeros(2 * 22050, dtype=np.float32)
+    samples[100] = np.nan
+    wavfile.write(audio / "nan.wav", 22050, samples)
+    code = main(["extract", "--audio-dir", str(audio), "--out-dir", str(tmp_path / "out"), "--json"])
+    assert code == 1
+    assert [f["status"] for f in json.loads(capsys.readouterr().out)["files"]] == ["failed"]
+    assert not (tmp_path / "out" / "nan.dynf").exists()
+    code = main(["annotate", str(audio / "nan.wav"), "--checkpoint", str(trained / "fold0.dync"),
+                 "--out-prefix", str(tmp_path / "nan")])
+    assert code == 1
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_annotate_feature_mismatch(corpus, trained, capsys):
     wav = sorted((corpus / "audio").glob("*.wav"))[0]
     code = main(["annotate", str(wav), "--checkpoint", str(trained / "fold0.dync"),
@@ -263,6 +296,40 @@ def test_eval_empty_prediction_zero_beat_f1(tmp_path):
     assert metrics["per_recording"]["clip"]["beat_f1"] == 0.0
 
 
+@pytest.mark.parametrize("beats", [None, [2.0, 1.0]], ids=["null-beats", "beats-go-backwards"])
+def test_eval_malformed_report_exit_1(tmp_path, capsys, beats):
+    from dynamark.postprocess import EventReport
+    pred_dir = tmp_path / "p"
+    pred_dir.mkdir()
+    EventReport(beats=[1.0], markings=["p"]).write_json(pred_dir / "clip.json")
+    ref_dir = tmp_path / "r"
+    ref_dir.mkdir()
+    (ref_dir / "clip.json").write_text(json.dumps(
+        {"beats": beats, "downbeats": [], "markings": ["p", "p"], "change_points": []}))
+    code = main(["eval", "--predictions", str(pred_dir), "--references", str(ref_dir)])
+    assert code == 1
+    assert "clip.json" in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=12).map(sorted),
+       st.lists(st.integers(-5, 45), max_size=12),
+       st.data())
+def test_eval_label_readout_matches_argmin(pred_steps, ref_steps, data):
+    from dynamark.postprocess import EventReport
+    markings = data.draw(st.lists(st.sampled_from(DYNAMIC_LABELS), min_size=len(pred_steps),
+                                  max_size=len(pred_steps)))
+    # a 50 ms grid: equal beats and equidistant neighbours are common
+    pred = EventReport(beats=[0.05 * k for k in pred_steps], markings=markings)
+    ref_beats = np.asarray([0.05 * k for k in ref_steps])
+    if pred.beats:
+        # the readout before the shared snap: an argmin per reference beat
+        want = [pred.markings[int(np.argmin(np.abs(np.asarray(pred.beats) - t)))] for t in ref_beats]
+    else:
+        want = ["blank"] * len(ref_beats)
+    assert _labels_at_reference_beats(pred, ref_beats) == want
+
+
 def test_rerun_from_manifest(corpus, extracted, tmp_path):
     manifest = extracted / "extract_manifest.json"
     assert manifest.exists()
@@ -275,7 +342,8 @@ def test_rerun_from_manifest(corpus, extracted, tmp_path):
     {"command": "extract"},
     {"command": "serve", "resolved_options": {}},
     ["extract"],
-], ids=["no-command", "no-options", "unknown-command", "not-an-object"])
+    {"command": "extract", "resolved_options": {}},
+], ids=["no-command", "no-options", "unknown-command", "not-an-object", "missing-option-keys"])
 def test_rerun_malformed_manifest_exit_1(tmp_path, capsys, manifest):
     path = tmp_path / "run_manifest.json"
     path.write_text(json.dumps(manifest))

@@ -88,6 +88,24 @@ def test_greedy_would_fail_case():
     assert res.tp == 2
 
 
+def test_event_f1_dense_chain():
+    # every prediction lies within tol of two references, so an augmenting
+    # path search would chain through all 1,500 of them
+    pred = 0.1 * np.arange(1500)
+    res = event_f1(pred, pred + 0.05)
+    assert res.tp == 1500 and res.fp == 0 and res.fn == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=7), st.lists(st.integers(0, 40), max_size=7),
+       st.sampled_from([0.01, 0.02, 0.03, 0.07]))
+def test_event_f1_on_grid_matches_exhaustive_oracle(pred_steps, ref_steps, tol):
+    # events on a 10 ms grid put many pairs exactly at the tolerance edge
+    pred = [0.01 * k for k in pred_steps]
+    ref = [0.01 * k for k in ref_steps]
+    assert event_f1(pred, ref, tol=tol).tp == exhaustive_matching(pred, ref, tol)
+
+
 def test_dynamics_macro_perfect():
     labels = ["pp", "mf", "ff", "pp"]
     res = dynamics_macro_f1(labels, labels)

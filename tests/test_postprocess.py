@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynamark.errors import SchemaError
+from dynamark.errors import DynamarkError, SchemaError
 from dynamark.postprocess import (
     EventReport,
     build_event_report,
@@ -153,10 +153,11 @@ def test_snap_to_nearest_times():
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-50, 50), max_size=20),
-       st.lists(st.integers(-60, 60), min_size=1, max_size=12, unique=True))
+       st.lists(st.integers(-60, 60), min_size=1, max_size=12))
 def test_snap_matches_brute_force_argmin(values, anchors):
     anchors = np.sort(np.asarray(anchors, dtype=np.float64))
-    # np.argmin returns the first of equal distances: the earlier anchor
+    # np.argmin returns the first of equal distances: the earlier anchor,
+    # and the first of equal anchors
     want = [int(np.argmin(np.abs(anchors - v))) for v in values]
     assert snap_to_nearest(values, anchors).tolist() == want
 
@@ -240,3 +241,52 @@ def test_from_json_schema_errors(tmp_path):
     notjson.write_text("{")
     with pytest.raises(SchemaError):
         EventReport.from_json(notjson)
+
+
+@pytest.mark.parametrize("blob", [
+    [],
+    {"beats": None, "downbeats": [], "markings": [], "change_points": []},
+    {"beats": [None], "downbeats": [], "markings": ["p"], "change_points": []},
+    {"beats": [10 ** 400], "downbeats": [], "markings": ["p"], "change_points": []},
+    {"beats": [2.0, 1.0], "downbeats": [], "markings": ["p", "p"], "change_points": []},
+], ids=["not-an-object", "null-beats", "null-beat", "beat-overflows-float", "beats-go-backwards"])
+def test_from_json_malformed_is_schema_error(tmp_path, blob):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(SchemaError):
+        EventReport.from_json(path)
+
+
+def test_from_json_accepts_equal_neighbouring_beats(tmp_path):
+    path = tmp_path / "report.json"
+    EventReport(beats=[1.0, 1.0, 2.0], markings=["p", "p", "f"]).write_json(path)
+    assert EventReport.from_json(path).beats == [1.0, 1.0, 2.0]
+
+
+VALID_REPORT = json.dumps({"beats": [0.5, 1.0, 1.5], "downbeats": [0.5],
+                           "markings": ["p", "p", "f"], "change_points": [1.5]}).encode()
+JSON_BYTES = st.sampled_from(list(b'[]{}",:0123456789.-eEnul ')) | st.integers(0, 255)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                          st.integers(0, len(VALID_REPORT) - 1), JSON_BYTES),
+                min_size=1, max_size=4),
+       st.integers(1, len(VALID_REPORT)))
+def test_from_json_byte_mutation_fuzz(tmp_path_factory, edits, keep):
+    blob = bytearray(VALID_REPORT)
+    for op, pos, byte in edits:
+        pos = min(pos, len(blob) - 1)
+        if op == "set":
+            blob[pos] = byte
+        elif op == "insert":
+            blob.insert(pos, byte)
+        elif len(blob) > 1:
+            del blob[pos]
+    path = tmp_path_factory.mktemp("fuzz") / "report.json"
+    path.write_bytes(bytes(blob[:keep]))
+    try:
+        report = EventReport.from_json(path)
+    except DynamarkError:
+        return
+    assert len(report.markings) == len(report.beats)
