@@ -8,8 +8,8 @@ are preserved end to end so the gradient-check harness can run the
 same code path in 64-bit.
 
 Gradients accumulate with ``+=`` into ``Tensor.grad`` of every
-reachable ``requires_grad`` tensor; call :func:`zero_grads` (or
-``ParameterStore.zero_grads``) between backward passes.
+reachable ``requires_grad`` tensor; call ``ParameterStore.zero_grads``
+(or ``Tensor.zero_grad``) between backward passes.
 """
 
 from __future__ import annotations
@@ -142,14 +142,6 @@ def backward(loss: Tensor) -> None:
             node._backward(g, grads)
 
 
-def zero_grads(tensors) -> None:
-    """Set grads of the given tensors (or a ParameterStore) to zero."""
-    if isinstance(tensors, ParameterStore):
-        tensors = (t for _, t in tensors.items())
-    for t in tensors:
-        t.zero_grad()
-
-
 class ParameterStore:
     """Named trainable tensors with deterministic (lexicographic) order."""
 
@@ -170,9 +162,6 @@ class ParameterStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def names(self) -> list[str]:
         return sorted(self._entries)
@@ -470,11 +459,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _node(data, parents, back)
 
 
-def _conv1d_windows(xp: Array, k: int) -> Array:
-    # (B, C, T+k-1) -> (B, T, C*k) contiguous im2col buffer
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (B, C, T, k)
-    b, c, t, _ = win.shape
-    return np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(b, t, c * k)
+def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """Same-size convolution over the trailing axes of ``x`` (B, C, *S)
+    with ``w`` (O, C, *K), every K odd: one im2col buffer and one GEMM."""
+    (bsz, cin), spatial = x.data.shape[:2], x.data.shape[2:]
+    (cout, win_c), ks = w.data.shape[:2], w.data.shape[2:]
+    if win_c != cin:
+        raise ShapeError(f"{op}: expected {win_c} input channels, got {cin}")
+    if any(k % 2 != 1 for k in ks):
+        raise ShapeError(f"{op}: same padding requires odd kernel, got {ks}")
+    n = len(spatial)
+    axes = tuple(range(2, 2 + n))
+    length = int(np.prod(spatial))
+    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in ks))
+
+    def region(offsets) -> tuple:
+        # index of the S-sized block of the padded input that starts at ``offsets``
+        return (slice(None), slice(None)) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
+
+    def windows() -> Array:
+        # (B, C, *S+K-1) -> (B, prod(S), C*prod(K)) contiguous im2col buffer
+        win = np.lib.stride_tricks.sliding_window_view(xp, ks, axis=axes)  # (B, C, *S, *K)
+        return np.ascontiguousarray(np.moveaxis(win, 1, n + 1)).reshape(bsz, length, -1)
+
+    w2 = w.data.reshape(cout, -1)
+    data = np.ascontiguousarray((windows() @ w2.T).transpose(0, 2, 1)).reshape(bsz, cout, *spatial)
+    if b is not None:
+        data += b.data.reshape((cout,) + (1,) * n)
+
+    def back(g, grads):
+        g2 = np.ascontiguousarray(g.reshape(bsz, cout, length).transpose(0, 2, 1)).reshape(bsz * length, cout)
+        _accum(grads, w, (g2.T @ windows().reshape(bsz * length, -1)).reshape(w.data.shape))
+        if b is not None:
+            _accum(grads, b, g.sum(axis=(0,) + axes))
+        if x._needs:
+            gcols = (g2 @ w2).reshape(bsz, *spatial, cin, *ks)
+            gxp = np.zeros_like(xp)
+            for tap in np.ndindex(*ks):
+                gxp[region(tap)] += np.moveaxis(gcols[(Ellipsis,) + tap], -1, 1)
+            _accum(grads, x, gxp[region([k // 2 for k in ks])])
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(data, parents, back)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -484,79 +510,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: expected x (B,C,T) and w (O,I,K), got {x.data.shape} and {w.data.shape}")
-    bsz, cin, t = x.data.shape
-    cout, win, k = w.data.shape
-    if win != cin:
-        raise ShapeError(f"conv1d: expected {win} input channels, got {cin}")
-    if k % 2 != 1:
-        raise ShapeError(f"conv1d: same padding requires odd kernel, got {k}")
-    pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    cols = _conv1d_windows(xp, k)  # (B, T, cin*k)
-    w2 = w.data.reshape(cout, cin * k)
-    data = np.ascontiguousarray((cols @ w2.T).transpose(0, 2, 1))  # (B, cout, T)
-    if b is not None:
-        data += b.data[None, :, None]
-
-    def back(g, grads):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(bsz * t, cout)
-        cols2 = _conv1d_windows(xp, k).reshape(bsz * t, cin * k)
-        _accum(grads, w, (g2.T @ cols2).reshape(cout, cin, k))
-        if b is not None:
-            _accum(grads, b, g.sum(axis=(0, 2)))
-        if x._needs:
-            gcols = (g2 @ w2).reshape(bsz, t, cin, k)
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[:, :, j:j + t] += gcols[:, :, :, j].transpose(0, 2, 1)
-            _accum(grads, x, gxp[:, :, pad:pad + t])
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(data, parents, back)
-
-
-def _conv2d_windows(xp: Array, k: int) -> Array:
-    # (B, C, H+k-1, W+k-1) -> (B, H*W, C*k*k)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))  # (B, C, H, W, k, k)
-    b, c, h, w, _, _ = win.shape
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b, h * w, c * k * k)
+    return _conv_same("conv1d", x, w, b)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Same-size 2D convolution; ``x`` (B,C,H,W), ``w`` (O,I,K,K), odd K."""
-    if x.data.ndim != 4 or w.data.ndim != 4:
+    if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
         raise ShapeError(f"conv2d: expected x (B,C,H,W) and w (O,I,K,K), got {x.data.shape} and {w.data.shape}")
-    bsz, cin, h, wd = x.data.shape
-    cout, win_c, k, k2 = w.data.shape
-    if win_c != cin or k != k2:
-        raise ShapeError(f"conv2d: expected weight ({cout},{cin},K,K), got {w.data.shape}")
-    if k % 2 != 1:
-        raise ShapeError(f"conv2d: same padding requires odd kernel, got {k}")
-    pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _conv2d_windows(xp, k)  # (B, H*W, cin*k*k)
-    w2 = w.data.reshape(cout, cin * k * k)
-    out = cols @ w2.T  # (B, H*W, cout)
-    data = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(bsz, cout, h, wd)
-    if b is not None:
-        data += b.data[None, :, None, None]
-
-    def back(g, grads):
-        g2 = np.ascontiguousarray(g.reshape(bsz, cout, h * wd).transpose(0, 2, 1)).reshape(bsz * h * wd, cout)
-        cols2 = _conv2d_windows(xp, k).reshape(bsz * h * wd, cin * k * k)
-        _accum(grads, w, (g2.T @ cols2).reshape(cout, cin, k, k))
-        if b is not None:
-            _accum(grads, b, g.sum(axis=(0, 2, 3)))
-        if x._needs:
-            gcols = (g2 @ w2).reshape(bsz, h, wd, cin, k, k)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + h, j:j + wd] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            _accum(grads, x, gxp[:, :, pad:pad + h, pad:pad + wd])
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(data, parents, back)
+    return _conv_same("conv2d", x, w, b)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -620,12 +581,6 @@ class BatchNormState:
     def __init__(self, channels: int, dtype=np.float32):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    def copy(self) -> "BatchNormState":
-        out = BatchNormState(len(self.running_mean), dtype=self.running_mean.dtype)
-        out.running_mean = self.running_mean.copy()
-        out.running_var = self.running_var.copy()
-        return out
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | None = None,

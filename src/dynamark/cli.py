@@ -27,7 +27,7 @@ from .dataset import load_annotation, load_corpus, make_folds, write_segment_man
 from .errors import ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
 from .network import ModelConfig
-from .postprocess import EventReport, snap_to_nearest
+from .postprocess import EventReport, check_times, snap_to_nearest
 from .trainer import (
     ABLATIONS,
     TASK_F1_KEYS,
@@ -42,8 +42,7 @@ from .trainer import (
 
 SEED_ENV_VAR = "DYNAMARK_SEED"
 
-MODEL_KEYS = ("input_bins", "scaling_factor", "channels", "blocks_per_branch",
-              "attention_dim", "use_mmoe")
+MODEL_KEYS = ("scaling_factor", "channels", "blocks_per_branch", "attention_dim", "use_mmoe")
 TRAIN_KEYS = ("lr", "batch_size", "epochs", "seed", "weight_decay", "segment_s",
               "augment_overlap")
 
@@ -62,7 +61,7 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _coerce(key: str, value):
+def _coerce(value):
     if isinstance(value, str):
         low = value.lower()
         if low in ("true", "yes", "on"):
@@ -91,7 +90,7 @@ def resolve_options(args: argparse.Namespace, keys) -> dict:
     for key in keys:
         value = defaults.get(key)
         if key in file_values:
-            value = _coerce(key, file_values[key])
+            value = _coerce(file_values[key])
         if key == "seed" and os.environ.get(SEED_ENV_VAR):
             value = int(os.environ[SEED_ENV_VAR])
         flag = getattr(args, key, None)
@@ -338,8 +337,7 @@ def _read_beats_from(path: Path) -> list[float]:
             times = [float(line) for line in lines if line.strip()]
     except ValueError as exc:
         raise SchemaError(f"{path}: expected one beat time per line or a beats CSV: {exc}") from exc
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise SchemaError(f"{path}: beat times go backwards")
+    check_times(times, path)
     return times
 
 
@@ -461,15 +459,6 @@ COMMANDS = {"extract": cmd_extract, "train": cmd_train, "eval": cmd_eval,
             "annotate": cmd_annotate}
 
 
-def _resolve_for_command(args: argparse.Namespace) -> dict:
-    keys = OPTION_KEYS[args.command]
-    resolved = resolve_options(args, keys)
-    for key in keys:  # passthrough for options without package defaults
-        if resolved.get(key) is None:
-            resolved[key] = getattr(args, key, None)
-    return resolved
-
-
 def _read_rerun_manifest(path: Path) -> tuple[str, dict]:
     """The command and resolved options recorded in a run manifest."""
     try:
@@ -495,7 +484,7 @@ def main(argv=None) -> int:
             command, opts = _read_rerun_manifest(Path(args.manifest))
             code, report = COMMANDS[command](opts)
         else:
-            opts = _resolve_for_command(args)
+            opts = resolve_options(args, OPTION_KEYS[args.command])
             code, report = COMMANDS[args.command](opts)
         if getattr(args, "json", False):
             print(json.dumps(report, indent=2))

@@ -26,6 +26,17 @@ PEAK_RADIUS = 3
 CHANGE_POINT_THRESHOLD = 0.75
 
 
+def check_times(times, source) -> None:
+    """Raise ``SchemaError`` unless every time is finite and none goes
+    backwards; equal neighbours are legal (``--beats-from`` can put two
+    beats on one frame)."""
+    times = np.asarray(times, dtype=np.float64)
+    if not np.isfinite(times).all():
+        raise SchemaError(f"{source}: times must be finite")
+    if (np.diff(times) < 0).any():
+        raise SchemaError(f"{source}: times go backwards")
+
+
 @dataclass
 class EventReport:
     """Discrete predicted events, times in seconds."""
@@ -50,6 +61,8 @@ class EventReport:
     def from_json(cls, path) -> "EventReport":
         try:
             d = json.loads(Path(path).read_text())
+            if not all(isinstance(d[key], list) for key in ("beats", "downbeats", "markings", "change_points")):
+                raise TypeError("every field must be a JSON list")
             report = cls(beats=[float(t) for t in d["beats"]],
                          downbeats=[float(t) for t in d["downbeats"]],
                          markings=[str(m) for m in d["markings"]],
@@ -58,9 +71,8 @@ class EventReport:
             raise SchemaError(f"{path}: not a valid event report: {exc}") from exc
         if len(report.markings) != len(report.beats):
             raise SchemaError(f"{path}: {len(report.markings)} markings for {len(report.beats)} beats")
-        # equal neighbours are legal: --beats-from can put two beats on one frame
-        if not (np.diff(report.beats) >= 0).all():
-            raise SchemaError(f"{path}: beat times are not ascending")
+        for name in ("beats", "downbeats", "change_points"):
+            check_times(getattr(report, name), f"{path}: {name}")
         return report
 
     def write_csv(self, path) -> None:

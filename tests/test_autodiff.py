@@ -7,6 +7,7 @@ relative error < 1e-3.
 
 import numpy as np
 import pytest
+from scipy.signal import correlate
 
 from dynamark import autodiff as ad
 from dynamark.autodiff import Tensor
@@ -195,6 +196,26 @@ def test_conv1d_identity_kernel():
     w = Tensor(np.array([[[0.0, 1.0, 0.0]]]))
     out = ad.conv1d(x, w)
     np.testing.assert_allclose(out.data, [[[1.0, 2.0, 3.0]]])
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((2, 3, 11), (4, 3, 3)),
+    ((2, 3, 11), (4, 3, 5)),
+    ((2, 2, 6, 7), (3, 2, 3, 3)),
+    ((1, 2, 5, 9), (2, 2, 5, 5)),
+], ids=["conv1d-k3", "conv1d-k5", "conv2d-k3", "conv2d-k5"])
+def test_conv_matches_correlate_oracle(x_shape, w_shape):
+    # same-padded cross-correlation summed over input channels, plus bias
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    b = rng.standard_normal(w_shape[0])
+    conv = ad.conv1d if len(x_shape) == 3 else ad.conv2d
+    got = conv(Tensor(x), Tensor(w), Tensor(b)).data
+    want = np.stack([[sum(correlate(x[n, c], w[o, c], mode="same", method="direct")
+                          for c in range(x_shape[1])) + b[o]
+                      for o in range(w_shape[0])] for n in range(x_shape[0])])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_softmax_of_zeros_is_uniform():

@@ -201,7 +201,9 @@ def test_annotate_beats_from(corpus, trained, tmp_path):
 @pytest.mark.parametrize("text", [
     "beat_index,time_s,is_downbeat\n0,abc,1\n",
     "1.0\n0.5\n",
-], ids=["bad-csv-time", "times-go-backwards"])
+    "0.5\nnan\n",
+    "0.5\ninf\n",
+], ids=["bad-csv-time", "times-go-backwards", "nan-time", "inf-time"])
 def test_annotate_malformed_beats_from_exit_1(corpus, trained, tmp_path, capsys, text):
     wav = sorted((corpus / "audio").glob("*.wav"))[0]
     beats_file = tmp_path / "grid.csv"

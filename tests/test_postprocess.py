@@ -249,7 +249,11 @@ def test_from_json_schema_errors(tmp_path):
     {"beats": [None], "downbeats": [], "markings": ["p"], "change_points": []},
     {"beats": [10 ** 400], "downbeats": [], "markings": ["p"], "change_points": []},
     {"beats": [2.0, 1.0], "downbeats": [], "markings": ["p", "p"], "change_points": []},
-], ids=["not-an-object", "null-beats", "null-beat", "beat-overflows-float", "beats-go-backwards"])
+    {"beats": "123", "downbeats": "", "markings": "ppp", "change_points": []},
+    {"beats": [float("nan")], "downbeats": [], "markings": ["p"], "change_points": []},
+    {"beats": [1.0], "downbeats": [], "markings": ["p"], "change_points": [float("inf")]},
+], ids=["not-an-object", "null-beats", "null-beat", "beat-overflows-float", "beats-go-backwards",
+        "string-beats", "nan-beat", "inf-change-point"])
 def test_from_json_malformed_is_schema_error(tmp_path, blob):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(blob))
