@@ -177,20 +177,6 @@ class ParameterStore:
     def total_parameters(self) -> int:
         return sum(t.size for _, t in self.items())
 
-    def state_dict(self) -> dict[str, Array]:
-        return {name: t.data.copy() for name, t in self.items()}
-
-    def load_state_dict(self, state: dict[str, Array]) -> None:
-        missing = set(self._entries) - set(state)
-        extra = set(state) - set(self._entries)
-        if missing or extra:
-            raise KeyError(f"parameter name mismatch: missing={sorted(missing)}, unexpected={sorted(extra)}")
-        for name, value in state.items():
-            t = self._entries[name]
-            if t.data.shape != value.shape:
-                raise ShapeError(f"parameter {name!r}: expected shape {t.data.shape}, got {value.shape}")
-            t.data = value.astype(t.data.dtype, copy=True)
-
 
 # --------------------------------------------------------------------------
 # elementwise / reduction primitives

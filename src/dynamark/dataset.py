@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +42,6 @@ class RecordingAnnotation:
     downbeat_flags: np.ndarray
     markings: list[str]  # carried-forward, "blank" before the first mark
     duration: float
-
-    @property
-    def n_beats(self) -> int:
-        return len(self.beat_times)
 
     def change_point_beats(self) -> list[int]:
         """0-based beat indices where the carried marking changes."""
@@ -106,6 +102,8 @@ def load_annotation(beat_file, marking_file, piece_id: str | None = None,
             idx, t, db = int(idx_s), float(time_s), int(db_s)
         except ValueError as exc:
             raise SchemaError(f"{beat_file}: row {lineno}: {exc}") from exc
+        if not np.isfinite(t):
+            raise SchemaError(f"{beat_file}: row {lineno}: beat time {time_s!r} is not finite")
         if idx != len(times):
             raise SchemaError(f"{beat_file}: row {lineno}: beat_index {idx} out of order (expected {len(times)})")
         if times and t <= times[-1]:
@@ -194,46 +192,40 @@ def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
     return targets
 
 
-def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str = "",
-                  window_s: int = SEGMENT_SECONDS, mode: str = "train") -> list[Segment]:
-    """Slice a recording into fixed windows.
+def window_starts(n_frames: int, window_s: int = SEGMENT_SECONDS, mode: str = "train") -> list[int]:
+    """First frames of the fixed windows a recording is cut into.
 
     Train mode advances by half a window and uses only fully covered
     windows (one zero-padded window when the recording is shorter);
-    eval mode tiles without overlap, padding the final window.  Padded
-    frames are flagged through ``n_valid``.
+    eval mode tiles without overlap, padding the final window.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    f, t = features.shape
     win = window_s * FPS
-    hop = int(win * TRAIN_HOP_FRACTION) if mode == "train" else win
-    if mode == "train":
-        starts = list(range(0, t - win + 1, hop)) if t >= win else [0]
-    else:
-        starts = list(range(0, t, win))
-
-    segments = []
-    for start in starts:
-        stop = min(start + win, t)
-        feat = np.zeros((f, win), dtype=features.dtype)
-        feat[:, : stop - start] = features[:, start:stop]
-        sl = slice(start, stop)
-        pad = win - (stop - start)
-        tg = FrameTargets(
-            beat=_pad(targets.beat[sl], pad),
-            downbeat=_pad(targets.downbeat[sl], pad),
-            change_point=_pad(targets.change_point[sl], pad),
-            dynamic_class=_pad(targets.dynamic_class[sl], pad),
-            beat_mask=_pad(targets.beat_mask[sl], pad),
-        )
-        segments.append(Segment(features=feat, targets=tg, recording_id=recording_id,
-                                start_s=start / FPS, n_valid=stop - start))
-    return segments
+    if mode == "eval":
+        return list(range(0, n_frames, win))
+    return list(range(0, n_frames - win + 1, int(win * TRAIN_HOP_FRACTION))) if n_frames >= win else [0]
 
 
-def _pad(arr: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(arr, (0, pad)) if pad else arr.copy()
+def crop_window(arr: np.ndarray, start: int, length: int) -> np.ndarray:
+    """``arr[..., start:start + length]``, zero-padded on the right to ``length`` frames."""
+    out = np.zeros(arr.shape[:-1] + (length,), dtype=arr.dtype)
+    piece = arr[..., start:start + length]
+    out[..., :piece.shape[-1]] = piece
+    return out
+
+
+def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str = "",
+                  window_s: int = SEGMENT_SECONDS, mode: str = "train") -> list[Segment]:
+    """Slice a recording into the windows ``window_starts`` places.
+    Padded frames are flagged through ``n_valid``."""
+    t = features.shape[1]
+    win = window_s * FPS
+    return [Segment(features=crop_window(features, start, win),
+                    targets=FrameTargets(*(crop_window(getattr(targets, f.name), start, win)
+                                           for f in fields(FrameTargets))),
+                    recording_id=recording_id, start_s=start / FPS, n_valid=min(win, t - start))
+            for start in window_starts(t, window_s, mode)]
 
 
 def make_folds(piece_ids, k: int = 5, seed: int = 86) -> dict[str, int]:
@@ -251,16 +243,13 @@ def write_segment_manifest(path, recordings, fold_of_piece: dict[str, int],
     """JSON manifest: recording ids, fold ids, and segment offsets."""
     entries = []
     for rec in recordings:
-        train_starts = [s.start_s for s in make_segments(rec.features, rec.targets,
-                                                         rec.recording_id, window_s, "train")]
-        eval_starts = [s.start_s for s in make_segments(rec.features, rec.targets,
-                                                        rec.recording_id, window_s, "eval")]
+        t = rec.features.shape[1]
         entries.append({
             "recording_id": rec.recording_id,
             "piece_id": rec.piece_id,
             "fold": fold_of_piece[rec.piece_id],
-            "train_segment_starts_s": train_starts,
-            "eval_segment_starts_s": eval_starts,
+            "train_segment_starts_s": [s / FPS for s in window_starts(t, window_s, "train")],
+            "eval_segment_starts_s": [s / FPS for s in window_starts(t, window_s, "eval")],
         })
     Path(path).write_text(json.dumps({"window_s": window_s, "recordings": entries}, indent=2) + "\n")
 

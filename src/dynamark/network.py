@@ -24,13 +24,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, ParameterStore, Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .objectives import N_DYNAMIC_CLASSES, TASKS
 
 LATENT_DIM = 8
 NUM_EXPERTS = 8
 # Keeps expert e's second conv on its own 8 first-conv channels.
 EXPERT_BLOCKS = np.kron(np.eye(NUM_EXPERTS), np.ones((LATENT_DIM, LATENT_DIM)))[:, :, None]
+
+
+# Settings older checkpoints record although they cannot vary.
+FIXED_CONFIG = {"latent_dim": LATENT_DIM, "num_experts": NUM_EXPERTS,
+                "num_dynamic_classes": N_DYNAMIC_CLASSES, "num_tasks": len(TASKS)}
 
 
 @dataclass
@@ -40,20 +45,11 @@ class ModelConfig:
     channels: int = 20
     blocks_per_branch: int = 2
     attention_dim: int = 8
-    num_dynamic_classes: int = N_DYNAMIC_CLASSES
     use_mmoe: bool = True
-
-    latent_dim: int = LATENT_DIM
-    num_experts: int = NUM_EXPERTS
-    num_tasks: int = len(TASKS)
 
     def __post_init__(self):
         if self.scaling_factor < 1:
             raise ConfigError(f"scaling_factor must be >= 1, got {self.scaling_factor}")
-        if self.latent_dim != LATENT_DIM or self.num_experts != NUM_EXPERTS:
-            raise ConfigError("latent_dim and num_experts are fixed at 8")
-        if self.num_dynamic_classes != N_DYNAMIC_CLASSES:
-            raise ConfigError(f"num_dynamic_classes is fixed at {N_DYNAMIC_CLASSES}")
         if min(self.channels, self.blocks_per_branch, self.attention_dim, self.input_bins) < 1:
             raise ConfigError("all widths must be >= 1")
 
@@ -62,6 +58,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        d = dict(d)
+        for key, value in FIXED_CONFIG.items():
+            if (got := d.pop(key, value)) != value:
+                raise ConfigError(f"{key} is fixed at {value}, got {got!r}")
         return cls(**d)
 
 
@@ -141,7 +141,7 @@ class DynamicsModel:
             for task in TASKS:
                 self._linear(rng, f"gate_{task}", LATENT_DIM, NUM_EXPERTS)
         for task in TASKS:
-            out = cfg.num_dynamic_classes if task == "dynamics" else 1
+            out = N_DYNAMIC_CLASSES if task == "dynamics" else 1
             self._linear(rng, f"head_{task}", LATENT_DIM, out)
 
     # -- forward -------------------------------------------------------------
@@ -255,22 +255,31 @@ class DynamicsModel:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def param_count(self) -> int:
-        return self.params.total_parameters()
-
-    def bn_state_dict(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, state in sorted(self.bn_state.items()):
-            out[f"{name}.running_mean"] = state.running_mean.copy()
-            out[f"{name}.running_var"] = state.running_var.copy()
-        return out
-
-    def load_bn_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Copies of every parameter and batchnorm running statistic, by name."""
+        state = {name: t.data.copy() for name, t in self.params.items()}
         for name, bn in self.bn_state.items():
-            bn.running_mean = np.asarray(state[f"{name}.running_mean"], dtype=np.float32).copy()
-            bn.running_var = np.asarray(state[f"{name}.running_var"], dtype=np.float32).copy()
+            state[f"{name}.running_mean"] = bn.running_mean.copy()
+            state[f"{name}.running_var"] = bn.running_var.copy()
+        return state
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Replace the whole state; every name and shape must match the model."""
+        own = self.state_dict()
+        wrong = [f"missing {name}" for name in sorted(own.keys() - state.keys())]
+        wrong += [f"unexpected {name}" for name in sorted(state.keys() - own.keys())]
+        wrong += [f"{name} has shape {np.shape(state[name])}, expected {arr.shape}"
+                  for name, arr in sorted(own.items())
+                  if name in state and np.shape(state[name]) != arr.shape]
+        if wrong:
+            raise ShapeError("state does not match the model: " + "; ".join(wrong))
+        for name, t in self.params.items():
+            t.data = np.array(state[name], dtype=t.data.dtype)
+        for name, bn in self.bn_state.items():
+            bn.running_mean = np.array(state[f"{name}.running_mean"], dtype=np.float32)
+            bn.running_var = np.array(state[f"{name}.running_var"], dtype=np.float32)
 
 
 def param_count(cfg: ModelConfig) -> int:
     """Exact number of trainable scalars for a configuration."""
-    return DynamicsModel(cfg, seed=0).param_count()
+    return DynamicsModel(cfg, seed=0).params.total_parameters()

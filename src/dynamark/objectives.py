@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -114,16 +115,6 @@ def _as_2d(arr: np.ndarray) -> np.ndarray:
     return arr[None, :] if arr.ndim == 1 else arr
 
 
-def _window_argmax(row: np.ndarray, center: int, tol: int, valid_row: np.ndarray) -> int:
-    lo = max(0, center - tol)
-    hi = min(len(row), center + tol + 1)
-    idx = np.arange(lo, hi)
-    idx = idx[valid_row[lo:hi]]
-    if idx.size == 0:
-        return center
-    return int(idx[np.argmax(row[idx])])
-
-
 def default_pos_weight(target: np.ndarray, valid: np.ndarray) -> float:
     """negatives/positives over valid frames, clamped to [1, 100]."""
     n_pos = int(np.count_nonzero(target[valid]))
@@ -152,17 +143,17 @@ def shift_tolerant_wbce(logits: Tensor, target: np.ndarray, tolerance: int = SHI
     if pos_weight is None:
         pos_weight = default_pos_weight(target, valid)
 
-    data = shaped.data
-    pos_flat: list[int] = []
-    neg_excluded = np.zeros((b, t), dtype=bool)
-    for i in range(b):
-        positives = np.nonzero(target[i] & valid[i])[0]
-        for t_star in positives:
-            pos_flat.append(i * t + _window_argmax(data[i], int(t_star), tolerance, valid[i]))
-            lo = max(0, t_star - tolerance)
-            neg_excluded[i, lo:t_star + tolerance + 1] = True
-    neg_keep = valid & ~target & ~neg_excluded
-    neg_flat = np.nonzero(neg_keep.reshape(-1))[0]
+    # Each positive scores the best valid frame within +-tolerance (the first
+    # of equal ones); padded and invalid frames read -inf and never win.
+    span = 2 * tolerance + 1
+    edge = ((0, 0), (tolerance, tolerance))
+    scores = np.pad(np.where(valid, shaped.data, -np.inf), edge, constant_values=-np.inf)
+    rows, cols = np.nonzero(target & valid)
+    best = sliding_window_view(scores, span, axis=1)[rows, cols].argmax(axis=1)
+    pos_flat = rows * t + cols + best - tolerance
+    # every frame within +-tolerance of a positive leaves the negative term
+    near_pos = sliding_window_view(np.pad(target & valid, edge), span, axis=1).any(axis=2)
+    neg_flat = np.nonzero((valid & ~target & ~near_pos).reshape(-1))[0]
 
     n_pos, n_neg = len(pos_flat), len(neg_flat)
     if n_pos + n_neg == 0:
@@ -170,7 +161,7 @@ def shift_tolerant_wbce(logits: Tensor, target: np.ndarray, tolerance: int = SHI
     terms = []
     if n_pos:
         # -log sigmoid(l) == softplus(-l)
-        pos_logits = ad.take(shaped, np.asarray(pos_flat, dtype=np.intp))
+        pos_logits = ad.take(shaped, pos_flat)
         terms.append(ad.scale(ad.tsum(ad.softplus(ad.neg(pos_logits))), pos_weight))
     if n_neg:
         # -log(1 - sigmoid(l)) == softplus(l)

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore
-from .dataset import Recording, Segment, make_segments, time_to_frame
-from .errors import CheckpointError, TrainingError
+from .audio import FPS
+from .dataset import Recording, Segment, crop_window, make_segments, time_to_frame, window_starts
+from .errors import CheckpointError, ShapeError, TrainingError
 from .metrics import mean_std, score_recording
 from .network import DynamicsModel, ModelConfig
-from .objectives import TASKS, FrameTargets, LossConfig, TargetBatch, multitask_loss
+from .objectives import TASKS, LossConfig, TargetBatch, multitask_loss
 from .postprocess import build_event_report, markings_at_beats
 
 CHECKPOINT_MAGIC = b"DYNC"
@@ -124,8 +125,7 @@ class Checkpoint:
     version: int
     model_config: ModelConfig
     train_config: TrainConfig
-    params: dict[str, np.ndarray]
-    bn_state: dict[str, np.ndarray]
+    state: dict[str, np.ndarray]  # as DynamicsModel.state_dict() returns it
     epoch: int
     val_summary: dict = field(default_factory=dict)
 
@@ -133,8 +133,7 @@ class Checkpoint:
     def from_model(cls, model: DynamicsModel, train_config: TrainConfig,
                    epoch: int, val_summary: dict | None = None) -> "Checkpoint":
         return cls(version=CHECKPOINT_VERSION, model_config=model.cfg,
-                   train_config=train_config, params=model.params.state_dict(),
-                   bn_state=model.bn_state_dict(), epoch=epoch,
+                   train_config=train_config, state=model.state_dict(), epoch=epoch,
                    val_summary=dict(val_summary or {}))
 
 
@@ -152,13 +151,10 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
         "train_config": cp.train_config.as_dict(),
         "epoch": cp.epoch,
         "val_summary": cp.val_summary,
-        "n_params": len(cp.params),
-        "n_state": len(cp.bn_state),
     }).encode("utf-8")
     body = struct.pack("<I", len(config_blob)) + config_blob
-    tensors = list(sorted(cp.params.items())) + list(sorted(cp.bn_state.items()))
-    body += struct.pack("<I", len(tensors))
-    for name, arr in tensors:
+    body += struct.pack("<I", len(cp.state))
+    for name, arr in sorted(cp.state.items()):
         body += _pack_tensor(name, arr)
     blob = CHECKPOINT_MAGIC + struct.pack("<I", cp.version)
     blob += struct.pack("<I", zlib.crc32(body)) + body
@@ -205,24 +201,19 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = arr.copy()
         model_cfg = ModelConfig.from_dict(config["model_config"])
         train_cfg = TrainConfig.from_dict(config["train_config"])
-        n_params, n_state = config["n_params"], config["n_state"]
         epoch, val_summary = config["epoch"], config["val_summary"]
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint body: {exc!r}") from exc
-    probe = DynamicsModel(model_cfg, seed=0)
-    param_set = set(probe.params.names())
-    params = {k: v for k, v in tensors.items() if k in param_set}
-    bn_state = {k: v for k, v in tensors.items() if k not in param_set}
-    if len(params) != n_params or len(bn_state) != n_state:
-        raise CheckpointError(f"{path}: tensor inventory does not match the recorded model")
     return Checkpoint(version=version, model_config=model_cfg, train_config=train_cfg,
-                      params=params, bn_state=bn_state, epoch=epoch, val_summary=val_summary)
+                      state=tensors, epoch=epoch, val_summary=val_summary)
 
 
 def model_from_checkpoint(cp: Checkpoint) -> DynamicsModel:
     model = DynamicsModel(cp.model_config, seed=0)
-    model.params.load_state_dict(cp.params)
-    model.load_bn_state_dict(cp.bn_state)
+    try:
+        model.load_state_dict(cp.state)
+    except ShapeError as exc:
+        raise CheckpointError(f"checkpoint {exc}") from exc
     return model
 
 
@@ -236,15 +227,11 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
     over windows: a (T, 6) softmax for dynamics, (T,) sigmoids for the
     three binary tasks."""
     t = features.shape[1]
-    dummy = FrameTargets(beat=np.zeros(t, dtype=np.uint8), downbeat=np.zeros(t, dtype=np.uint8),
-                         change_point=np.zeros(t, dtype=np.uint8),
-                         dynamic_class=np.zeros(t, dtype=np.int64),
-                         beat_mask=np.zeros(t, dtype=np.uint8))
     pieces = {"dynamics": [], "change_point": [], "beat": [], "downbeat": []}
-    for seg in make_segments(features, dummy, mode="eval", window_s=window_s):
-        logits = model.forward(seg.features, training=False)
+    for start in window_starts(t, window_s, mode="eval"):
+        logits = model.forward(crop_window(features, start, window_s * FPS), training=False)
         for task, piece in pieces.items():
-            piece.append(getattr(logits, task).data[0, :seg.n_valid])
+            piece.append(getattr(logits, task).data[0, :t - start])
     frames = {task: np.concatenate(piece, axis=0) for task, piece in pieces.items()}
     return {task: ad.softmax_np(v) if task == "dynamics" else ad.sigmoid_np(v)
             for task, v in frames.items()}

@@ -1,6 +1,7 @@
 """End-to-end command tests on a small synthetic corpus."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -140,6 +141,37 @@ def test_train_missing_features_actionable(corpus, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "extract" in capsys.readouterr().err
+
+
+def _annotations_with_nan_beat(corpus, tmp_path):
+    """A copy of the corpus annotations whose first clip has a NaN beat time."""
+    ann_dir = tmp_path / "annotations"
+    shutil.copytree(corpus / "annotations", ann_dir)
+    beats_csv = sorted(ann_dir.glob("*_beats.csv"))[0]
+    lines = beats_csv.read_text().splitlines()
+    lines[3] = "2,nan,0"
+    beats_csv.write_text("\n".join(lines) + "\n")
+    return ann_dir, beats_csv
+
+
+def test_train_non_finite_beat_time_exit_1(corpus, extracted, tmp_path, capsys):
+    ann_dir, beats_csv = _annotations_with_nan_beat(corpus, tmp_path)
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(ann_dir),
+                 "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1"])
+    assert code == 1
+    assert f"{beats_csv.name}: row 4: beat time 'nan' is not finite" in capsys.readouterr().err
+
+
+def test_eval_non_finite_reference_beat_time_exit_1(corpus, tmp_path, capsys):
+    from dynamark.postprocess import EventReport
+    ann_dir, beats_csv = _annotations_with_nan_beat(corpus, tmp_path)
+    pred_dir = tmp_path / "p"
+    pred_dir.mkdir()
+    EventReport(beats=[0.5, 1.0, 1.5], markings=["p"] * 3).write_json(
+        pred_dir / beats_csv.name.replace("_beats.csv", ".json"))
+    code = main(["eval", "--predictions", str(pred_dir), "--references", str(ann_dir)])
+    assert code == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_annotate_and_eval_round_trip(corpus, extracted, trained, tmp_path, capsys):

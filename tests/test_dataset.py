@@ -59,6 +59,18 @@ def test_load_annotation_rejects_non_ascending(tmp_path):
         load_annotation(bp, mp)
 
 
+@pytest.mark.parametrize("rows, bad_row", [
+    ("0,nan,1\n1,1.0,0\n", 2),
+    ("0,0.5,1\n1,nan,0\n", 3),
+    ("0,0.5,1\n1,inf,0\n", 3),
+], ids=["nan-first", "nan-later", "inf"])
+def test_load_annotation_rejects_non_finite_time(tmp_path, rows, bad_row):
+    bp, mp = write_annotation(tmp_path, "M5__x", [0.5, 1.0], {})
+    bp.write_text("beat_index,time_s,is_downbeat\n" + rows)
+    with pytest.raises(SchemaError, match=f"row {bad_row}: beat time .* not finite"):
+        load_annotation(bp, mp)
+
+
 def test_load_annotation_rejects_bad_header(tmp_path):
     bp, mp = write_annotation(tmp_path, "M3__x", [0.5], {})
     bp.write_text("time,downbeat\n0.5,1\n")

@@ -256,7 +256,12 @@ def test_disabled_task_heads_get_zero_grad():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(scaling_factor=0)
-    with pytest.raises(ConfigError):
-        ModelConfig(latent_dim=16)
-    with pytest.raises(ConfigError):
-        ModelConfig(num_dynamic_classes=5)
+    # the fixed settings exist only as keys of older checkpoint files
+    with pytest.raises(ConfigError, match="latent_dim"):
+        ModelConfig.from_dict({"latent_dim": 16})
+    with pytest.raises(ConfigError, match="num_dynamic_classes"):
+        ModelConfig.from_dict({"num_dynamic_classes": 5})
+    with pytest.raises(ConfigError, match="num_tasks"):
+        ModelConfig.from_dict({"num_tasks": 7})
+    fixed = {"latent_dim": 8, "num_experts": 8, "num_dynamic_classes": 6, "num_tasks": 4}
+    assert ModelConfig.from_dict({**fixed, "channels": 4}) == ModelConfig(channels=4)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynamark import autodiff as ad
 from dynamark import objectives as obj
@@ -99,6 +100,50 @@ def test_wbce_gradcheck():
     target[[6, 18]] = 1
     logits = Tensor(np.asarray(rng.standard_normal(25) * 2, dtype=np.float64), requires_grad=True)
     check_gradients(lambda l: obj.shift_tolerant_wbce(l, target, pos_weight=3.0), [logits])
+
+
+def _loop_wbce(logits, target, tolerance, valid):
+    """The per-positive loop that the vectorised loss replaced, as its reference."""
+    b, t = target.shape
+    pos_flat, excluded = [], np.zeros((b, t), dtype=bool)
+    for i in range(b):
+        for c in np.nonzero(target[i] & valid[i])[0]:
+            lo, hi = max(0, c - tolerance), min(t, c + tolerance + 1)
+            idx = np.arange(lo, hi)[valid[i, lo:hi]]
+            pos_flat.append(i * t + idx[np.argmax(logits.data[i, idx])])
+            excluded[i, lo:hi] = True
+    neg_flat = np.nonzero((valid & ~target & ~excluded).reshape(-1))[0]
+    terms = []
+    if pos_flat:
+        pos_weight = obj.default_pos_weight(target, valid)
+        terms.append(ad.scale(ad.tsum(ad.softplus(ad.neg(ad.take(logits, pos_flat)))), pos_weight))
+    if neg_flat.size:
+        terms.append(ad.tsum(ad.softplus(ad.take(logits, neg_flat))))
+    if not terms:
+        return Tensor(np.zeros((), dtype=logits.data.dtype))
+    total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+    return ad.scale(total, 1.0 / (len(pos_flat) + neg_flat.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 4), st.data())
+def test_wbce_matches_loop_reference_bit_for_bit(b, t, tolerance, data):
+    # few distinct logit values, so windows hold ties; invalid frames anywhere
+    frames = lambda elements: np.array(data.draw(st.lists(elements, min_size=b * t, max_size=b * t))).reshape(b, t)
+    values = frames(st.integers(-3, 3)).astype(np.float32)
+    target = frames(st.booleans())
+    valid = frames(st.sampled_from([True, True, True, False]))
+    results = []
+    for loss_fn in (lambda x: obj.shift_tolerant_wbce(x, target, tolerance, valid=valid),
+                    lambda x: _loop_wbce(x, target, tolerance, valid)):
+        x = Tensor(values, requires_grad=True)
+        loss = loss_fn(x)
+        ad.backward(loss)
+        results.append((loss.item(), x.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert got == want
+    assert (got_grad is None) == (want_grad is None)
+    assert got_grad is None or np.array_equal(got_grad, want_grad)
 
 
 # -- masked_ce ------------------------------------------------------------------

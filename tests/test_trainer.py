@@ -1,16 +1,19 @@
 """Optimiser semantics, checkpoint persistence, training determinism."""
 
 import json
+import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynamark import autodiff as ad
 from dynamark import trainer
 from dynamark.autodiff import ParameterStore, Tensor
-from dynamark.errors import CheckpointError, TrainingError
+from dynamark.errors import CheckpointError, DynamarkError, TrainingError
 from dynamark.network import DynamicsModel, ModelConfig
 from dynamark.cli import main
 from dynamark.trainer import (
@@ -202,6 +205,72 @@ def test_checkpoint_malformed_body_with_valid_crc(tmp_path, capsys, config_blob,
     # the CLI reports it as an input error (exit 1), not an internal one (2)
     assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
     assert "malformed" in capsys.readouterr().err
+
+
+def _rename_running_mean(state):
+    state["input_bn.running_avg"] = state.pop("input_bn.running_mean")
+
+
+def _reshape_running_mean(state):
+    state["input_bn.running_mean"] = np.zeros(7, dtype=np.float32)
+
+
+def _reshape_param(state):
+    state["head_beat.w"] = np.zeros((2, 8), dtype=np.float32)
+
+
+@pytest.mark.parametrize("corrupt, culprit", [
+    (_rename_running_mean, "input_bn.running_avg"),
+    (_reshape_running_mean, "input_bn.running_mean has shape (7,)"),
+    (_reshape_param, "head_beat.w has shape (2, 8)"),
+], ids=["bn-name", "bn-shape", "param-shape"])
+def test_checkpoint_state_must_fit_the_model(tmp_path, capsys, corrupt, culprit):
+    # the file itself is sound (valid CRC, well-formed body); its tensors are not the model's
+    cp = Checkpoint.from_model(small_model(), TrainConfig(), epoch=1)
+    corrupt(cp.state)
+    path = tmp_path / "misfit.dync"
+    save_checkpoint(cp, path)
+    with pytest.raises(CheckpointError, match=re.escape(culprit)):
+        model_from_checkpoint(load_checkpoint(path))
+    assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
+    assert culprit in capsys.readouterr().err
+
+
+def test_committed_checkpoint_loads():
+    # written before the writer dropped n_params/n_state and the fixed config keys
+    cp = load_checkpoint(Path(__file__).resolve().parents[1] / "bench" / "data" / "stock_bssl.dync")
+    assert cp.model_config == ModelConfig()
+    model = model_from_checkpoint(cp)
+    assert sorted(cp.state) == sorted(DynamicsModel(ModelConfig(), seed=0).state_dict())
+    assert all(np.array_equal(arr, cp.state[name]) for name, arr in model.state_dict().items())
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint_body(tmp_path_factory):
+    # a model without MMoE and one channel keeps the tensor data short, so
+    # most mutated bytes land in the config JSON or the tensor headers
+    cfg = ModelConfig(input_bins=2, scaling_factor=2, channels=1, blocks_per_branch=1,
+                      attention_dim=1, use_mmoe=False)
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.dync"
+    save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg), TrainConfig(), epoch=1), path)
+    return path.read_bytes()[12:], path.with_name("mutated.dync")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_checkpoint_body_fuzz_raises_only_typed_errors(tiny_checkpoint_body, data):
+    body, path = tiny_checkpoint_body
+    body = bytearray(body)
+    for _ in range(data.draw(st.integers(1, 4))):
+        body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 255))
+    if data.draw(st.booleans()):
+        del body[data.draw(st.integers(0, len(body))):]
+    body = bytes(body)
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, zlib.crc32(body)) + body)
+    try:
+        model_from_checkpoint(load_checkpoint(path))
+    except DynamarkError:
+        pass
 
 
 # -- training loop -----------------------------------------------------------------
