@@ -447,7 +447,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Same-size convolution over the trailing axes of ``x`` (B, C, *S)
-    with ``w`` (O, C, *K), every K odd: one im2col buffer and one GEMM."""
+    with ``w`` (O, C, *K), every K odd: one im2col buffer and one GEMM.
+
+    The buffer is channel-first, (C*prod(K), B*prod(S)): row ``c, tap``
+    holds the padded input of channel ``c`` shifted by ``tap``, for every
+    batch item and output position.  It is filled by one block copy per
+    kernel tap, each of which moves whole rows of the last spatial axis,
+    and is rebuilt in the backward rather than held."""
     (bsz, cin), spatial = x.data.shape[:2], x.data.shape[2:]
     (cout, win_c), ks = w.data.shape[:2], w.data.shape[2:]
     if win_c != cin:
@@ -463,26 +469,28 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         # index of the S-sized block of the padded input that starts at ``offsets``
         return (slice(None), slice(None)) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
 
-    def windows() -> Array:
-        # (B, C, *S+K-1) -> (B, prod(S), C*prod(K)) contiguous im2col buffer
-        win = np.lib.stride_tricks.sliding_window_view(xp, ks, axis=axes)  # (B, C, *S, *K)
-        return np.ascontiguousarray(np.moveaxis(win, 1, n + 1)).reshape(bsz, length, -1)
+    def columns() -> Array:
+        # (B, C, *S+K-1) -> (C*prod(K), B*prod(S)) contiguous im2col buffer
+        cols = np.empty((cin, *ks, bsz, *spatial), dtype=xp.dtype)
+        for tap in np.ndindex(*ks):
+            cols[(slice(None),) + tap] = np.swapaxes(xp[region(tap)], 0, 1)
+        return cols.reshape(-1, bsz * length)
 
     w2 = w.data.reshape(cout, -1)
-    data = np.ascontiguousarray((windows() @ w2.T).transpose(0, 2, 1)).reshape(bsz, cout, *spatial)
+    data = np.ascontiguousarray(np.swapaxes((w2 @ columns()).reshape(cout, bsz, *spatial), 0, 1))
     if b is not None:
         data += b.data.reshape((cout,) + (1,) * n)
 
     def back(g, grads):
         g2 = np.ascontiguousarray(g.reshape(bsz, cout, length).transpose(0, 2, 1)).reshape(bsz * length, cout)
-        _accum(grads, w, (g2.T @ windows().reshape(bsz * length, -1)).reshape(w.data.shape))
+        _accum(grads, w, (g2.T @ columns().T).reshape(w.data.shape))
         if b is not None:
             _accum(grads, b, g.sum(axis=(0,) + axes))
         if x._needs:
-            gcols = (g2 @ w2).reshape(bsz, *spatial, cin, *ks)
+            gcols = (w2.T @ g2.T).reshape(cin, *ks, bsz, *spatial)
             gxp = np.zeros_like(xp)
             for tap in np.ndindex(*ks):
-                gxp[region(tap)] += np.moveaxis(gcols[(Ellipsis,) + tap], -1, 1)
+                gxp[region(tap)] += np.swapaxes(gcols[(slice(None),) + tap], 0, 1)
             _accum(grads, x, gxp[region([k // 2 for k in ks])])
 
     parents = (x, w) if b is None else (x, w, b)

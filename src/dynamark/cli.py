@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .audio import FPS, bssl, decode_and_prepare, extract_features, save_features, stft_power, total_loudness
-from .dataset import load_annotation, load_corpus, make_folds, write_segment_manifest
+from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
 from .errors import ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
 from .network import ModelConfig
@@ -327,9 +327,7 @@ def cmd_eval(opts: dict) -> tuple[int, dict]:
 
 def _read_beats_from(path: Path) -> list[float]:
     """Beat times from a beats CSV or a plain one-time-per-line file."""
-    from .dataset import _read_rows
-
-    lines = path.read_text().strip().splitlines()
+    lines = read_text(path).strip().splitlines()
     try:
         if lines and lines[0].replace(" ", "").startswith("beat_index,"):
             times = [float(row[1]) for _, row in _read_rows(path, ["beat_index", "time_s", "is_downbeat"])]

@@ -17,6 +17,7 @@ the previous beat's (the first non-blank mark counts).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -74,21 +75,28 @@ class Recording:
     targets: FrameTargets
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file; any other bytes are a ``SchemaError``."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read_rows(path, expected_header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise SchemaError(f"{path}: row 1: expected header {','.join(expected_header)}, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise SchemaError(f"{path}: row {lineno}: expected {len(expected_header)} columns, got {len(row)}")
-            yield lineno, [cell.strip() for cell in row]
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    if [h.strip() for h in header] != expected_header:
+        raise SchemaError(f"{path}: row 1: expected header {','.join(expected_header)}, got {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(expected_header):
+            raise SchemaError(f"{path}: row {lineno}: expected {len(expected_header)} columns, got {len(row)}")
+        yield lineno, [cell.strip() for cell in row]
 
 
 def load_annotation(beat_file, marking_file, piece_id: str | None = None,

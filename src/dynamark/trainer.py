@@ -50,6 +50,8 @@ class TrainConfig:
             raise TrainingError(f"invalid training config: lr={self.lr}, batch_size={self.batch_size}")
         if not self.enabled_tasks:
             raise TrainingError("enabled_tasks must not be empty")
+        if self.segment_s < 1:
+            raise TrainingError(f"invalid training config: segment_s={self.segment_s}, must be >= 1 second")
 
     def as_dict(self) -> dict:
         d = asdict(self)

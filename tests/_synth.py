@@ -5,6 +5,8 @@ Clicks (broadband, amplitude 1.0) anchor the peak normalisation so the
 sustained-tone level is comparable across clips; downbeats get a longer
 click plus a low thump.  The tone sits at 330 Hz so its critical band
 is disjoint from the click spectrum.
+
+``mutate_bytes`` corrupts a valid file for the file-loader fuzz tests.
 """
 
 import csv
@@ -114,3 +116,18 @@ def load_synth_recordings(root, feature_kind="bssl"):
         recordings.append(Recording(recording_id=rec_id, piece_id=ann.piece_id,
                                     features=features, annotation=ann, targets=targets))
     return recordings
+
+
+def mutate_bytes(blob: bytes, edits, keep: int) -> bytes:
+    """Apply (op, pos, byte) edits, op one of set/insert/delete with pos
+    clamped to the blob, then keep only the first ``keep`` bytes."""
+    blob = bytearray(blob)
+    for op, pos, byte in edits:
+        pos = min(pos, len(blob) - 1)
+        if op == "set":
+            blob[pos] = byte
+        elif op == "insert":
+            blob.insert(pos, byte)
+        elif len(blob) > 1:
+            del blob[pos]
+    return bytes(blob[:keep])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynamark import audio
 from dynamark.audio import (
@@ -19,7 +20,9 @@ from dynamark.audio import (
     stft_power,
     total_loudness,
 )
-from dynamark.errors import ConfigError, DecodeError, EmptyInputError
+from dynamark.errors import ConfigError, DecodeError, DynamarkError, EmptyInputError
+
+from _synth import mutate_bytes
 
 
 def tone(freq, seconds, rate=SAMPLE_RATE, amp=1.0):
@@ -292,6 +295,28 @@ def test_feature_file_errors(tmp_path):
     (tmp_path / "ver.dynf").write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
     with pytest.raises(DecodeError, match="version"):
         audio.load_features(tmp_path / "ver.dynf")
+
+
+@pytest.fixture(scope="module")
+def small_feature_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "small.dynf"
+    audio.save_features(path, np.arange(6, dtype=np.float32).reshape(2, 3), "logmel")
+    return path.read_bytes(), path.with_name("mutated.dynf")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 40),
+                          st.integers(0, 255)), min_size=1, max_size=4),
+       st.integers(1, 41))
+def test_load_features_byte_mutation_fuzz(small_feature_file, edits, keep):
+    blob, path = small_feature_file
+    path.write_bytes(mutate_bytes(blob, edits, keep))
+    try:
+        values, kind = audio.load_features(path)
+    except DynamarkError:
+        return
+    assert kind in audio.FEATURE_KINDS and values.dtype == np.float32
+    assert values.size * 4 + 17 == path.stat().st_size
 
 
 def test_extract_features_shapes():

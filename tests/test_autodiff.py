@@ -7,7 +7,8 @@ relative error < 1e-3.
 
 import numpy as np
 import pytest
-from scipy.signal import correlate
+from hypothesis import given, settings, strategies as st
+from scipy.signal import convolve, correlate
 
 from dynamark import autodiff as ad
 from dynamark.autodiff import Tensor
@@ -201,21 +202,112 @@ def test_conv1d_identity_kernel():
 @pytest.mark.parametrize("x_shape, w_shape", [
     ((2, 3, 11), (4, 3, 3)),
     ((2, 3, 11), (4, 3, 5)),
+    ((2, 3, 11), (4, 3, 1)),
+    ((2, 1, 11), (4, 1, 3)),
     ((2, 2, 6, 7), (3, 2, 3, 3)),
     ((1, 2, 5, 9), (2, 2, 5, 5)),
-], ids=["conv1d-k3", "conv1d-k5", "conv2d-k3", "conv2d-k5"])
+    ((2, 3, 4, 6), (3, 3, 1, 1)),
+    ((2, 1, 5, 7), (3, 1, 3, 3)),
+    ((2, 1, 5, 7), (3, 1, 1, 1)),
+], ids=["conv1d-k3", "conv1d-k5", "conv1d-k1", "conv1d-cin1", "conv2d-k3", "conv2d-k5",
+        "conv2d-k1", "conv2d-cin1", "conv2d-k1-cin1"])
 def test_conv_matches_correlate_oracle(x_shape, w_shape):
-    # same-padded cross-correlation summed over input channels, plus bias
+    # same-padded cross-correlation summed over input channels, plus bias;
+    # the input gradient is the same-mode convolution of g with the kernel,
+    # summed over output channels, and the weight gradient is the
+    # valid-mode correlation of the padded input with g
     rng = np.random.default_rng(17)
     x = rng.standard_normal(x_shape)
     w = rng.standard_normal(w_shape)
     b = rng.standard_normal(w_shape[0])
+    g = rng.standard_normal((x_shape[0], w_shape[0]) + x_shape[2:])
     conv = ad.conv1d if len(x_shape) == 3 else ad.conv2d
-    got = conv(Tensor(x), Tensor(w), Tensor(b)).data
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = conv(xt, wt, bt)
+    ad.backward(ad.tsum(ad.mul_const(out, g)))
+    (bsz, cin), (cout, ks) = x_shape[:2], (w_shape[0], w_shape[2:])
+    pad = ((0, 0),) * 2 + tuple((k // 2, k // 2) for k in ks)
+    xp = np.pad(x, pad)
     want = np.stack([[sum(correlate(x[n, c], w[o, c], mode="same", method="direct")
-                          for c in range(x_shape[1])) + b[o]
-                      for o in range(w_shape[0])] for n in range(x_shape[0])])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                          for c in range(cin)) + b[o]
+                      for o in range(cout)] for n in range(bsz)])
+    want_gx = np.stack([[sum(convolve(g[n, o], w[o, c], mode="same", method="direct")
+                             for o in range(cout))
+                         for c in range(cin)] for n in range(bsz)])
+    want_gw = np.stack([[sum(correlate(xp[n, c], g[n, o], mode="valid", method="direct")
+                             for n in range(bsz))
+                         for c in range(cin)] for o in range(cout)])
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(xt.grad, want_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wt.grad, want_gw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bt.grad, g.sum(axis=(0,) + tuple(range(2, g.ndim))), rtol=0, atol=1e-12)
+
+
+def _channel_last_conv(x, w, b, g):
+    """The channel-last im2col kernel that the channel-first one replaced,
+    as its reference: returns the output and the x, w and b gradients for
+    the upstream gradient ``g``."""
+    (bsz, cin), spatial = x.shape[:2], x.shape[2:]
+    (cout, _), ks = w.shape[:2], w.shape[2:]
+    n = len(spatial)
+    axes = tuple(range(2, 2 + n))
+    length = int(np.prod(spatial))
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in ks))
+
+    def region(offsets):
+        return (slice(None), slice(None)) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
+
+    win = np.lib.stride_tricks.sliding_window_view(xp, ks, axis=axes)  # (B, C, *S, *K)
+    windows = np.ascontiguousarray(np.moveaxis(win, 1, n + 1)).reshape(bsz, length, -1)
+    w2 = w.reshape(cout, -1)
+    out = np.ascontiguousarray((windows @ w2.T).transpose(0, 2, 1)).reshape(bsz, cout, *spatial)
+    out += b.reshape((cout,) + (1,) * n)
+    g2 = np.ascontiguousarray(g.reshape(bsz, cout, length).transpose(0, 2, 1)).reshape(bsz * length, cout)
+    gw = (g2.T @ windows.reshape(bsz * length, -1)).reshape(w.shape)
+    gb = g.sum(axis=(0,) + axes)
+    gcols = (g2 @ w2).reshape(bsz, *spatial, cin, *ks)
+    gxp = np.zeros_like(xp)
+    for tap in np.ndindex(*ks):
+        gxp[region(tap)] += np.moveaxis(gcols[(Ellipsis,) + tap], -1, 1)
+    return out, gxp[region([k // 2 for k in ks])], gw, gb
+
+
+# The draws leave out three classes, where the two kernels take different
+# BLAS paths and may differ in the last bits.  The model runs in float32
+# and has no single-output-channel conv; only its one-channel first convs
+# in the coarsest branch fall below the GEMM size bound.
+# - A single output channel: numpy runs the GEMMs as matrix-vector
+#   products, and the two kernels call different ones.
+# - GEMMs below 10**6 multiply-adds: OpenBLAS on AVX-512 CPUs then picks a
+#   small-matrix kernel by the operands' transposes, and each sums in its
+#   own order.  The reference's forward runs one GEMM per batch item, of
+#   cout * cin * prod(K) * prod(S) multiply-adds, and every draw sizes
+#   that just above the bound.
+# - The float64 output and input gradient: the channel-first layout swaps
+#   which operand is the GEMM's row side, and the float64 GEMM kernel's
+#   summation order depends on that side (float32's does not).  The float64
+#   weight and bias gradients keep their operand roles and are checked.
+MIN_GEMM_MACS = 10**6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 3, 5]), st.integers(1, 24), st.integers(2, 24),
+       st.integers(1, 3), st.sampled_from([np.float32, np.float64]), st.data())
+def test_conv_matches_channel_last_reference_bit_for_bit(n, k, cin, cout, bsz, dtype, data):
+    lead = data.draw(st.integers(1, 12)) if n == 2 else 1
+    per_row = cout * cin * k**n * lead
+    spatial = (lead,) * (n - 1) + (MIN_GEMM_MACS // per_row + 1 + data.draw(st.integers(0, 40)),)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x, g = (rng.standard_normal(shape).astype(dtype) for shape in ((bsz, cin) + spatial, (bsz, cout) + spatial))
+    w = rng.standard_normal((cout, cin) + (k,) * n).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = (ad.conv1d if n == 1 else ad.conv2d)(xt, wt, bt)
+    ad.backward(ad.tsum(ad.mul_const(out, g)))
+    got = {"out": out.data, "x": xt.grad, "w": wt.grad, "b": bt.grad}
+    want = dict(zip(got, _channel_last_conv(x, w, b, g)))
+    for name in got if dtype == np.float32 else ("w", "b"):
+        assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
 
 
 def test_softmax_of_zeros_is_uniform():

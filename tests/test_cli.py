@@ -162,6 +162,26 @@ def test_train_non_finite_beat_time_exit_1(corpus, extracted, tmp_path, capsys):
     assert f"{beats_csv.name}: row 4: beat time 'nan' is not finite" in capsys.readouterr().err
 
 
+def test_train_non_utf8_annotation_exit_1(corpus, extracted, tmp_path, capsys):
+    ann_dir = tmp_path / "annotations"
+    shutil.copytree(corpus / "annotations", ann_dir)
+    markings_csv = sorted(ann_dir.glob("*_markings.csv"))[0]
+    markings_csv.write_bytes(markings_csv.read_bytes() + b"9,\xff\n")
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(ann_dir),
+                 "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1"])
+    assert code == 1
+    assert f"{markings_csv}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seconds", ["0", "-5"])
+def test_train_segment_s_below_one_exit_1(corpus, extracted, tmp_path, capsys, seconds):
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1",
+                 "--segment-s", seconds])
+    assert code == 1
+    assert f"segment_s={seconds}" in capsys.readouterr().err
+
+
 def test_eval_non_finite_reference_beat_time_exit_1(corpus, tmp_path, capsys):
     from dynamark.postprocess import EventReport
     ann_dir, beats_csv = _annotations_with_nan_beat(corpus, tmp_path)
@@ -230,16 +250,18 @@ def test_annotate_beats_from(corpus, trained, tmp_path):
     assert len(report["markings"]) == 3
 
 
-@pytest.mark.parametrize("text", [
-    "beat_index,time_s,is_downbeat\n0,abc,1\n",
-    "1.0\n0.5\n",
-    "0.5\nnan\n",
-    "0.5\ninf\n",
-], ids=["bad-csv-time", "times-go-backwards", "nan-time", "inf-time"])
-def test_annotate_malformed_beats_from_exit_1(corpus, trained, tmp_path, capsys, text):
+@pytest.mark.parametrize("blob", [
+    b"beat_index,time_s,is_downbeat\n0,abc,1\n",
+    b"1.0\n0.5\n",
+    b"0.5\nnan\n",
+    b"0.5\ninf\n",
+    b"0.5\n\xff1.5\n",
+    b"beat_index,time_s,is_downbeat\n0,0.5,1\n1,\xff,0\n",
+], ids=["bad-csv-time", "times-go-backwards", "nan-time", "inf-time", "non-utf8", "non-utf8-csv"])
+def test_annotate_malformed_beats_from_exit_1(corpus, trained, tmp_path, capsys, blob):
     wav = sorted((corpus / "audio").glob("*.wav"))[0]
     beats_file = tmp_path / "grid.csv"
-    beats_file.write_text(text)
+    beats_file.write_bytes(blob)
     code = main(["annotate", str(wav), "--checkpoint", str(trained / "fold0.dync"),
                  "--out-prefix", str(tmp_path / "scored"), "--beats-from", str(beats_file)])
     assert code == 1

@@ -1,7 +1,10 @@
 """Annotation parsing, rasterisation, segmentation and fold assignment."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynamark.dataset import (
     Recording,
@@ -12,8 +15,10 @@ from dynamark.dataset import (
     time_to_frame,
     write_segment_manifest,
 )
-from dynamark.errors import EmptyInputError, SchemaError
+from dynamark.errors import DynamarkError, EmptyInputError, SchemaError
 from dynamark.postprocess import markings_at_beats
+
+from _synth import mutate_bytes
 
 
 def write_annotation(tmp_path, stem, beats, markings, downbeat_period=3):
@@ -83,6 +88,38 @@ def test_load_annotation_rejects_out_of_range_mark(tmp_path):
     mp.write_text("beat_index,marking\n5,pp\n")
     with pytest.raises(SchemaError, match="outside"):
         load_annotation(bp, mp)
+
+
+@pytest.mark.parametrize("which, row", [("beats", b"2,\xff,0\n"), ("markings", b"1,\xffp\n")],
+                         ids=["beats", "markings"])
+def test_load_annotation_rejects_non_utf8(tmp_path, which, row):
+    bp, mp = write_annotation(tmp_path, "M6__x", [0.5, 1.0, 1.5], {0: "p"})
+    path = bp if which == "beats" else mp
+    path.write_bytes(path.read_bytes() + row)
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_annotation(bp, mp)
+
+
+VALID_BEATS = b"beat_index,time_s,is_downbeat\n0,0.5,1\n1,1.0,0\n2,1.5,0\n"
+VALID_MARKINGS = b"beat_index,marking\n0,p\n2,ff\n"
+CSV_BYTES = st.sampled_from(list(b'0123456789.,-+\n\r" einafpm')) | st.integers(0, 255)
+EDITS = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 63), CSV_BYTES),
+                 max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EDITS, st.integers(1, len(VALID_BEATS)), EDITS, st.integers(1, len(VALID_MARKINGS)))
+def test_load_annotation_byte_mutation_fuzz(tmp_path_factory, beat_edits, beat_keep, mark_edits, mark_keep):
+    root = tmp_path_factory.mktemp("fuzz")
+    bp, mp = root / "F0__x_beats.csv", root / "F0__x_markings.csv"
+    bp.write_bytes(mutate_bytes(VALID_BEATS, beat_edits, beat_keep))
+    mp.write_bytes(mutate_bytes(VALID_MARKINGS, mark_edits, mark_keep))
+    try:
+        ann = load_annotation(bp, mp)
+    except DynamarkError:
+        return
+    assert len(ann.markings) == len(ann.beat_times) == len(ann.downbeat_flags) > 0
+    assert np.all(np.isfinite(ann.beat_times)) and np.all(np.diff(ann.beat_times) > 0)
 
 
 # -- rasterize ---------------------------------------------------------------

@@ -18,6 +18,8 @@ from dynamark.postprocess import (
     to_seconds,
 )
 
+from _synth import mutate_bytes
+
 
 def brute_force_peaks(probs, threshold=0.5, radius=3):
     """Literal transcription of the definition, used as the oracle."""
@@ -278,17 +280,8 @@ JSON_BYTES = st.sampled_from(list(b'[]{}",:0123456789.-eEnul ')) | st.integers(0
                 min_size=1, max_size=4),
        st.integers(1, len(VALID_REPORT)))
 def test_from_json_byte_mutation_fuzz(tmp_path_factory, edits, keep):
-    blob = bytearray(VALID_REPORT)
-    for op, pos, byte in edits:
-        pos = min(pos, len(blob) - 1)
-        if op == "set":
-            blob[pos] = byte
-        elif op == "insert":
-            blob.insert(pos, byte)
-        elif len(blob) > 1:
-            del blob[pos]
     path = tmp_path_factory.mktemp("fuzz") / "report.json"
-    path.write_bytes(bytes(blob[:keep]))
+    path.write_bytes(mutate_bytes(VALID_REPORT, edits, keep))
     try:
         report = EventReport.from_json(path)
     except DynamarkError:

@@ -236,6 +236,21 @@ def test_checkpoint_state_must_fit_the_model(tmp_path, capsys, corrupt, culprit)
     assert culprit in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seconds", [0, -5])
+def test_segment_s_below_one_is_training_error(tmp_path, capsys, seconds):
+    with pytest.raises(TrainingError, match=f"segment_s={seconds}"):
+        TrainConfig(segment_s=seconds)
+    # a checkpoint that records such a window length is refused on load
+    train_cfg = TrainConfig()
+    train_cfg.segment_s = seconds
+    path = tmp_path / "short.dync"
+    save_checkpoint(Checkpoint.from_model(small_model(), train_cfg, epoch=1), path)
+    with pytest.raises(TrainingError, match=f"segment_s={seconds}"):
+        load_checkpoint(path)
+    assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
+    assert f"segment_s={seconds}" in capsys.readouterr().err
+
+
 def test_committed_checkpoint_loads():
     # written before the writer dropped n_params/n_state and the fixed config keys
     cp = load_checkpoint(Path(__file__).resolve().parents[1] / "bench" / "data" / "stock_bssl.dync")
