@@ -652,12 +652,37 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Single-head scaled dot-product attention over the time axis.
 
-    ``q/k/v`` are (B, T, D); composed from checked primitives so the
-    gradient comes for free.
+    ``q`` and ``k`` are (B, T, D) and ``v`` is (B, T, D_v).  One fused node:
+    the forward turns a single (B, T, T) score buffer into the softmax
+    probabilities in place, and the backward keeps only those
+    probabilities (plus k^T).  Each gradient is computed in the operand
+    order of ``matmul``, ``scale`` and ``softmax`` applied in turn, so
+    outputs and gradients equal that composition bit for bit; the tests
+    keep it as the reference.
     """
-    d = q.data.shape[-1]
-    if k.data.shape[-1] != d or v.data.shape[-2] != k.data.shape[-2]:
-        raise ShapeError(f"attention: incompatible shapes q={q.data.shape}, k={k.data.shape}, v={v.data.shape}")
-    scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d))
-    return matmul(softmax(scores), v)
+    shapes = (q.data.shape, k.data.shape, v.data.shape)
+    if (any(len(s) != 3 for s in shapes) or len({s[0] for s in shapes}) != 1
+            or k.data.shape[2] != q.data.shape[2] or v.data.shape[1] != k.data.shape[1]):
+        raise ShapeError(f"attention: expected q/k (B,T,D) and v (B,T,D_v) with one B, "
+                         f"got q={q.data.shape}, k={k.data.shape}, v={v.data.shape}")
+    kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
+    p = q.data @ kt
+    c = p.dtype.type(1.0 / np.sqrt(q.data.shape[2]))
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = p @ v.data
 
+    def back(g, grads):
+        if v._needs:
+            _accum(grads, v, np.swapaxes(p, 1, 2) @ g)
+        if q._needs or k._needs:
+            ds = g @ np.swapaxes(v.data, 1, 2)  # gradient of the probabilities
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= c  # gradient of the unscaled scores q @ k^T
+            _accum(grads, q, ds @ np.swapaxes(kt, 1, 2))
+            _accum(grads, k, np.ascontiguousarray(np.swapaxes(np.swapaxes(q.data, 1, 2) @ ds, 1, 2)))
+
+    return _node(data, (q, k, v), back)

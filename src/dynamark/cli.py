@@ -50,7 +50,7 @@ TRAIN_KEYS = ("lr", "batch_size", "epochs", "seed", "weight_decay", "segment_s",
 def parse_config_file(path) -> dict:
     """Flat key=value config; returns {key: string} with '-' -> '_'."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

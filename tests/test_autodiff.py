@@ -5,6 +5,8 @@ float64 shadow path of the same ops; analytic gradients must agree to
 relative error < 1e-3.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +310,73 @@ def test_conv_matches_channel_last_reference_bit_for_bit(n, k, cin, cout, bsz, d
     want = dict(zip(got, _channel_last_conv(x, w, b, g)))
     for name in got if dtype == np.float32 else ("w", "b"):
         assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
+
+
+def _composed_attention(q, k, v):
+    """The five-node attention that the fused node replaced, as its
+    reference: q @ k^T, scaled by 1/sqrt(D), softmax, then @ v."""
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
+    return ad.matmul(ad.softmax(scores), v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 64), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from([np.float32, np.float64]), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_attention_matches_composed_reference_bit_for_bit(bsz, t, d, dv, dtype, needs, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal((bsz, t, width)).astype(dtype) for width in (d, d, dv)]
+    g = rng.standard_normal((bsz, t, dv)).astype(dtype)
+    results = []
+    for attend in (ad.attention, _composed_attention):
+        leaves = [Tensor(a, requires_grad=need) for a, need in zip(arrays, needs)]
+        out = attend(*leaves)
+        ad.backward(ad.tsum(ad.mul_const(out, g)))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for name, got, want in zip(("out", "q", "k", "v"), *results):
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_attention_holds_one_score_buffer():
+    # after the forward only the probabilities are held (one T*T buffer);
+    # the backward adds their gradient and one temporary for its row sums.
+    # The composed reference reads 3.0 and 6.0.
+    t = 1000
+    buffer = t * t * 4
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.standard_normal((1, t, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    r = rng.standard_normal((1, t, 8)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.attention(q, k, v)
+        held = tracemalloc.get_traced_memory()[0] - base
+        ad.backward(ad.tsum(ad.mul_const(out, r)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * buffer, held / buffer
+    assert peak <= 3.1 * buffer, peak / buffer
+
+
+@pytest.mark.parametrize("shapes", [
+    ((5, 3), (2, 5, 3), (2, 5, 3)),
+    ((2, 5, 3), (5, 3), (2, 5, 3)),
+    ((2, 5, 3), (2, 5, 3), (5, 3)),
+    ((1, 2, 5, 3), (1, 2, 5, 3), (1, 2, 5, 3)),
+    ((1, 5, 3), (2, 5, 3), (2, 5, 3)),
+    ((2, 5, 3), (2, 5, 3), (3, 5, 3)),
+    ((2, 5, 3), (2, 5, 4), (2, 5, 3)),
+    ((2, 5, 3), (2, 5, 3), (2, 6, 3)),
+], ids=["q-2d", "k-2d", "v-2d", "all-4d", "q-batch", "v-batch", "k-width", "v-length"])
+def test_attention_shape_errors(shapes):
+    q, k, v = (Tensor(np.zeros(shape)) for shape in shapes)
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(q, k, v)
 
 
 def test_softmax_of_zeros_is_uniform():

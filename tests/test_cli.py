@@ -464,6 +464,15 @@ def test_parse_config_file_errors(tmp_path):
         parse_config_file(bad)
 
 
+def test_config_non_utf8_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = \xff5\n")
+    code = main(["train", "--features-dir", str(tmp_path), "--annotations-dir", str(tmp_path),
+                 "--out-dir", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 1
+    assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_exit_code_for_missing_input(tmp_path):
     code = main(["annotate", str(tmp_path / "missing.wav"),
                  "--checkpoint", str(tmp_path / "missing.dync")])
