@@ -35,6 +35,7 @@ PEAK_TARGET = 10.0 ** (-1.0 / 20.0)  # -1 dBFS
 DB_REFERENCE = 96.0  # full-scale power == 96 dB SPL
 N_MELS = 128
 LOG_FLOOR = 1e-10
+STFT_BLOCK = 64  # frames per FFT call: the block's frames and spectrum stay in cache
 
 # Zwicker critical-band boundaries (Hz); 23 edges = 22 bands, the last
 # fully covered band below the 11.025 kHz Nyquist.
@@ -87,16 +88,71 @@ class LogMel:
 # decoding
 # --------------------------------------------------------------------------
 
-def _to_float(samples: np.ndarray) -> np.ndarray:
-    if samples.dtype == np.int16:
-        return samples.astype(np.float64) / 32768.0
-    if samples.dtype == np.int32:  # includes 24-bit PCM, left-shifted by scipy
-        return samples.astype(np.float64) / 2147483648.0
-    if samples.dtype == np.uint8:
-        return (samples.astype(np.float64) - 128.0) / 128.0
-    if samples.dtype in (np.float32, np.float64):
-        return samples.astype(np.float64)
-    raise DecodeError(f"unsupported WAV sample format: {samples.dtype}")
+# Full scale of each supported WAV sample format and the offset of its zero
+# (24-bit PCM arrives as int32, left-shifted by scipy).
+_SAMPLE_FORMATS = {
+    np.dtype(np.int16): (32768.0, 0.0),
+    np.dtype(np.int32): (2147483648.0, 0.0),
+    np.dtype(np.uint8): (128.0, 128.0),
+    np.dtype(np.float32): (1.0, 0.0),
+    np.dtype(np.float64): (1.0, 0.0),
+}
+
+
+def _channel_sum(cols: list) -> np.ndarray:
+    """The channels summed into one float64 vector, in the order numpy's
+    pairwise ``add.reduce`` sums one row: one by one below 8 values, else
+    8 running partial sums folded as a tree, then the rest one by one;
+    above 128 values, the two halves apart.  So the sum divided by the
+    channel count equals ``mean(axis=1)`` of the float64 samples bit for
+    bit, float formats included.
+    """
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        x = _channel_sum(cols[:half])
+        x += _channel_sum(cols[half:])
+        return x
+    if n < 8:
+        x, rest = cols[0].astype(np.float64), cols[1:]
+    else:
+        whole = n - n % 8
+        r = [cols[j].astype(np.float64) for j in range(8)]
+        for i in range(8, whole):
+            r[i % 8] += cols[i]
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        x, rest = r[0], cols[whole:]
+    for c in rest:
+        x += c
+    return x
+
+
+def _mono_normalised(raw: np.ndarray, path) -> np.ndarray:
+    """Decoded WAV samples (N,) or (N, C) of ``path`` -> float64 mono at
+    -1 dBFS peak.
+
+    One float64 vector is built: the channel sum, less the zero offset,
+    divided once by full scale times the channel count.  Integer channel
+    sums are exact and the scales are powers of two, so every sample is
+    the correctly rounded mean of the channels read as [-1, 1] floats,
+    the same bits as casting, dividing and averaging in turn.
+    """
+    if raw.dtype not in _SAMPLE_FORMATS:
+        raise DecodeError(f"unsupported WAV sample format: {raw.dtype}")
+    scale, offset = _SAMPLE_FORMATS[raw.dtype]
+    chans = raw.reshape(len(raw), -1)
+    n_channels = chans.shape[1]
+    x = _channel_sum([chans[:, c] for c in range(n_channels)])
+    if offset:
+        x -= offset * n_channels
+    x /= scale * n_channels
+    peak = max(x.max(), -x.min())
+    if not np.isfinite(peak):
+        raise DecodeError(f"{path}: audio holds NaN or infinite samples")
+    if peak > 0:
+        x *= PEAK_TARGET / peak
+    return x
 
 
 def _resample(x: np.ndarray, src_rate: int, dst_rate: int,
@@ -118,7 +174,9 @@ def decode_and_prepare(path) -> Waveform:
     """Decode a PCM WAV, downmix to mono, normalise to -1 dBFS, resample.
 
     Downmix is the mean of channels; normalisation happens before
-    resampling; all-zero input is left unnormalised.
+    resampling; all-zero input is left unnormalised.  Before the resample
+    one float64 vector of the input's length is held next to the decoded
+    samples (see :func:`_mono_normalised`).
     """
     path = Path(path)
     try:
@@ -129,15 +187,7 @@ def decode_and_prepare(path) -> Waveform:
         raise DecodeError(f"cannot decode {path}: {exc}") from exc
     if raw.size == 0:
         raise EmptyInputError(f"{path}: zero-length audio")
-    x = _to_float(raw)
-    if x.ndim == 2:
-        x = x.mean(axis=1)
-    peak = np.abs(x).max()
-    if not np.isfinite(peak):
-        raise DecodeError(f"{path}: audio holds NaN or infinite samples")
-    if peak > 0:
-        x = x * (PEAK_TARGET / peak)
-    x = _resample(x, int(rate), SAMPLE_RATE)
+    x = _resample(_mono_normalised(raw, path), int(rate), SAMPLE_RATE)
     return Waveform(samples=x, sample_rate=SAMPLE_RATE)
 
 
@@ -150,7 +200,14 @@ def frame_count(n_samples: int) -> int:
 
 
 def stft_power(wav: Waveform) -> PowerSpectrogram:
-    """Hann-windowed power spectrogram at 50 fps (hop 441, window 1024)."""
+    """Hann-windowed power spectrogram at 50 fps (hop 441, window 1024).
+
+    The frames are transformed ``STFT_BLOCK`` at a time, each block's
+    power written straight into one preallocated (T, 513) array, so the
+    windowed frames and their complex spectrum are only ever held for one
+    block.  Each frame's FFT and squares are those of a one-shot
+    transform, bit for bit.  ``bins`` is a (513, T) transposed view.
+    """
     if wav.sample_rate != SAMPLE_RATE:
         raise ConfigError(f"stft_power expects {SAMPLE_RATE} Hz input, got {wav.sample_rate}")
     n = len(wav.samples)
@@ -161,10 +218,14 @@ def stft_power(wav: Waveform) -> PowerSpectrogram:
     padded[:n] = wav.samples
     frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW)[::HOP]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)  # periodic Hann
-    spec = np.fft.rfft(frames * window, axis=1)
-    power = (spec.real ** 2 + spec.imag ** 2).T  # (513, T)
+    power = np.empty((t, N_BINS), dtype=np.float64)
+    for lo in range(0, t, STFT_BLOCK):
+        spec = np.fft.rfft(frames[lo:lo + STFT_BLOCK] * window, axis=1)
+        block = power[lo:lo + STFT_BLOCK]
+        np.square(spec.real, out=block)
+        block += np.square(spec.imag)
     bin_hz = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)
-    return PowerSpectrogram(bins=power, bin_hz=bin_hz, fps=FPS)
+    return PowerSpectrogram(bins=power.T, bin_hz=bin_hz, fps=FPS)
 
 
 def _check_provenance(spec: PowerSpectrogram) -> None:

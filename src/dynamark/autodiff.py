@@ -649,16 +649,20 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     return _node(data, (x, gamma, beta), back)
 
 
+ROW_BLOCK = 64  # score rows per pass of the attention backward's row sums
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Single-head scaled dot-product attention over the time axis.
 
     ``q`` and ``k`` are (B, T, D) and ``v`` is (B, T, D_v).  One fused node:
     the forward turns a single (B, T, T) score buffer into the softmax
     probabilities in place, and the backward keeps only those
-    probabilities (plus k^T).  Each gradient is computed in the operand
-    order of ``matmul``, ``scale`` and ``softmax`` applied in turn, so
-    outputs and gradients equal that composition bit for bit; the tests
-    keep it as the reference.
+    probabilities (plus k^T); it takes the row sums of the probabilities'
+    gradient ``ROW_BLOCK`` rows at a time.  Each gradient is computed in
+    the operand order of ``matmul``, ``scale`` and ``softmax`` applied in
+    turn, so outputs and gradients equal that composition bit for bit;
+    the tests keep it as the reference.
     """
     shapes = (q.data.shape, k.data.shape, v.data.shape)
     if (any(len(s) != 3 for s in shapes) or len({s[0] for s in shapes}) != 1
@@ -679,7 +683,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             _accum(grads, v, np.swapaxes(p, 1, 2) @ g)
         if q._needs or k._needs:
             ds = g @ np.swapaxes(v.data, 1, 2)  # gradient of the probabilities
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            for lo in range(0, ds.shape[1], ROW_BLOCK):  # no (B, T, T) temporary
+                rows = ds[:, lo:lo + ROW_BLOCK]
+                rows -= (rows * p[:, lo:lo + ROW_BLOCK]).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= c  # gradient of the unscaled scores q @ k^T
             _accum(grads, q, ds @ np.swapaxes(kt, 1, 2))

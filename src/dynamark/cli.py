@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import FPS, bssl, decode_and_prepare, extract_features, save_features, stft_power, total_loudness
+from .audio import (FPS, bssl, decode_and_prepare, extract_features, log_mel, save_features, stft_power,
+                    total_loudness)
 from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
 from .errors import ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
@@ -348,8 +349,9 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     if opts.get("feature") and opts["feature"] != kind:
         raise ConfigError(f"checkpoint expects {kind} features ({cp.model_config.input_bins} bins), "
                           f"but --feature {opts['feature']} was requested")
-    wav = decode_and_prepare(audio_path)
-    features = extract_features(wav, kind)
+    spec = stft_power(decode_and_prepare(audio_path))
+    loudness = bssl(spec) if kind == "bssl" or opts.get("loudness_csv") else None
+    features = loudness.sone if kind == "bssl" else log_mel(spec).values
     beats_override = None
     if opts.get("beats_from"):
         beats_override = _read_beats_from(Path(opts["beats_from"]))
@@ -364,7 +366,7 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     report.write_csv(csv_path)
     outputs = [json_path, csv_path]
     if opts.get("loudness_csv"):
-        curve = total_loudness(bssl(stft_power(wav)))
+        curve = total_loudness(loudness)
         loud_path = Path(f"{prefix}.loudness.csv")
         with open(loud_path, "w") as fh:
             fh.write("time_s,total_loudness_sone\n")

@@ -1,8 +1,12 @@
 """Frontend tests: decoding, STFT, specific loudness, log-mel, files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.io import wavfile
 
 from dynamark import audio
 from dynamark.audio import (
@@ -97,6 +101,120 @@ def test_decode_empty_audio(tmp_path):
         decode_and_prepare(empty)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ("nan-in-one-channel", "NaN or infinite"),
+    ("minus-inf", "NaN or infinite"),
+    ("int64", "unsupported WAV sample format"),
+])
+def test_decode_rejects_non_finite_and_unsupported_samples(tmp_path, bad, match):
+    x = tone(200.0, 0.2, amp=0.5)
+    if bad == "nan-in-one-channel":
+        data = np.column_stack([x, x]).astype(np.float32)
+        data[100, 1] = np.nan
+    elif bad == "minus-inf":
+        data = x.astype(np.float32)
+        data[5] = -np.inf
+    else:
+        data = np.round(x * 2.0 ** 40).astype(np.int64)
+    path = tmp_path / f"{bad}.wav"
+    wavfile.write(path, SAMPLE_RATE, data)
+    with pytest.raises(DecodeError, match=match):
+        decode_and_prepare(path)
+
+
+# -- bit identity with the decode and STFT that the lean front end replaced ----
+
+def _reference_mono_normalised(raw):
+    """Cast and scale to float64, average the channels, normalise the
+    peak: the decode steps that ``audio._mono_normalised`` replaced, kept
+    as its reference.  None where the audio is not finite."""
+    if raw.dtype == np.int16:
+        x = raw.astype(np.float64) / 32768.0
+    elif raw.dtype == np.int32:
+        x = raw.astype(np.float64) / 2147483648.0
+    elif raw.dtype == np.uint8:
+        x = (raw.astype(np.float64) - 128.0) / 128.0
+    else:
+        x = raw.astype(np.float64)
+    if x.ndim == 2:
+        x = x.mean(axis=1)
+    peak = np.abs(x).max()
+    if not np.isfinite(peak):
+        return None
+    return x * (PEAK_TARGET / peak) if peak > 0 else x
+
+
+def _reference_stft_power(samples):
+    """The one-shot transform of every frame that ``stft_power``'s blocks
+    replaced, kept as its reference: (513, T)."""
+    t = audio.frame_count(len(samples))
+    padded = np.zeros((t - 1) * audio.HOP + audio.WINDOW)
+    padded[:len(samples)] = samples
+    frames = np.lib.stride_tricks.sliding_window_view(padded, audio.WINDOW)[::audio.HOP]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(audio.WINDOW) / audio.WINDOW)
+    spec = np.fft.rfft(frames * window, axis=1)
+    return (spec.real ** 2 + spec.imag ** 2).T
+
+
+@st.composite
+def decoded_samples(draw):
+    """What ``wavfile.read`` returns for a supported file: (N,) for mono,
+    else (N, C)."""
+    dtype = np.dtype(draw(st.sampled_from([np.int16, np.int32, np.uint8, np.float32, np.float64])))
+    channels = draw(st.integers(0, 16))  # 0 stands for a mono file
+    n = draw(st.integers(1, 5000))
+    shape = (n,) if channels == 0 else (n, channels)
+    if draw(st.booleans()):  # every sample drawn independently
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if dtype.kind == "f":
+            return (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)).astype(dtype)
+        info = np.iinfo(dtype)
+        return rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+    # a few of hypothesis's edge values (extremes, zeros, subnormals) over one fill value
+    elements = (st.floats(width=8 * dtype.itemsize, allow_nan=False, allow_infinity=False)
+                if dtype.kind == "f" else None)
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(decoded_samples())
+def test_mono_normalised_matches_reference_bit_for_bit(raw):
+    want = _reference_mono_normalised(raw)
+    if want is None:  # float64 channels can sum past the largest double
+        with pytest.raises(DecodeError, match="NaN or infinite"):
+            audio._mono_normalised(raw, "x.wav")
+        return
+    got = audio._mono_normalised(raw, "x.wav")
+    # equal_nan: a float64 file whose peak is subnormal scales by inf on both sides
+    assert got.dtype == np.float64 and np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("channels", [129, 300])
+def test_mono_normalised_matches_reference_past_128_channels(channels):
+    rng = np.random.default_rng(channels)
+    raw = rng.standard_normal((200, channels)) * 10.0 ** rng.integers(-8, 8, (200, channels))
+    assert np.array_equal(audio._mono_normalised(raw, "x.wav"), _reference_mono_normalised(raw))
+
+
+def test_decode_holds_one_mono_vector(tmp_path):
+    # a 22.05 kHz stereo int16 file, so no resample runs: the decoded
+    # samples (half the output's bytes) and the one float64 mono vector.
+    # Casting, scaling and averaging in turn reads 3.5 outputs.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "stereo.wav"
+    wavfile.write(path, SAMPLE_RATE, (rng.standard_normal((10 * SAMPLE_RATE + 123, 2)) * 3000).astype(np.int16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        wav = decode_and_prepare(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(wav.samples, _reference_mono_normalised(wavfile.read(path)[1]))
+    assert peak <= 2.0 * wav.samples.nbytes, peak / wav.samples.nbytes
+
+
 # -- stft_power --------------------------------------------------------------
 
 def test_stft_frame_count_60s():
@@ -133,6 +251,33 @@ def test_stft_exact_bin_sine_matches_direct_dft():
     # Hann leakage: adjacent bins carry 1/4 of the peak power
     np.testing.assert_allclose(col[127] / col[128], 0.25, rtol=1e-2)
     np.testing.assert_allclose(col[129] / col[128], 0.25, rtol=1e-2)
+
+
+@pytest.mark.parametrize("frames", [3, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("short_by", [0, 440])
+def test_stft_blocks_match_one_shot_bit_for_bit(frames, short_by):
+    # 3 frames is the fewest a 1024-sample window allows; short_by 440
+    # leaves one sample in the last hop, so the last frame is mostly padding
+    n = max(frames * audio.HOP - short_by, audio.WINDOW)
+    x = np.random.default_rng(frames).standard_normal(n)
+    got = stft_power(Waveform(x, SAMPLE_RATE)).bins
+    want = _reference_stft_power(x)
+    assert got.shape == (audio.N_BINS, frames) and got.strides == want.strides
+    assert np.array_equal(got, want)
+
+
+def test_stft_holds_one_power_array():
+    # the (T, 513) power array, the zero-padded input (0.86 of it) and one
+    # block's frames and spectrum; the one-shot transform reads 4.9
+    wav = Waveform(np.random.default_rng(0).standard_normal(60 * SAMPLE_RATE + 123), SAMPLE_RATE)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec = stft_power(wav)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * spec.bins.nbytes, peak / spec.bins.nbytes
 
 
 def test_stft_rejects_wrong_rate():

@@ -342,8 +342,9 @@ def test_attention_matches_composed_reference_bit_for_bit(bsz, t, d, dv, dtype, 
 
 def test_attention_holds_one_score_buffer():
     # after the forward only the probabilities are held (one T*T buffer);
-    # the backward adds their gradient and one temporary for its row sums.
-    # The composed reference reads 3.0 and 6.0.
+    # the backward adds their gradient and takes its row sums ROW_BLOCK
+    # rows at a time.  The composed reference reads 3.0 and 6.0; a row-sum
+    # temporary of the full T*T reads 3.04.
     t = 1000
     buffer = t * t * 4
     rng = np.random.default_rng(0)
@@ -360,7 +361,7 @@ def test_attention_holds_one_score_buffer():
     finally:
         tracemalloc.stop()
     assert held <= 1.1 * buffer, held / buffer
-    assert peak <= 3.1 * buffer, peak / buffer
+    assert peak <= 2.2 * buffer, peak / buffer
 
 
 @pytest.mark.parametrize("shapes", [

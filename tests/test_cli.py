@@ -284,6 +284,41 @@ def test_non_finite_audio_fails_extract_and_annotate(trained, tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["bssl", "logmel"])
+def test_annotate_loudness_csv_reuses_one_spectrogram(corpus, tmp_path, monkeypatch, kind):
+    from dynamark import audio, cli
+    from dynamark.network import DynamicsModel, ModelConfig
+    from dynamark.trainer import Checkpoint, TrainConfig, save_checkpoint
+
+    cfg = ModelConfig(input_bins=audio.N_BARK_BANDS if kind == "bssl" else audio.N_MELS,
+                      channels=4, blocks_per_branch=1, attention_dim=4)
+    checkpoint = tmp_path / f"{kind}.dync"
+    save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg, seed=0), TrainConfig(segment_s=10), 0),
+                    checkpoint)
+    calls = {"stft_power": 0, "bssl": 0}
+
+    def counted(name, run):
+        def call(*args):
+            calls[name] += 1
+            return run(*args)
+        return call
+
+    for name in calls:
+        wrapper = counted(name, getattr(audio, name))
+        for module in (audio, cli):  # extract_features calls the audio module's own
+            monkeypatch.setattr(module, name, wrapper)
+    wav = sorted((corpus / "audio").glob("*.wav"))[0]
+    code = main(["annotate", str(wav), "--checkpoint", str(checkpoint),
+                 "--feature", kind, "--out-prefix", str(tmp_path / "out"), "--loudness-csv"])
+    assert code == 0
+    assert calls == {"stft_power": 1, "bssl": 1}
+    monkeypatch.undo()
+    curve = audio.total_loudness(audio.bssl(audio.stft_power(audio.decode_and_prepare(wav))))
+    want = "time_s,total_loudness_sone\n" + "".join(
+        f"{i / audio.FPS:.3f},{value:.5f}\n" for i, value in enumerate(curve))
+    assert (tmp_path / "out.loudness.csv").read_bytes() == want.encode()
+
+
 def test_annotate_feature_mismatch(corpus, trained, capsys):
     wav = sorted((corpus / "audio").glob("*.wav"))[0]
     code = main(["annotate", str(wav), "--checkpoint", str(trained / "fold0.dync"),
