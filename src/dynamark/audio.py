@@ -24,6 +24,7 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
+from . import parallel
 from .errors import ConfigError, DecodeError, EmptyInputError
 
 SAMPLE_RATE = 22050
@@ -151,13 +152,25 @@ def _mono_normalised(raw: np.ndarray, path) -> np.ndarray:
     if not np.isfinite(peak):
         raise DecodeError(f"{path}: audio holds NaN or infinite samples")
     if peak > 0:
-        x *= PEAK_TARGET / peak
+        gain = PEAK_TARGET / float(peak)  # inf for a subnormal peak
+        if not math.isfinite(gain):
+            raise DecodeError(f"{path}: peak {peak:.3g} is too small to normalise")
+        x *= gain
     return x
 
 
 def _resample(x: np.ndarray, src_rate: int, dst_rate: int,
               taps_per_phase: int = 64, beta: float = 9.0) -> np.ndarray:
-    """Rational-rate polyphase resampling with a Kaiser-windowed sinc."""
+    """Rational-rate polyphase resampling with a Kaiser-windowed sinc.
+
+    The output is cut into one span per worker (:mod:`.parallel`), each
+    filled by ``resample_poly`` of the input slice it needs.  A slice
+    starts at a multiple of ``down``, so its outputs fall on the same
+    phases as the whole signal's, and reaches past the span by more than
+    the filter's support on both sides, so every output sums the same
+    taps in the same order: the same bits as one ``resample_poly`` call
+    at any worker count.
+    """
     if src_rate == dst_rate:
         return x
     g = math.gcd(src_rate, dst_rate)
@@ -167,16 +180,33 @@ def _resample(x: np.ndarray, src_rate: int, dst_rate: int,
     cutoff = 1.0 / max(up, down)
     h = cutoff * np.sinc(cutoff * n) * np.kaiser(n_taps, beta)
     h /= h.sum()
-    return resample_poly(x, up, down, window=h)
+    n_out = -(-len(x) * up // down)
+    n_spans = min(parallel.worker_count(), n_out)
+    edges = [n_out * i // n_spans for i in range(n_spans + 1)]
+    margin = n_taps // up + 2  # input samples, more than the filter reaches
+    out = np.empty(n_out, dtype=np.result_type(x, h))
+
+    def fill(span: int) -> None:
+        lo, hi = edges[span], edges[span + 1]
+        first = max(lo * down // up - margin, 0) // down  # in units of down
+        stop = min(-(-hi * down // up) + margin, len(x))
+        y = resample_poly(x[first * down:stop], up, down, window=h)
+        out[lo:hi] = y[lo - first * up:hi - first * up]
+
+    parallel.map_in_order(fill, range(n_spans))
+    return out
 
 
 def decode_and_prepare(path) -> Waveform:
     """Decode a PCM WAV, downmix to mono, normalise to -1 dBFS, resample.
 
     Downmix is the mean of channels; normalisation happens before
-    resampling; all-zero input is left unnormalised.  Before the resample
+    resampling; all-zero input is left unnormalised, and a peak too small
+    to scale to -1 dBFS is a :class:`DecodeError`.  Before the resample
     one float64 vector of the input's length is held next to the decoded
-    samples (see :func:`_mono_normalised`).
+    samples (see :func:`_mono_normalised`).  The resample runs on every
+    CPU in the affinity mask, the same bits at any count (see
+    :func:`_resample`).
     """
     path = Path(path)
     try:
@@ -202,30 +232,39 @@ def frame_count(n_samples: int) -> int:
 def stft_power(wav: Waveform) -> PowerSpectrogram:
     """Hann-windowed power spectrogram at 50 fps (hop 441, window 1024).
 
-    The frames are transformed ``STFT_BLOCK`` at a time, each block's
-    power written straight into one preallocated (T, 513) array, so the
+    Frames are views of the samples; only the last few frames, which
+    reach past the input, are copied into a short zero-padded tail.  The
+    frames are transformed ``STFT_BLOCK`` at a time, each block's power
+    written straight into one preallocated (T, 513) array, so the
     windowed frames and their complex spectrum are only ever held for one
     block.  Each frame's FFT and squares are those of a one-shot
     transform, bit for bit.  ``bins`` is a (513, T) transposed view.
     """
     if wav.sample_rate != SAMPLE_RATE:
         raise ConfigError(f"stft_power expects {SAMPLE_RATE} Hz input, got {wav.sample_rate}")
-    n = len(wav.samples)
+    samples = np.asarray(wav.samples)
+    n = len(samples)
     if n < WINDOW:
         raise EmptyInputError(f"input too short for analysis: {n} samples, minimum {WINDOW}")
     t = frame_count(n)
-    padded = np.zeros((t - 1) * HOP + WINDOW, dtype=np.float64)
-    padded[:n] = wav.samples
-    frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW)[::HOP]
+    whole = (n - WINDOW) // HOP + 1  # frames that lie inside the input
+    tail = np.zeros((t - whole - 1) * HOP + WINDOW, dtype=np.float64)
+    tail[:n - whole * HOP] = samples[whole * HOP:]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)  # periodic Hann
     power = np.empty((t, N_BINS), dtype=np.float64)
-    for lo in range(0, t, STFT_BLOCK):
-        spec = np.fft.rfft(frames[lo:lo + STFT_BLOCK] * window, axis=1)
-        block = power[lo:lo + STFT_BLOCK]
-        np.square(spec.real, out=block)
-        block += np.square(spec.imag)
+    for frames, rows in ((_frames(samples), power[:whole]), (_frames(tail), power[whole:])):
+        for lo in range(0, len(rows), STFT_BLOCK):
+            spec = np.fft.rfft(frames[lo:lo + STFT_BLOCK] * window, axis=1)
+            block = rows[lo:lo + STFT_BLOCK]
+            np.square(spec.real, out=block)
+            block += np.square(spec.imag)
     bin_hz = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)
     return PowerSpectrogram(bins=power.T, bin_hz=bin_hz, fps=FPS)
+
+
+def _frames(x: np.ndarray) -> np.ndarray:
+    """Every ``WINDOW``-sample frame of ``x`` at hop ``HOP``, as a view."""
+    return np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
 
 
 def _check_provenance(spec: PowerSpectrogram) -> None:

@@ -649,20 +649,33 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     return _node(data, (x, gamma, beta), back)
 
 
-ROW_BLOCK = 64  # score rows per pass of the attention backward's row sums
+ROW_BLOCK = 64  # score rows per pass of attention's softmax and backward row sums
+
+
+def _row_blocks(t: int) -> list[tuple[int, int]]:
+    """``ROW_BLOCK``-row spans of ``t`` rows, a one-row tail folded into
+    the span before it: a one-row matmul goes through GEMV, which rounds
+    differently from the GEMM of a taller block."""
+    edges = list(range(0, t, ROW_BLOCK)) + [t]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Single-head scaled dot-product attention over the time axis.
 
     ``q`` and ``k`` are (B, T, D) and ``v`` is (B, T, D_v).  One fused node:
-    the forward turns a single (B, T, T) score buffer into the softmax
-    probabilities in place, and the backward keeps only those
-    probabilities (plus k^T); it takes the row sums of the probabilities'
-    gradient ``ROW_BLOCK`` rows at a time.  Each gradient is computed in
-    the operand order of ``matmul``, ``scale`` and ``softmax`` applied in
-    turn, so outputs and gradients equal that composition bit for bit;
-    the tests keep it as the reference.
+    the forward fills a single (B, T, T) buffer with the softmax
+    probabilities ``ROW_BLOCK`` rows at a time (scores, scale, max-shift,
+    exp and normalisation while the block is in cache), and the backward
+    keeps only those probabilities (plus k^T); it takes the row sums of
+    the probabilities' gradient ``ROW_BLOCK`` rows at a time.  The
+    ``p @ v`` product stays one GEMM, since its bits depend on the row
+    count.  Each output and gradient is computed in the operand order of
+    ``matmul``, ``scale`` and ``softmax`` applied in turn, so outputs and
+    gradients equal that composition bit for bit; the tests keep it as
+    the reference.
     """
     shapes = (q.data.shape, k.data.shape, v.data.shape)
     if (any(len(s) != 3 for s in shapes) or len({s[0] for s in shapes}) != 1
@@ -670,12 +683,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"attention: expected q/k (B,T,D) and v (B,T,D_v) with one B, "
                          f"got q={q.data.shape}, k={k.data.shape}, v={v.data.shape}")
     kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
-    p = q.data @ kt
+    bsz, t, _ = q.data.shape
+    p = np.empty((bsz, t, kt.shape[2]), dtype=np.result_type(q.data, kt))
     c = p.dtype.type(1.0 / np.sqrt(q.data.shape[2]))
-    p *= c
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    for lo, hi in _row_blocks(t):
+        rows = p[:, lo:hi]
+        np.matmul(q.data[:, lo:hi], kt, out=rows)
+        rows *= c
+        rows -= rows.max(axis=-1, keepdims=True)
+        np.exp(rows, out=rows)
+        rows /= rows.sum(axis=-1, keepdims=True)
     data = p @ v.data
 
     def back(g, grads):
@@ -683,9 +700,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             _accum(grads, v, np.swapaxes(p, 1, 2) @ g)
         if q._needs or k._needs:
             ds = g @ np.swapaxes(v.data, 1, 2)  # gradient of the probabilities
-            for lo in range(0, ds.shape[1], ROW_BLOCK):  # no (B, T, T) temporary
-                rows = ds[:, lo:lo + ROW_BLOCK]
-                rows -= (rows * p[:, lo:lo + ROW_BLOCK]).sum(axis=-1, keepdims=True)
+            for lo, hi in _row_blocks(t):  # no (B, T, T) temporary
+                rows = ds[:, lo:hi]
+                rows -= (rows * p[:, lo:hi]).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= c  # gradient of the unscaled scores q @ k^T
             _accum(grads, q, ds @ np.swapaxes(kt, 1, 2))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import ParameterStore
 from .audio import FPS
 from .dataset import Recording, Segment, crop_window, make_segments, time_to_frame, window_starts
@@ -227,14 +228,22 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
                    window_s: int = 60) -> dict[str, np.ndarray]:
     """Eval-mode per-frame probabilities for a whole recording, stitched
     over windows: a (T, 6) softmax for dynamics, (T,) sigmoids for the
-    three binary tasks."""
+    three binary tasks.
+
+    The windows run on :func:`.parallel.map_in_order` and are joined in
+    window order; each forward is the same B=1 pass as run alone, so the
+    bits do not depend on the worker count.  A window returns only its
+    logit rows, so its autodiff graph is freed when it ends and at most
+    one graph per worker is alive.
+    """
     t = features.shape[1]
-    pieces = {"dynamics": [], "change_point": [], "beat": [], "downbeat": []}
-    for start in window_starts(t, window_s, mode="eval"):
+
+    def window(start: int) -> dict[str, np.ndarray]:
         logits = model.forward(crop_window(features, start, window_s * FPS), training=False)
-        for task, piece in pieces.items():
-            piece.append(getattr(logits, task).data[0, :t - start])
-    frames = {task: np.concatenate(piece, axis=0) for task, piece in pieces.items()}
+        return {task: getattr(logits, task).data[0, :t - start] for task in TASKS}
+
+    rows = parallel.map_in_order(window, window_starts(t, window_s, mode="eval"))
+    frames = {task: np.concatenate([r[task] for r in rows], axis=0) for task in TASKS}
     return {task: ad.softmax_np(v) if task == "dynamics" else ad.sigmoid_np(v)
             for task, v in frames.items()}
 

@@ -268,20 +268,30 @@ def test_annotate_malformed_beats_from_exit_1(corpus, trained, tmp_path, capsys,
     assert str(beats_file) in capsys.readouterr().err
 
 
-def test_non_finite_audio_fails_extract_and_annotate(trained, tmp_path, capsys):
+def _extract_and_annotate_fail(samples, trained, tmp_path, capsys, message):
     audio = tmp_path / "audio"
     audio.mkdir()
-    samples = np.zeros(2 * 22050, dtype=np.float32)
-    samples[100] = np.nan
-    wavfile.write(audio / "nan.wav", 22050, samples)
+    wavfile.write(audio / "bad.wav", 22050, samples)
     code = main(["extract", "--audio-dir", str(audio), "--out-dir", str(tmp_path / "out"), "--json"])
     assert code == 1
     assert [f["status"] for f in json.loads(capsys.readouterr().out)["files"]] == ["failed"]
-    assert not (tmp_path / "out" / "nan.dynf").exists()
-    code = main(["annotate", str(audio / "nan.wav"), "--checkpoint", str(trained / "fold0.dync"),
-                 "--out-prefix", str(tmp_path / "nan")])
+    assert not (tmp_path / "out" / "bad.dynf").exists()
+    code = main(["annotate", str(audio / "bad.wav"), "--checkpoint", str(trained / "fold0.dync"),
+                 "--out-prefix", str(tmp_path / "bad")])
     assert code == 1
-    assert "NaN" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_audio_fails_extract_and_annotate(trained, tmp_path, capsys):
+    samples = np.zeros(2 * 22050, dtype=np.float32)
+    samples[100] = np.nan
+    _extract_and_annotate_fail(samples, trained, tmp_path, capsys, "NaN")
+
+
+def test_subnormal_peak_audio_fails_extract_and_annotate(trained, tmp_path, capsys):
+    # normalising a 4e-309 peak to -1 dBFS would scale by inf into NaN features
+    _extract_and_annotate_fail(np.full(22050, 4e-309), trained, tmp_path, capsys,
+                               "too small to normalise")
 
 
 @pytest.mark.parametrize("kind", ["bssl", "logmel"])

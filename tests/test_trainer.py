@@ -3,6 +3,8 @@
 import json
 import re
 import struct
+import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynamark import autodiff as ad
-from dynamark import trainer
+from dynamark import parallel, trainer
+from dynamark.audio import FPS
 from dynamark.autodiff import ParameterStore, Tensor
 from dynamark.errors import CheckpointError, DynamarkError, TrainingError
 from dynamark.network import DynamicsModel, ModelConfig
@@ -286,6 +289,54 @@ def test_checkpoint_body_fuzz_raises_only_typed_errors(tiny_checkpoint_body, dat
         model_from_checkpoint(load_checkpoint(path))
     except DynamarkError:
         pass
+
+
+# -- prediction ------------------------------------------------------------------------
+
+def _windowed_features(n_windows, window_s):
+    """(22, T) features that ``predict_frames`` cuts into ``n_windows``
+    eval windows, the last one mostly padding."""
+    t = (n_windows - 1) * window_s * FPS + 37
+    return np.random.default_rng(n_windows).standard_normal((22, t)).astype(np.float32)
+
+
+def test_predict_frames_same_bits_at_any_worker_count(monkeypatch):
+    model = small_model()
+    feats = _windowed_features(4, 2)
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    serial = trainer.predict_frames(model, feats, window_s=2)
+    threads = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward",
+                        lambda *a, **kw: threads.append(threading.get_ident()) or forward(*a, **kw))
+    monkeypatch.setattr(parallel, "worker_count", lambda: 3)
+    pooled = trainer.predict_frames(model, feats, window_s=2)
+    assert len(threads) == 4 and threading.get_ident() not in threads
+    assert list(pooled) == list(serial)
+    for task, want in serial.items():
+        assert len(want) == feats.shape[1]
+        assert pooled[task].dtype == want.dtype and np.array_equal(pooled[task], want), task
+
+
+def test_predict_frames_holds_one_graph_per_worker(monkeypatch):
+    # a window's autodiff graph is freed when its worker returns the logit
+    # rows: six windows on two workers peak near two forwards (1.9), where
+    # workers that returned the TaskLogits would hold all six graphs
+    model = small_model()
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+
+    def peak(n_windows):
+        feats = _windowed_features(n_windows, 10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trainer.predict_frames(model, feats, window_s=10)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one_window = peak(1)
+    assert peak(6) <= 2.5 * one_window
 
 
 # -- training loop -----------------------------------------------------------------
