@@ -204,9 +204,9 @@ def decode_and_prepare(path) -> Waveform:
     resampling; all-zero input is left unnormalised, and a peak too small
     to scale to -1 dBFS is a :class:`DecodeError`.  Before the resample
     one float64 vector of the input's length is held next to the decoded
-    samples (see :func:`_mono_normalised`).  The resample runs on every
-    CPU in the affinity mask, the same bits at any count (see
-    :func:`_resample`).
+    samples (see :func:`_mono_normalised`).  The resample runs on
+    :func:`.parallel.worker_count` threads, the same bits at any count
+    (see :func:`_resample`).
     """
     path = Path(path)
     try:

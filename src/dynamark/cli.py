@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .audio import (FPS, bssl, decode_and_prepare, extract_features, log_mel, save_features, stft_power,
                     total_loudness)
 from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
@@ -172,7 +172,9 @@ def cmd_extract(opts: dict) -> tuple[int, dict]:
             todo.append((str(wav_path), str(out_path)))
     if workers > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Each process resamples on its share of the CPUs, not on all of them.
+        with ProcessPoolExecutor(max_workers=workers, initializer=parallel.share_cpus,
+                                 initargs=(workers,)) as pool:
             done = list(pool.map(_extract_one, [w for w, _ in todo],
                                  [o for _, o in todo], [kind] * len(todo)))
     else:
