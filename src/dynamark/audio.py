@@ -32,6 +32,7 @@ HOP = 441
 WINDOW = 1024
 FPS = SAMPLE_RATE // HOP  # frames per second, exactly 50
 N_BINS = WINDOW // 2 + 1
+BIN_HZ = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)  # centre frequency of each STFT bin
 PEAK_TARGET = 10.0 ** (-1.0 / 20.0)  # -1 dBFS
 DB_REFERENCE = 96.0  # full-scale power == 96 dB SPL
 N_MELS = 128
@@ -51,6 +52,8 @@ CRITICAL_BAND_CENTERS_HZ = np.array([
 ], dtype=np.float64)
 
 N_BARK_BANDS = len(CRITICAL_BAND_EDGES_HZ) - 1
+# Each feature kind and its row count; the model's ``input_bins`` names the kind.
+FEATURE_BINS = {"bssl": N_BARK_BANDS, "logmel": N_MELS}
 
 
 @dataclass
@@ -59,30 +62,6 @@ class Waveform:
 
     samples: np.ndarray
     sample_rate: int
-
-
-@dataclass
-class PowerSpectrogram:
-    """|STFT|^2 frames; ``bins`` is (513, T)."""
-
-    bins: np.ndarray
-    bin_hz: np.ndarray
-    fps: int
-
-
-@dataclass
-class SpecificLoudness:
-    """Per-band loudness in sone; ``sone`` is (22, T)."""
-
-    sone: np.ndarray
-    band_edges_hz: np.ndarray
-
-
-@dataclass
-class LogMel:
-    """Natural-log mel-band energies; ``values`` is (128, T)."""
-
-    values: np.ndarray
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +208,7 @@ def frame_count(n_samples: int) -> int:
     return int(math.ceil(n_samples / HOP))
 
 
-def stft_power(wav: Waveform) -> PowerSpectrogram:
+def stft_power(wav: Waveform) -> np.ndarray:
     """Hann-windowed power spectrogram at 50 fps (hop 441, window 1024).
 
     Frames are views of the samples; only the last few frames, which
@@ -238,7 +217,7 @@ def stft_power(wav: Waveform) -> PowerSpectrogram:
     written straight into one preallocated (T, 513) array, so the
     windowed frames and their complex spectrum are only ever held for one
     block.  Each frame's FFT and squares are those of a one-shot
-    transform, bit for bit.  ``bins`` is a (513, T) transposed view.
+    transform, bit for bit.  Returns the (513, T) transposed view.
     """
     if wav.sample_rate != SAMPLE_RATE:
         raise ConfigError(f"stft_power expects {SAMPLE_RATE} Hz input, got {wav.sample_rate}")
@@ -258,8 +237,7 @@ def stft_power(wav: Waveform) -> PowerSpectrogram:
             block = rows[lo:lo + STFT_BLOCK]
             np.square(spec.real, out=block)
             block += np.square(spec.imag)
-    bin_hz = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)
-    return PowerSpectrogram(bins=power.T, bin_hz=bin_hz, fps=FPS)
+    return power.T
 
 
 def _frames(x: np.ndarray) -> np.ndarray:
@@ -267,12 +245,9 @@ def _frames(x: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
 
 
-def _check_provenance(spec: PowerSpectrogram) -> None:
-    if spec.bins.shape[0] != N_BINS:
-        raise ConfigError(f"expected {N_BINS} frequency bins, got {spec.bins.shape[0]}")
-    expected = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)
-    if spec.fps != FPS or not np.allclose(spec.bin_hz, expected):
-        raise ConfigError("spectrogram was not produced by the 22.05 kHz / 50 fps frontend")
+def _check_bins(power: np.ndarray) -> None:
+    if power.ndim != 2 or power.shape[0] != N_BINS:
+        raise ConfigError(f"expected a ({N_BINS}, T) power spectrogram, got shape {power.shape}")
 
 
 # --------------------------------------------------------------------------
@@ -291,14 +266,14 @@ def outer_middle_ear_weights(freq_hz: np.ndarray) -> np.ndarray:
     return w
 
 
-def critical_band_matrix(bin_hz: np.ndarray) -> np.ndarray:
-    """0/1 matrix (22, n_bins) summing bins into Zwicker bands.
+def critical_band_matrix() -> np.ndarray:
+    """0/1 matrix (22, 513) summing STFT bins into Zwicker bands.
 
     A bin belongs to band b when edge[b] <= f < edge[b+1]; bins at or
     above 9.5 kHz are discarded.
     """
-    bands = np.searchsorted(CRITICAL_BAND_EDGES_HZ, bin_hz, side="right") - 1
-    m = np.zeros((N_BARK_BANDS, len(bin_hz)), dtype=np.float64)
+    bands = np.searchsorted(CRITICAL_BAND_EDGES_HZ, BIN_HZ, side="right") - 1
+    m = np.zeros((N_BARK_BANDS, N_BINS), dtype=np.float64)
     valid = (bands >= 0) & (bands < N_BARK_BANDS)
     m[bands[valid], np.nonzero(valid)[0]] = 1.0
     return m
@@ -331,20 +306,20 @@ def phon_to_sone(phon: np.ndarray) -> np.ndarray:
     return out
 
 
-def bssl(spec: PowerSpectrogram) -> SpecificLoudness:
-    """Bark-scale specific loudness (22, T) from a power spectrogram."""
-    _check_provenance(spec)
-    weighted = spec.bins * outer_middle_ear_weights(spec.bin_hz)[:, None]
-    bands = critical_band_matrix(spec.bin_hz) @ weighted
+def bssl(power: np.ndarray) -> np.ndarray:
+    """Bark-scale specific loudness in sone, (22, T) float32, from a
+    (513, T) power spectrogram."""
+    _check_bins(power)
+    weighted = power * outer_middle_ear_weights(BIN_HZ)[:, None]
+    bands = critical_band_matrix() @ weighted
     spread = spreading_matrix() @ bands
-    sone = np.maximum(phon_to_sone(power_to_phon(spread)), 0.0)
-    return SpecificLoudness(sone=sone.astype(np.float32),
-                            band_edges_hz=CRITICAL_BAND_EDGES_HZ.copy())
+    return np.maximum(phon_to_sone(power_to_phon(spread)), 0.0).astype(np.float32)
 
 
-def total_loudness(sl: SpecificLoudness) -> np.ndarray:
-    """Per-frame aggregate: max band + 0.15 * sum of the other bands."""
-    sone = np.asarray(sl.sone, dtype=np.float64)
+def total_loudness(sone: np.ndarray) -> np.ndarray:
+    """Per-frame aggregate of a (22, T) specific loudness: max band +
+    0.15 * sum of the other bands."""
+    sone = np.asarray(sone, dtype=np.float64)
     peak = sone.max(axis=0)
     return (peak + 0.15 * (sone.sum(axis=0) - peak)).astype(np.float32)
 
@@ -361,39 +336,35 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int = N_MELS, bin_hz: np.ndarray | None = None) -> np.ndarray:
-    """Triangular mel filters (n_mels, n_bins), peak height 1.
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filters (128, 513), peak height 1.
 
     Adjacent unit-height triangles tile, so the summed response is 1
     between the first and last filter centres (energy preserving).
     """
-    if bin_hz is None:
-        bin_hz = np.arange(N_BINS) * (SAMPLE_RATE / WINDOW)
-    edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2.0), n_mels + 2))
-    fb = np.zeros((n_mels, len(bin_hz)), dtype=np.float64)
-    for m in range(n_mels):
+    edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2.0), N_MELS + 2))
+    fb = np.zeros((N_MELS, N_BINS), dtype=np.float64)
+    for m in range(N_MELS):
         lo, mid, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
-        rise = (bin_hz - lo) / (mid - lo)
-        fall = (hi - bin_hz) / (hi - mid)
+        rise = (BIN_HZ - lo) / (mid - lo)
+        fall = (hi - BIN_HZ) / (hi - mid)
         fb[m] = np.clip(np.minimum(rise, fall), 0.0, 1.0)
     return fb
 
 
-def log_mel(spec: PowerSpectrogram) -> LogMel:
-    """128-band log-mel energies from the same STFT as :func:`bssl`."""
-    _check_provenance(spec)
-    fb = mel_filterbank(N_MELS, spec.bin_hz)
-    values = np.log(fb @ spec.bins + LOG_FLOOR)
-    return LogMel(values=values.astype(np.float32))
+def log_mel(power: np.ndarray) -> np.ndarray:
+    """Natural-log mel-band energies, (128, T) float32, from the same
+    (513, T) power spectrogram as :func:`bssl`."""
+    _check_bins(power)
+    return np.log(mel_filterbank() @ power + LOG_FLOOR).astype(np.float32)
 
 
 def extract_features(wav: Waveform, kind: str = "bssl") -> np.ndarray:
     """Convenience: waveform -> (F, T) float32 feature matrix."""
-    spec = stft_power(wav)
     if kind == "bssl":
-        return bssl(spec).sone
+        return bssl(stft_power(wav))
     if kind == "logmel":
-        return log_mel(spec).values
+        return log_mel(stft_power(wav))
     raise ConfigError(f"unknown feature kind {kind!r}; expected 'bssl' or 'logmel'")
 
 

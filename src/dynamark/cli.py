@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, parallel
-from .audio import (FPS, bssl, decode_and_prepare, extract_features, log_mel, save_features, stft_power,
-                    total_loudness)
+from .audio import (FEATURE_BINS, FPS, bssl, decode_and_prepare, extract_features, log_mel, save_features,
+                    stft_power, total_loudness)
 from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
 from .errors import ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
@@ -103,8 +103,10 @@ def resolve_options(args: argparse.Namespace, keys) -> dict:
 
 def build_configs(resolved: dict) -> tuple[ModelConfig, TrainConfig]:
     feature = resolved.get("feature", "bssl")
+    if feature not in FEATURE_BINS:
+        raise ConfigError(f"unknown feature kind {feature!r}; expected one of {', '.join(FEATURE_BINS)}")
     model_kwargs = {k: resolved[k] for k in MODEL_KEYS if k in resolved}
-    model_kwargs["input_bins"] = 22 if feature == "bssl" else 128
+    model_kwargs["input_bins"] = FEATURE_BINS[feature]
     train_kwargs = {k: resolved[k] for k in TRAIN_KEYS if k in resolved}
     return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
 
@@ -347,13 +349,16 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     audio_path = Path(opts["audio"])
     cp = load_checkpoint(opts["checkpoint"])
     model = model_from_checkpoint(cp)
-    kind = "bssl" if cp.model_config.input_bins == 22 else "logmel"
+    bins = cp.model_config.input_bins
+    kind = next((k for k, n in FEATURE_BINS.items() if n == bins), None)
+    if kind is None:
+        raise ConfigError(f"checkpoint expects {bins} feature bins, which no feature kind has")
     if opts.get("feature") and opts["feature"] != kind:
-        raise ConfigError(f"checkpoint expects {kind} features ({cp.model_config.input_bins} bins), "
+        raise ConfigError(f"checkpoint expects {kind} features ({bins} bins), "
                           f"but --feature {opts['feature']} was requested")
-    spec = stft_power(decode_and_prepare(audio_path))
-    loudness = bssl(spec) if kind == "bssl" or opts.get("loudness_csv") else None
-    features = loudness.sone if kind == "bssl" else log_mel(spec).values
+    power = stft_power(decode_and_prepare(audio_path))
+    loudness = bssl(power) if kind == "bssl" or opts.get("loudness_csv") else None
+    features = loudness if kind == "bssl" else log_mel(power)
     beats_override = None
     if opts.get("beats_from"):
         beats_override = _read_beats_from(Path(opts["beats_from"]))
@@ -491,7 +496,7 @@ def main(argv=None) -> int:
         if getattr(args, "json", False):
             print(json.dumps(report, indent=2))
         return code
-    except (DynamarkError, FileNotFoundError) as exc:
+    except (DynamarkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # pragma: no cover - defensive

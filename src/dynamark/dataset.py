@@ -195,7 +195,7 @@ def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
     if frames and frames[-1] < n_frames:
         dynamic_class[frames[-1]:] = LABEL_TO_CLASS[ann.markings[-1]]
     targets = FrameTargets(beat=beat, downbeat=downbeat, change_point=change_point,
-                           dynamic_class=dynamic_class, beat_mask=beat.copy())
+                           dynamic_class=dynamic_class)
     targets.validate()
     return targets
 

@@ -18,6 +18,7 @@ stays exactly 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -75,11 +76,6 @@ class TaskLogits:
     downbeat: Tensor
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 class DynamicsModel:
     """Owns the parameter store, batchnorm state and the forward pass."""
 
@@ -91,21 +87,13 @@ class DynamicsModel:
 
     # -- construction ------------------------------------------------------
 
-    def _conv2d(self, rng, name, cin, cout, k):
-        self.params.add(f"{name}.w", _kaiming_uniform(rng, (cout, cin, k, k), cin * k * k))
-        self.params.add(f"{name}.b", np.zeros(cout, dtype=np.float32))
-
-    def _conv1d(self, rng, name, cin, cout, k):
-        self.params.add(f"{name}.w", _kaiming_uniform(rng, (cout, cin, k), cin * k))
-        self.params.add(f"{name}.b", np.zeros(cout, dtype=np.float32))
-
-    def _convt1d(self, rng, name, cin, cout, k):
-        self.params.add(f"{name}.w", _kaiming_uniform(rng, (cin, cout, k), cin * k))
-        self.params.add(f"{name}.b", np.zeros(cout, dtype=np.float32))
-
-    def _linear(self, rng, name, din, dout):
-        self.params.add(f"{name}.w", _kaiming_uniform(rng, (dout, din), din))
-        self.params.add(f"{name}.b", np.zeros(dout, dtype=np.float32))
+    def _weight_bias(self, rng, name, w_shape, out_axis=0):
+        """Kaiming-uniform ``{name}.w`` and zero ``{name}.b``; axis ``out_axis``
+        of the weight counts the outputs, the rest make its fan-in."""
+        n_out = w_shape[out_axis]
+        bound = np.sqrt(6.0 / (math.prod(w_shape) // n_out))
+        self.params.add(f"{name}.w", rng.uniform(-bound, bound, size=w_shape).astype(np.float32))
+        self.params.add(f"{name}.b", np.zeros(n_out, dtype=np.float32))
 
     def _bn(self, name, channels):
         self.params.add(f"{name}.gamma", np.ones(channels, dtype=np.float32))
@@ -119,30 +107,30 @@ class DynamicsModel:
             prefix = f"branch{b}"
             cin = 1
             for blk in range(cfg.blocks_per_branch):
-                self._conv2d(rng, f"{prefix}.block{blk}.conv", cin, cfg.channels, 3)
+                self._weight_bias(rng, f"{prefix}.block{blk}.conv", (cfg.channels, cin, 3, 3))
                 if cin != cfg.channels:
-                    self._conv2d(rng, f"{prefix}.block{blk}.proj", cin, cfg.channels, 1)
+                    self._weight_bias(rng, f"{prefix}.block{blk}.proj", (cfg.channels, cin, 1, 1))
                 self._bn(f"{prefix}.block{blk}.bn", cfg.channels)
                 cin = cfg.channels
-            self._linear(rng, f"{prefix}.collapse", cfg.channels * cfg.input_bins, cfg.channels)
+            self._weight_bias(rng, f"{prefix}.collapse", (cfg.channels, cfg.channels * cfg.input_bins))
             for w in ("wq", "wk", "wv"):
-                self._linear(rng, f"{prefix}.attn.{w}", cfg.channels, cfg.attention_dim)
-            self._linear(rng, f"{prefix}.attn.wo", cfg.attention_dim, cfg.channels)
+                self._weight_bias(rng, f"{prefix}.attn.{w}", (cfg.attention_dim, cfg.channels))
+            self._weight_bias(rng, f"{prefix}.attn.wo", (cfg.channels, cfg.attention_dim))
             self.params.add(f"{prefix}.attn.ln.gamma", np.ones(cfg.channels, dtype=np.float32))
             self.params.add(f"{prefix}.attn.ln.beta", np.zeros(cfg.channels, dtype=np.float32))
-            self._linear(rng, f"{prefix}.out", cfg.channels, LATENT_DIM)
+            self._weight_bias(rng, f"{prefix}.out", (LATENT_DIM, cfg.channels))
             for stage in range(b):
-                self._convt1d(rng, f"{prefix}.up{stage}", LATENT_DIM, LATENT_DIM,
-                              max(cfg.scaling_factor, 1))
+                self._weight_bias(rng, f"{prefix}.up{stage}",  # (in, out, k)
+                                  (LATENT_DIM, LATENT_DIM, max(cfg.scaling_factor, 1)), out_axis=1)
         if cfg.use_mmoe:
             for e in range(NUM_EXPERTS):
-                self._conv1d(rng, f"expert{e}.conv0", LATENT_DIM, LATENT_DIM, 3)
-                self._conv1d(rng, f"expert{e}.conv1", LATENT_DIM, LATENT_DIM, 3)
+                self._weight_bias(rng, f"expert{e}.conv0", (LATENT_DIM, LATENT_DIM, 3))
+                self._weight_bias(rng, f"expert{e}.conv1", (LATENT_DIM, LATENT_DIM, 3))
             for task in TASKS:
-                self._linear(rng, f"gate_{task}", LATENT_DIM, NUM_EXPERTS)
+                self._weight_bias(rng, f"gate_{task}", (NUM_EXPERTS, LATENT_DIM))
         for task in TASKS:
             out = N_DYNAMIC_CLASSES if task == "dynamics" else 1
-            self._linear(rng, f"head_{task}", LATENT_DIM, out)
+            self._weight_bias(rng, f"head_{task}", (out, LATENT_DIM))
 
     # -- forward -------------------------------------------------------------
 

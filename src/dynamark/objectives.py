@@ -35,19 +35,18 @@ class FrameTargets:
     """Per-frame supervision for one recording or segment.
 
     ``dynamic_class`` carries the prevailing class at every frame
-    (carry-forward between beats); the dynamics loss only reads it
-    where ``beat_mask`` is set.
+    (carry-forward between beats); the dynamics loss only reads it at
+    beat frames.
     """
 
     beat: np.ndarray
     downbeat: np.ndarray
     change_point: np.ndarray
     dynamic_class: np.ndarray
-    beat_mask: np.ndarray
 
     def __post_init__(self):
         t = len(self.beat)
-        for name in ("downbeat", "change_point", "dynamic_class", "beat_mask"):
+        for name in ("downbeat", "change_point", "dynamic_class"):
             if len(getattr(self, name)) != t:
                 raise ShapeError(f"FrameTargets: {name} has length {len(getattr(self, name))}, expected {t}")
 
@@ -72,7 +71,6 @@ class TargetBatch:
     downbeat: np.ndarray
     change_point: np.ndarray
     dynamic_class: np.ndarray
-    beat_mask: np.ndarray
     valid: np.ndarray
 
     @classmethod
@@ -87,7 +85,7 @@ class TargetBatch:
         stack = lambda name: np.stack([np.asarray(getattr(tg, name)) for tg in targets])
         return cls(beat=stack("beat"), downbeat=stack("downbeat"),
                    change_point=stack("change_point"), dynamic_class=stack("dynamic_class"),
-                   beat_mask=stack("beat_mask"), valid=valid)
+                   valid=valid)
 
 
 @dataclass
@@ -208,7 +206,7 @@ def multitask_loss(logits, targets: TargetBatch, cfg: LossConfig | None = None):
         return shift_tolerant_wbce(task_logits, target, tolerance=cfg.tolerance,
                                    pos_weight=cfg.pos_weight, valid=targets.valid)
 
-    dyn = (masked_ce(logits.dynamics, targets.dynamic_class, targets.beat_mask, valid=targets.valid)
+    dyn = (masked_ce(logits.dynamics, targets.dynamic_class, targets.beat, valid=targets.valid)
            if "dynamics" in cfg.enabled_tasks else zero)
     cpt = (binary_term(logits.change_point, targets.change_point)
            if "change_point" in cfg.enabled_tasks else zero)

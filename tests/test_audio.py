@@ -17,7 +17,6 @@ from dynamark.audio import (
     PEAK_TARGET,
     SAMPLE_RATE,
     Waveform,
-    SpecificLoudness,
     bssl,
     decode_and_prepare,
     log_mel,
@@ -253,14 +252,12 @@ def test_resample_spans_match_one_call_bit_for_bit(src_rate, n, workers, seed):
 
 def test_stft_frame_count_60s():
     wav = Waveform(np.zeros(60 * SAMPLE_RATE), SAMPLE_RATE)
-    spec = stft_power(wav)
-    assert spec.bins.shape == (513, 3000)
-    assert spec.fps == 50.0
+    assert stft_power(wav).shape == (513, 3000)
+    assert audio.FPS == 50
 
 
 def test_stft_silence_all_zero():
-    spec = stft_power(Waveform(np.zeros(4410), SAMPLE_RATE))
-    np.testing.assert_array_equal(spec.bins, 0.0)
+    np.testing.assert_array_equal(stft_power(Waveform(np.zeros(4410), SAMPLE_RATE)), 0.0)
 
 
 def test_stft_too_short_names_minimum():
@@ -272,15 +269,15 @@ def test_stft_exact_bin_sine_matches_direct_dft():
     # bin 128 of a 1024-point DFT at 22.05 kHz is 2756.25 Hz
     freq = 128 * SAMPLE_RATE / 1024
     x = tone(freq, 0.2, amp=1.0)
-    spec = stft_power(Waveform(x, SAMPLE_RATE))
+    power = stft_power(Waveform(x, SAMPLE_RATE))
     # oracle: direct DFT of the first windowed frame
     frame = x[:1024]
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(1024) / 1024)
     n = np.arange(1024)
     k = np.arange(513)
     dft = (frame * window) @ np.exp(-2j * np.pi * np.outer(n, k) / 1024)
-    np.testing.assert_allclose(spec.bins[:, 0], np.abs(dft) ** 2, rtol=1e-9, atol=1e-6)
-    col = spec.bins[:, 0]
+    np.testing.assert_allclose(power[:, 0], np.abs(dft) ** 2, rtol=1e-9, atol=1e-6)
+    col = power[:, 0]
     assert col.argmax() == 128
     # Hann leakage: adjacent bins carry 1/4 of the peak power
     np.testing.assert_allclose(col[127] / col[128], 0.25, rtol=1e-2)
@@ -294,7 +291,7 @@ def test_stft_blocks_match_one_shot_bit_for_bit(frames, short_by):
     # leaves one sample in the last hop, so the last frame is mostly padding
     n = max(frames * audio.HOP - short_by, audio.WINDOW)
     x = np.random.default_rng(frames).standard_normal(n)
-    got = stft_power(Waveform(x, SAMPLE_RATE)).bins
+    got = stft_power(Waveform(x, SAMPLE_RATE))
     want = _reference_stft_power(x)
     assert got.shape == (audio.N_BINS, frames) and got.strides == want.strides
     assert np.array_equal(got, want)
@@ -308,16 +305,23 @@ def test_stft_holds_one_power_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        spec = stft_power(wav)
+        power = stft_power(wav)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * spec.bins.nbytes, peak / spec.bins.nbytes
+    assert peak <= 1.25 * power.nbytes, peak / power.nbytes
 
 
 def test_stft_rejects_wrong_rate():
     with pytest.raises(ConfigError):
         stft_power(Waveform(np.zeros(44100), 44100))
+
+
+@pytest.mark.parametrize("stage", [bssl, log_mel])
+@pytest.mark.parametrize("shape", [(512, 10), (513,)])
+def test_frontend_stages_reject_other_shapes(stage, shape):
+    with pytest.raises(ConfigError, match="513"):
+        stage(np.zeros(shape))
 
 
 # -- bssl ---------------------------------------------------------------------
@@ -331,10 +335,9 @@ def test_band_edges_shape_and_coverage():
 
 
 def test_bssl_silence_is_zero():
-    spec = stft_power(Waveform(np.zeros(22050), SAMPLE_RATE))
-    sl = bssl(spec)
-    assert sl.sone.shape == (22, 50)
-    np.testing.assert_array_equal(sl.sone, 0.0)
+    sone = bssl(stft_power(Waveform(np.zeros(22050), SAMPLE_RATE)))
+    assert sone.shape == (22, 50) and sone.dtype == np.float32
+    np.testing.assert_array_equal(sone, 0.0)
 
 
 def test_forty_phon_is_one_sone():
@@ -349,8 +352,7 @@ def test_forty_phon_is_one_sone():
 def test_pure_tone_localizes_to_its_band():
     for center in CRITICAL_BAND_CENTERS_HZ:
         wav = Waveform(tone(center, 0.5, amp=0.5), SAMPLE_RATE)
-        sl = bssl(stft_power(wav))
-        got = sl.sone.mean(axis=1).argmax()
+        got = bssl(stft_power(wav)).mean(axis=1).argmax()
         # oracle: independent lookup in the band-edge table
         want = np.searchsorted(CRITICAL_BAND_EDGES_HZ, center, side="right") - 1
         assert got == want, f"{center} Hz: got band {got}, want {want}"
@@ -358,8 +360,7 @@ def test_pure_tone_localizes_to_its_band():
 
 def test_one_khz_band_index():
     wav = Waveform(tone(1000.0, 0.5, amp=0.5), SAMPLE_RATE)
-    sl = bssl(stft_power(wav))
-    assert sl.sone.mean(axis=1).argmax() == 8  # 920-1080 Hz band
+    assert bssl(stft_power(wav)).mean(axis=1).argmax() == 8  # 920-1080 Hz band
 
 
 def test_amplitude_monotonicity():
@@ -368,31 +369,30 @@ def test_amplitude_monotonicity():
         n = int(rng.integers(4410, 11025))
         x = rng.standard_normal(n) * rng.uniform(0.005, 0.05)
         g = rng.uniform(1.0, 25.0)
-        lo = bssl(stft_power(Waveform(x, SAMPLE_RATE))).sone
-        hi = bssl(stft_power(Waveform(g * x, SAMPLE_RATE))).sone
+        lo = bssl(stft_power(Waveform(x, SAMPLE_RATE)))
+        hi = bssl(stft_power(Waveform(g * x, SAMPLE_RATE)))
         assert (hi >= lo).all()
 
 
 def test_bssl_deterministic_bits():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(22050) * 0.1
-    a = bssl(stft_power(Waveform(x, SAMPLE_RATE))).sone
-    b = bssl(stft_power(Waveform(x.copy(), SAMPLE_RATE))).sone
+    a = bssl(stft_power(Waveform(x, SAMPLE_RATE)))
+    b = bssl(stft_power(Waveform(x.copy(), SAMPLE_RATE)))
     assert np.array_equal(a, b)
 
 
 # -- log_mel -------------------------------------------------------------------
 
 def test_log_mel_silence_is_floor():
-    spec = stft_power(Waveform(np.zeros(22050), SAMPLE_RATE))
-    lm = log_mel(spec)
-    assert lm.values.shape == (128, 50)
-    np.testing.assert_allclose(lm.values, np.log(1e-10), rtol=1e-6)
+    lm = log_mel(stft_power(Waveform(np.zeros(22050), SAMPLE_RATE)))
+    assert lm.shape == (128, 50) and lm.dtype == np.float32
+    np.testing.assert_allclose(lm, np.log(1e-10), rtol=1e-6)
 
 
 def test_log_mel_preserves_frame_count():
-    spec = stft_power(Waveform(np.zeros(60 * SAMPLE_RATE), SAMPLE_RATE))
-    assert log_mel(spec).values.shape == (128, 3000)
+    power = stft_power(Waveform(np.zeros(60 * SAMPLE_RATE), SAMPLE_RATE))
+    assert log_mel(power).shape == (128, 3000)
 
 
 def test_mel_filterbank_energy_preservation():
@@ -423,10 +423,9 @@ def test_mel_profile_tracks_bandwidth_for_white_noise():
 def test_log_mel_matches_direct_filterbank_summation():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(22050) * 0.1
-    spec = stft_power(Waveform(x, SAMPLE_RATE))
-    lm = log_mel(spec)
-    want = np.log(mel_filterbank(128, spec.bin_hz) @ spec.bins + 1e-10)
-    np.testing.assert_allclose(lm.values, want.astype(np.float32), rtol=1e-6)
+    power = stft_power(Waveform(x, SAMPLE_RATE))
+    want = np.log(mel_filterbank() @ power + 1e-10)
+    np.testing.assert_allclose(log_mel(power), want.astype(np.float32), rtol=1e-6)
 
 
 # -- total loudness -------------------------------------------------------------
@@ -434,7 +433,7 @@ def test_log_mel_matches_direct_filterbank_summation():
 def _sl_from_bands(bands):
     sone = np.zeros((22, 1), dtype=np.float32)
     sone[: len(bands), 0] = bands
-    return SpecificLoudness(sone=sone, band_edges_hz=CRITICAL_BAND_EDGES_HZ.copy())
+    return sone
 
 
 def test_total_loudness_zeros():

@@ -300,7 +300,7 @@ def test_annotate_loudness_csv_reuses_one_spectrogram(corpus, tmp_path, monkeypa
     from dynamark.network import DynamicsModel, ModelConfig
     from dynamark.trainer import Checkpoint, TrainConfig, save_checkpoint
 
-    cfg = ModelConfig(input_bins=audio.N_BARK_BANDS if kind == "bssl" else audio.N_MELS,
+    cfg = ModelConfig(input_bins=audio.FEATURE_BINS[kind],
                       channels=4, blocks_per_branch=1, attention_dim=4)
     checkpoint = tmp_path / f"{kind}.dync"
     save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg, seed=0), TrainConfig(segment_s=10), 0),
@@ -335,6 +335,18 @@ def test_annotate_feature_mismatch(corpus, trained, capsys):
                  "--feature", "logmel"])
     assert code == 1
     assert "bssl" in capsys.readouterr().err
+
+
+def test_annotate_checkpoint_of_no_feature_kind(corpus, tmp_path, capsys):
+    from dynamark.network import DynamicsModel, ModelConfig
+    from dynamark.trainer import Checkpoint, TrainConfig, save_checkpoint
+
+    cfg = ModelConfig(input_bins=2, channels=2, blocks_per_branch=1, attention_dim=2)
+    checkpoint = tmp_path / "two_bins.dync"
+    save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg, seed=0), TrainConfig(), 0), checkpoint)
+    wav = sorted((corpus / "audio").glob("*.wav"))[0]
+    assert main(["annotate", str(wav), "--checkpoint", str(checkpoint)]) == 1
+    assert "expects 2 feature bins, which no feature kind has" in capsys.readouterr().err
 
 
 def test_eval_against_annotation_csvs(corpus, tmp_path):
@@ -518,7 +530,32 @@ def test_config_non_utf8_exit_1(tmp_path, capsys):
     assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_config_unknown_feature_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("feature = mfcc\n")
+    code = main(["train", "--features-dir", str(tmp_path), "--annotations-dir", str(tmp_path),
+                 "--out-dir", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 1
+    assert "unknown feature kind 'mfcc'" in capsys.readouterr().err
+
+
 def test_exit_code_for_missing_input(tmp_path):
     code = main(["annotate", str(tmp_path / "missing.wav"),
                  "--checkpoint", str(tmp_path / "missing.dync")])
     assert code == 1
+
+
+@pytest.mark.parametrize("case", ["annotate-checkpoint-dir", "eval-references-dir",
+                                  "extract-out-dir-is-file", "rerun-dir"])
+def test_os_errors_exit_1(tmp_path, capsys, case):
+    from dynamark.postprocess import EventReport
+    report = tmp_path / "report.json"
+    EventReport(beats=[1.0], markings=["p"]).write_json(report)
+    argv = {
+        "annotate-checkpoint-dir": ["annotate", str(tmp_path / "x.wav"), "--checkpoint", str(tmp_path)],
+        "eval-references-dir": ["eval", "--predictions", str(report), "--references", str(tmp_path)],
+        "extract-out-dir-is-file": ["extract", "--audio-dir", str(tmp_path), "--out-dir", str(report)],
+        "rerun-dir": ["rerun", str(tmp_path)],
+    }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

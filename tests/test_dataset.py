@@ -172,7 +172,6 @@ def test_rasterize_containment(tmp_path):
     targets = rasterize(ann, 200)
     assert set(np.nonzero(targets.downbeat)[0]) <= set(np.nonzero(targets.beat)[0])
     assert set(np.nonzero(targets.change_point)[0]) <= set(np.nonzero(targets.beat)[0])
-    np.testing.assert_array_equal(targets.beat_mask, targets.beat)
 
 
 def test_rasterize_too_dense(tmp_path):
@@ -207,7 +206,7 @@ def fake_recording(duration_s, f=4):
     beat[::30] = 1
     from dynamark.objectives import FrameTargets
     targets = FrameTargets(beat=beat, downbeat=beat.copy(), change_point=np.zeros(t, dtype=np.uint8),
-                           dynamic_class=np.zeros(t, dtype=np.int64), beat_mask=beat.copy())
+                           dynamic_class=np.zeros(t, dtype=np.int64))
     return features, targets
 
 

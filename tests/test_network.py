@@ -225,7 +225,7 @@ def test_gradient_reaches_every_parameter():
     beat[:, ::10] = 1
     targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
                               dynamic_class=rng.integers(0, 6, size=(2, t)),
-                              beat_mask=beat, valid=np.ones((2, t), dtype=bool))
+                              valid=np.ones((2, t), dtype=bool))
     logits = model.forward(feats, training=True)
     loss, _ = obj.multitask_loss(logits, targets)
     model.params.zero_grads()
@@ -242,7 +242,7 @@ def test_disabled_task_heads_get_zero_grad():
     beat[:, ::10] = 1
     targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
                               dynamic_class=np.zeros((1, 40), dtype=np.int64),
-                              beat_mask=beat, valid=np.ones((1, 40), dtype=bool))
+                              valid=np.ones((1, 40), dtype=bool))
     logits = model.forward(feats, training=True)
     loss, _ = obj.multitask_loss(logits, targets, obj.LossConfig(enabled_tasks=("beat",)))
     model.params.zero_grads()

@@ -215,8 +215,7 @@ def _toy_batch(rng, b=2, t=30):
     classes = np.zeros((b, t), dtype=np.int64)
     classes[:, 15:] = 3
     targets = obj.TargetBatch(beat=beat, downbeat=downbeat, change_point=cpt,
-                              dynamic_class=classes, beat_mask=beat,
-                              valid=np.ones((b, t), dtype=bool))
+                              dynamic_class=classes, valid=np.ones((b, t), dtype=bool))
     logits = TaskLogits(
         dynamics=Tensor(rng.standard_normal((b, t, 6))),
         change_point=Tensor(rng.standard_normal((b, t))),
@@ -248,8 +247,7 @@ def test_multitask_perfect_fit_near_zero():
     beat[:, ::8] = 1
     classes = np.full((b, t), 2, dtype=np.int64)
     targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
-                              dynamic_class=classes, beat_mask=beat,
-                              valid=np.ones((b, t), dtype=bool))
+                              dynamic_class=classes, valid=np.ones((b, t), dtype=bool))
     strong = np.where(beat == 1, 14.0, -14.0).astype(np.float64)
     dyn = np.full((b, t, 6), -14.0)
     dyn[:, :, 2] = 14.0
