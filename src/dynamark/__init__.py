@@ -11,8 +11,8 @@ from .audio import (  # noqa: F401
     stft_power,
     total_loudness,
 )
-from .network import DynamicsModel, ModelConfig, TaskLogits  # noqa: F401
-from .objectives import FrameTargets, LossConfig, multitask_loss  # noqa: F401
+from .network import DynamicsModel, ModelConfig  # noqa: F401
+from .objectives import FrameTargets, multitask_loss  # noqa: F401
 from .postprocess import EventReport, build_event_report, pick_peaks  # noqa: F401
 from .metrics import dynamics_macro_f1, event_f1, changepoint_f1  # noqa: F401
 from .dataset import RecordingAnnotation, load_annotation, make_folds, rasterize  # noqa: F401

@@ -361,11 +361,10 @@ def log_mel(power: np.ndarray) -> np.ndarray:
 
 def extract_features(wav: Waveform, kind: str = "bssl") -> np.ndarray:
     """Convenience: waveform -> (F, T) float32 feature matrix."""
-    if kind == "bssl":
-        return bssl(stft_power(wav))
-    if kind == "logmel":
-        return log_mel(stft_power(wav))
-    raise ConfigError(f"unknown feature kind {kind!r}; expected 'bssl' or 'logmel'")
+    if kind not in FEATURE_BINS:
+        raise ConfigError(f"unknown feature kind {kind!r}; expected one of {', '.join(FEATURE_BINS)}")
+    power = stft_power(wav)
+    return bssl(power) if kind == "bssl" else log_mel(power)
 
 
 # --------------------------------------------------------------------------

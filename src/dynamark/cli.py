@@ -129,12 +129,8 @@ def write_manifest(path, command: str, resolved: dict, inputs, outputs,
     os.replace(tmp, path)
 
 
-def _emit(report: dict, as_json: bool, out_path=None) -> None:
-    text = json.dumps(report, indent=2)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    if as_json:
-        print(text)
+def _write_json(path, report: dict) -> None:
+    Path(path).write_text(json.dumps(report, indent=2) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
                               model_cfg, train_cfg, folds=folds,
                               log=lambda msg: print(msg, file=sys.stderr))
         report_path = out_dir / f"ablation_{opts['ablation']}.json"
-        _emit(report, False, report_path)
+        _write_json(report_path, report)
         outputs.append(report_path)
     else:
         per_fold = []
@@ -230,7 +226,7 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
                            "val": best.val_summary,
                            "final_epoch_loss": history["epoch_losses"][-1]}
             fold_path = out_dir / f"fold{fold}_report.json"
-            _emit(fold_report, False, fold_path)
+            _write_json(fold_path, fold_report)
             outputs += [cp_path, fold_path]
             per_fold.append(fold_report)
         report = {"folds": folds,
@@ -240,7 +236,7 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
                   "model_config": model_cfg.as_dict(),
                   "train_config": train_cfg.as_dict()}
         summary_path = out_dir / "summary.json"
-        _emit(report, False, summary_path)
+        _write_json(summary_path, report)
         outputs.append(summary_path)
     write_manifest(out_dir / "train_manifest.json", "train", opts,
                    [opts["features_dir"], opts["annotations_dir"]], outputs,
@@ -314,7 +310,7 @@ def cmd_eval(opts: dict) -> tuple[int, dict]:
         report[key] = mean_std([r[key] for r in per_recording.values()])
     out_path = Path(opts["out"]) if opts.get("out") else None
     if out_path:
-        _emit(report, False, out_path)
+        _write_json(out_path, report)
         manifest_dir = out_path.parent
     else:
         pred = Path(opts["predictions"])
@@ -390,16 +386,25 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
 # argument parsing / dispatch
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here that code means an internal
+    error, so a usage error exits 1 like any other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dynamark",
-                                     description="Piano dynamics, change points, beats and downbeats from audio.")
+    parser = _Parser(prog="dynamark",
+                     description="Piano dynamics, change points, beats and downbeats from audio.")
     parser.add_argument("--version", action="version", version=f"dynamark {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="extract DYNF feature files from WAVs")
     p.add_argument("--audio-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--feature", choices=("bssl", "logmel"))
+    p.add_argument("--feature", choices=FEATURE_BINS)
     p.add_argument("--force", action="store_true", default=None)
     p.add_argument("--workers", type=int, help="parallel extraction processes (default 1)")
     p.add_argument("--config")
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", type=int)
     p.add_argument("--all-folds", action="store_true")
     p.add_argument("--ablation", choices=ABLATIONS)
-    p.add_argument("--feature", choices=("bssl", "logmel"))
+    p.add_argument("--feature", choices=FEATURE_BINS)
     p.add_argument("--k-folds", type=int, dest="k_folds")
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
@@ -442,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beats-from", dest="beats_from")
     p.add_argument("--align-downbeats", action="store_true", default=None)
     p.add_argument("--loudness-csv", action="store_true", default=None, dest="loudness_csv")
-    p.add_argument("--feature", choices=("bssl", "logmel"))
+    p.add_argument("--feature", choices=FEATURE_BINS)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")

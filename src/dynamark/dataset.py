@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FPS, load_features
-from .errors import EmptyInputError, SchemaError
+from .errors import ConfigError, EmptyInputError, SchemaError
 from .objectives import LABEL_TO_CLASS, FrameTargets
 
 MARKING_TOKENS = ("pp", "p", "mf", "f", "ff")
@@ -238,6 +238,8 @@ def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str
 
 def make_folds(piece_ids, k: int = 5, seed: int = 86) -> dict[str, int]:
     """Seeded shuffle + round robin; all recordings of a piece share a fold."""
+    if k < 2:
+        raise ConfigError(f"cannot make {k} folds: cross-validation needs at least 2")
     pieces = sorted(set(piece_ids))
     if k > len(pieces):
         raise EmptyInputError(f"cannot make {k} folds from {len(pieces)} pieces")

@@ -66,16 +66,6 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
-class TaskLogits:
-    """Raw per-frame logits; dynamics is (B, T, 6), the rest (B, T)."""
-
-    dynamics: Tensor
-    change_point: Tensor
-    beat: Tensor
-    downbeat: Tensor
-
-
 class DynamicsModel:
     """Owns the parameter store, batchnorm state and the forward pass."""
 
@@ -224,21 +214,18 @@ class DynamicsModel:
         return task_features, gates
 
     def forward(self, features, training: bool = False, return_gates: bool = False):
-        """Full pass: features -> TaskLogits (optionally with gates)."""
+        """Full pass: features -> raw per-frame logits keyed by task, (B, T, 6)
+        for dynamics and (B, T) for the rest (with the gates if asked)."""
         latent = self.encode(features, training=training)
         if self.cfg.use_mmoe:
             task_features, gates = self.mmoe(latent)
         else:
             task_features = {task: latent for task in TASKS}
             gates = {}
-        heads = {}
+        logits = {}
         for task in TASKS:
             out = self._apply_linear(f"head_{task}", task_features[task])
-            if task != "dynamics":
-                out = ad.reshape(out, out.shape[:-1])
-            heads[task] = out
-        logits = TaskLogits(dynamics=heads["dynamics"], change_point=heads["change_point"],
-                            beat=heads["beat"], downbeat=heads["downbeat"])
+            logits[task] = out if task == "dynamics" else ad.reshape(out, out.shape[:-1])
         return (logits, gates) if return_gates else logits
 
     # -- bookkeeping ----------------------------------------------------------

@@ -12,7 +12,7 @@ documented choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,9 +46,9 @@ class FrameTargets:
 
     def __post_init__(self):
         t = len(self.beat)
-        for name in ("downbeat", "change_point", "dynamic_class"):
-            if len(getattr(self, name)) != t:
-                raise ShapeError(f"FrameTargets: {name} has length {len(getattr(self, name))}, expected {t}")
+        for f in fields(self):
+            if len(getattr(self, f.name)) != t:
+                raise ShapeError(f"FrameTargets: {f.name} has length {len(getattr(self, f.name))}, expected {t}")
 
     @property
     def n_frames(self) -> int:
@@ -82,30 +82,19 @@ class TargetBatch:
         if n_valid is not None:
             for i, n in enumerate(n_valid):
                 valid[i, n:] = False
-        stack = lambda name: np.stack([np.asarray(getattr(tg, name)) for tg in targets])
-        return cls(beat=stack("beat"), downbeat=stack("downbeat"),
-                   change_point=stack("change_point"), dynamic_class=stack("dynamic_class"),
-                   valid=valid)
-
-
-@dataclass
-class LossConfig:
-    tolerance: int = SHIFT_TOLERANCE
-    pos_weight: float | None = None  # None: per-batch negatives/positives, clamped
-    enabled_tasks: tuple[str, ...] = TASKS
+        return cls(**{f.name: np.stack([np.asarray(getattr(tg, f.name)) for tg in targets])
+                      for f in fields(FrameTargets)}, valid=valid)
 
 
 @dataclass
 class LossReport:
-    total: float
-    dyn: float
-    cpt: float
-    beat: float
-    dbt: float
+    """The total loss and each task's term, as floats."""
 
-    def as_dict(self) -> dict:
-        return {"total": self.total, "dyn": self.dyn, "cpt": self.cpt,
-                "beat": self.beat, "dbt": self.dbt}
+    total: float
+    dynamics: float
+    change_point: float
+    beat: float
+    downbeat: float
 
 
 def _as_2d(arr: np.ndarray) -> np.ndarray:
@@ -193,29 +182,24 @@ def masked_ce(dyn_logits: Tensor, dynamic_class: np.ndarray, beat_mask: np.ndarr
     return ad.scale(ad.tsum(ad.neg(picked)), 1.0 / rows.size)
 
 
-def multitask_loss(logits, targets: TargetBatch, cfg: LossConfig | None = None):
-    """Sum of the four task losses; returns (scalar Tensor, LossReport)."""
-    from .network import TaskLogits  # local import to avoid a cycle
-
-    if not isinstance(logits, TaskLogits):
-        raise ConfigError(f"multitask_loss expects TaskLogits, got {type(logits).__name__}")
-    cfg = cfg or LossConfig()
-    zero = Tensor(np.zeros((), dtype=logits.beat.data.dtype))
-
-    def binary_term(task_logits, target):
-        return shift_tolerant_wbce(task_logits, target, tolerance=cfg.tolerance,
-                                   pos_weight=cfg.pos_weight, valid=targets.valid)
-
-    dyn = (masked_ce(logits.dynamics, targets.dynamic_class, targets.beat, valid=targets.valid)
-           if "dynamics" in cfg.enabled_tasks else zero)
-    cpt = (binary_term(logits.change_point, targets.change_point)
-           if "change_point" in cfg.enabled_tasks else zero)
-    beat = (binary_term(logits.beat, targets.beat)
-            if "beat" in cfg.enabled_tasks else zero)
-    dbt = (binary_term(logits.downbeat, targets.downbeat)
-           if "downbeat" in cfg.enabled_tasks else zero)
-
-    total = ad.add(ad.add(dyn, cpt), ad.add(beat, dbt))
-    report = LossReport(total=total.item(), dyn=dyn.item(), cpt=cpt.item(),
-                        beat=beat.item(), dbt=dbt.item())
-    return total, report
+def multitask_loss(logits: dict[str, Tensor], targets: TargetBatch, enabled_tasks=TASKS):
+    """Sum of the task losses over ``TASKS``, a task outside ``enabled_tasks``
+    adding zero; returns (scalar Tensor, LossReport).  ``logits`` is keyed
+    by ``TASKS``, as ``DynamicsModel.forward`` returns them."""
+    if not isinstance(logits, dict) or logits.keys() != set(TASKS):
+        got = sorted(logits) if isinstance(logits, dict) else type(logits).__name__
+        raise ConfigError(f"multitask_loss expects logits keyed by {', '.join(TASKS)}, got {got}")
+    zero = Tensor(np.zeros((), dtype=logits["beat"].data.dtype))
+    terms = {}
+    for task in TASKS:
+        if task not in enabled_tasks:
+            terms[task] = zero
+        elif task == "dynamics":
+            terms[task] = masked_ce(logits[task], targets.dynamic_class, targets.beat, valid=targets.valid)
+        else:
+            terms[task] = shift_tolerant_wbce(logits[task], getattr(targets, task), valid=targets.valid)
+    # (dynamics + change_point) + (beat + downbeat): float addition does not
+    # associate, and the golden loss pins this order
+    ordered = list(terms.values())
+    total = ad.add(ad.add(*ordered[:2]), ad.add(*ordered[2:]))
+    return total, LossReport(total=total.item(), **{task: t.item() for task, t in terms.items()})

@@ -150,11 +150,11 @@ def to_seconds(frames) -> np.ndarray:
     return np.asarray(frames, dtype=np.float64) / FPS
 
 
-def build_event_report(beat_probs: np.ndarray, downbeat_probs: np.ndarray,
-                       cp_probs: np.ndarray, dyn_probs: np.ndarray,
-                       align_downbeats: bool = False,
+def build_event_report(probs: dict[str, np.ndarray], align_downbeats: bool = False,
                        beat_frames_override: np.ndarray | None = None) -> EventReport:
-    """Assemble an EventReport from per-frame probabilities.
+    """Assemble an EventReport from per-frame probabilities keyed by task,
+    as ``trainer.predict_frames`` returns them: a (T, 6) softmax for
+    dynamics, (T,) for the three binary tasks.
 
     ``beat_frames_override`` substitutes an externally supplied beat
     grid (score-assisted mode); markings and change points then attach
@@ -164,16 +164,16 @@ def build_event_report(beat_probs: np.ndarray, downbeat_probs: np.ndarray,
     if beat_frames_override is not None:
         beat_frames = np.asarray(beat_frames_override, dtype=np.intp)
     else:
-        beat_frames = pick_peaks(beat_probs)
-    downbeat_frames = pick_peaks(downbeat_probs)
+        beat_frames = pick_peaks(probs["beat"])
+    downbeat_frames = pick_peaks(probs["downbeat"])
     if align_downbeats and beat_frames.size and downbeat_frames.size:
         snapped = snap_to_nearest(downbeat_frames, beat_frames)
         keep = np.abs(beat_frames[snapped] - downbeat_frames) <= PEAK_RADIUS
         downbeat_frames = np.unique(beat_frames[snapped[keep]])
-    cp_idx = change_points(cp_probs, beat_frames)
+    cp_idx = change_points(probs["change_point"], beat_frames)
     return EventReport(
         beats=[float(t) for t in to_seconds(beat_frames)],
         downbeats=[float(t) for t in to_seconds(downbeat_frames)],
-        markings=markings_at_beats(dyn_probs, beat_frames),
+        markings=markings_at_beats(probs["dynamics"], beat_frames),
         change_points=[float(t) for t in to_seconds(beat_frames[cp_idx])],
     )

@@ -24,7 +24,7 @@ from .dataset import Recording, Segment, crop_window, make_segments, time_to_fra
 from .errors import CheckpointError, ShapeError, TrainingError
 from .metrics import mean_std, score_recording
 from .network import DynamicsModel, ModelConfig
-from .objectives import TASKS, LossConfig, TargetBatch, multitask_loss
+from .objectives import TASKS, TargetBatch, multitask_loss
 from .postprocess import build_event_report, markings_at_beats
 
 CHECKPOINT_MAGIC = b"DYNC"
@@ -49,8 +49,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.batch_size < 1:
             raise TrainingError(f"invalid training config: lr={self.lr}, batch_size={self.batch_size}")
+        if self.epochs < 1:
+            raise TrainingError(f"invalid training config: epochs={self.epochs}, must be >= 1")
         if not self.enabled_tasks:
             raise TrainingError("enabled_tasks must not be empty")
+        if unknown := [task for task in self.enabled_tasks if task not in TASKS]:
+            raise TrainingError(f"unknown enabled_tasks {', '.join(unknown)}; expected some of {', '.join(TASKS)}")
         if self.segment_s < 1:
             raise TrainingError(f"invalid training config: segment_s={self.segment_s}, must be >= 1 second")
 
@@ -240,7 +244,7 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
 
     def window(start: int) -> dict[str, np.ndarray]:
         logits = model.forward(crop_window(features, start, window_s * FPS), training=False)
-        return {task: getattr(logits, task).data[0, :t - start] for task in TASKS}
+        return {task: logit.data[0, :t - start] for task, logit in logits.items()}
 
     rows = parallel.map_in_order(window, window_starts(t, window_s, mode="eval"))
     frames = {task: np.concatenate([r[task] for r in rows], axis=0) for task in TASKS}
@@ -258,8 +262,7 @@ def annotate_features(model: DynamicsModel, features: np.ndarray,
         t = features.shape[1]
         override_frames = np.asarray(
             [min(time_to_frame(bt), t - 1) for bt in beat_times_override], dtype=np.intp)
-    return build_event_report(probs["beat"], probs["downbeat"], probs["change_point"],
-                              probs["dynamics"], align_downbeats=align_downbeats,
+    return build_event_report(probs, align_downbeats=align_downbeats,
                               beat_frames_override=override_frames)
 
 
@@ -267,8 +270,7 @@ def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int = 60)
     """The four validation F1s for one recording; dynamics are read from
     the class probabilities at the ground-truth beats."""
     probs = predict_frames(model, rec.features, window_s=window_s)
-    report = build_event_report(probs["beat"], probs["downbeat"], probs["change_point"],
-                                probs["dynamics"])
+    report = build_event_report(probs)
     ann = rec.annotation
     t = rec.features.shape[1]
     gt_frames = [min(time_to_frame(bt), t - 1) for bt in ann.beat_times]
@@ -277,7 +279,7 @@ def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int = 60)
                            markings_at_beats(probs["dynamics"], gt_frames), ann.markings)
 
 
-TASK_F1_KEYS = ("dynamics_f1", "change_point_f1", "beat_f1", "downbeat_f1")
+TASK_F1_KEYS = tuple(f"{task}_f1" for task in TASKS)
 
 
 def evaluate_recordings(model: DynamicsModel, recordings, window_s: int = 60) -> dict:
@@ -325,7 +327,6 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
         segments.extend(make_segments(rec.features, rec.targets, rec.recording_id,
                                       window_s=train_cfg.segment_s,
                                       mode="train" if train_cfg.augment_overlap else "eval"))
-    loss_cfg = LossConfig(enabled_tasks=train_cfg.enabled_tasks)
     optimizer = AdamW(model.params, lr=train_cfg.lr, betas=train_cfg.betas,
                       eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
@@ -336,7 +337,7 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
         epoch_losses = []
         for feats, targets in _batches(segments, train_cfg.batch_size, rng):
             logits = model.forward(feats, training=True)
-            loss, report = multitask_loss(logits, targets, loss_cfg)
+            loss, report = multitask_loss(logits, targets, train_cfg.enabled_tasks)
             optimizer.zero_grad()
             ad.backward(loss)
             optimizer.step()

@@ -26,7 +26,7 @@ from dynamark import autodiff as ad
 from dynamark.audio import FPS, decode_and_prepare, extract_features
 from dynamark.dataset import load_annotation, rasterize
 from dynamark.network import DynamicsModel, ModelConfig
-from dynamark.objectives import TargetBatch, multitask_loss
+from dynamark.objectives import TASKS, TargetBatch, multitask_loss
 from dynamark.postprocess import EventReport
 from dynamark.trainer import annotate_features, load_checkpoint, model_from_checkpoint
 
@@ -39,7 +39,7 @@ CHECKPOINT = TESTS.parent / "bench" / "data" / "stock_bssl.dync"
 INPUT_SHAPE = (2, 22, 500)
 MODEL_SEED = 86
 GRAD_NAMES = ("branch0.attn.wq.w", "branch0.block0.conv.w", "expert0.conv0.w", "head_dynamics.w")
-HEADS = ("dynamics", "change_point", "beat", "downbeat")
+HEADS = TASKS
 CLIP_SECONDS = 20.0
 
 
@@ -54,7 +54,7 @@ def stock_model_outputs() -> dict[str, np.ndarray]:
                              frames) for rec in ids]
     model = DynamicsModel(ModelConfig(), seed=MODEL_SEED)
     logits = model.forward(features, training=False)
-    out = {f"logits.{head}": getattr(logits, head).data.copy() for head in HEADS}
+    out = {f"logits.{head}": logits[head].data.copy() for head in HEADS}
     model.params.zero_grads()
     loss, _ = multitask_loss(model.forward(features, training=True), TargetBatch.from_targets(targets))
     ad.backward(loss)

@@ -504,3 +504,11 @@ def test_extract_features_shapes():
     assert audio.extract_features(wav, "logmel").shape == (128, 100)
     with pytest.raises(ConfigError):
         audio.extract_features(wav, "mfcc")
+
+
+def test_feature_kinds_come_from_one_table(monkeypatch):
+    # the DYNF file ids name the same kinds as the bin-count table
+    assert audio.FEATURE_KINDS.keys() == audio.FEATURE_BINS.keys()
+    monkeypatch.setitem(audio.FEATURE_BINS, "cqt", 84)
+    with pytest.raises(ConfigError, match="expected one of bssl, logmel, cqt"):
+        audio.extract_features(Waveform(np.zeros(SAMPLE_RATE), SAMPLE_RATE), "mfcc")

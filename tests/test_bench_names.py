@@ -1,19 +1,28 @@
-"""Every name the benchmark's span tracer looks up must exist.
+"""The benchmark's call surface into ``dynamark`` must keep working.
 
 ``bench/tracing.py`` resolves autodiff ops, module functions and
 methods by name when it installs itself; a name removed from
-``dynamark`` would only surface as a failed ``--trace 1`` run.
+``dynamark`` would only surface as a failed ``--trace 1`` run.  The
+``train_step`` and ``fit`` workloads' ``_step`` calls ``forward``,
+``multitask_loss``, the report's ``total`` and ``AdamW``; a change to
+any of them would only surface as a failed benchmark run.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynamark import autodiff as ad
+from dynamark.network import DynamicsModel, ModelConfig
+from dynamark.objectives import FrameTargets, TargetBatch
+from dynamark.trainer import AdamW
 
-TRACING_PY = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+TRACING_PY = BENCH_DIR / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +52,26 @@ def test_traced_methods_exist(tracing):
         if cls is None or not callable(vars(cls).get(meth)):
             missing.append(f"{mod}.{cls_name}.{meth}")
     assert not missing
+
+
+def test_workload_step_runs(monkeypatch):
+    # workloads.py imports its sibling modules by their plain names
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    model = DynamicsModel(ModelConfig(channels=4, blocks_per_branch=1, attention_dim=4), seed=86)
+    optimizer = AdamW(model.params, lr=3e-4)
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    rng = np.random.default_rng(0)
+    t = 50
+    beat = np.zeros(t, dtype=np.uint8)
+    beat[::10] = 1
+    targets = TargetBatch.from_targets(
+        [FrameTargets(beat=beat, downbeat=beat * (np.arange(t) % 20 == 0), change_point=np.zeros(t),
+                      dynamic_class=rng.integers(0, 6, t)) for _ in range(2)], [t, 40])
+    feats = rng.standard_normal((2, 22, t)).astype(np.float32)
+    loss = workloads._step(model, optimizer, feats, targets)
+    assert isinstance(loss, float) and math.isfinite(loss) and loss > 0
+    assert any(not np.array_equal(p.data, before[name]) for name, p in model.params.items())

@@ -539,6 +539,54 @@ def test_config_unknown_feature_exit_1(tmp_path, capsys):
     assert "unknown feature kind 'mfcc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs=0"),
+    (["--k-folds", "0"], "cannot make 0 folds"),
+    (["--k-folds", "-1"], "cannot make -1 folds"),
+])
+def test_train_no_epochs_or_folds_exit_1(corpus, extracted, tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(out), *flags])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--audio-dir", "a", "--out-dir", "b", "--feature", "wav"],
+    ["train", "--features-dir", "a", "--annotations-dir", "b", "--out-dir", "c", "--fold", "x"],
+    ["annotate", "x.wav"],
+    ["transcribe"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own code is 2, which here means an internal error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert "dynamark" in capsys.readouterr().out
+
+
+def test_feature_choices_come_from_feature_bins(monkeypatch):
+    from dynamark import audio
+    from dynamark.cli import build_parser
+
+    monkeypatch.setitem(audio.FEATURE_BINS, "cqt", 84)
+    parser = build_parser()
+    for argv in (["extract", "--audio-dir", "a", "--out-dir", "b"],
+                 ["train", "--features-dir", "a", "--annotations-dir", "b", "--out-dir", "c"],
+                 ["annotate", "x.wav", "--checkpoint", "c"]):
+        assert parser.parse_args(argv + ["--feature", "cqt"]).feature == "cqt"
+
+
 def test_exit_code_for_missing_input(tmp_path):
     code = main(["annotate", str(tmp_path / "missing.wav"),
                  "--checkpoint", str(tmp_path / "missing.dync")])

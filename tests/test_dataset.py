@@ -15,7 +15,7 @@ from dynamark.dataset import (
     time_to_frame,
     write_segment_manifest,
 )
-from dynamark.errors import DynamarkError, EmptyInputError, SchemaError
+from dynamark.errors import ConfigError, DynamarkError, EmptyInputError, SchemaError
 from dynamark.postprocess import markings_at_beats
 
 from _synth import mutate_bytes
@@ -287,6 +287,12 @@ def test_make_folds_grouping():
 def test_make_folds_too_few_pieces():
     with pytest.raises(EmptyInputError):
         make_folds(["a", "b"], k=5)
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_make_folds_needs_two_folds(k):
+    with pytest.raises(ConfigError, match=f"cannot make {k} folds"):
+        make_folds(["a", "b", "c"], k=k)
 
 
 def test_segment_manifest(tmp_path):

@@ -164,10 +164,11 @@ def test_forward_output_shapes():
     model = small_model()
     rng = np.random.default_rng(8)
     logits = model.forward(rand_features(rng, t=120))
-    assert logits.dynamics.shape == (1, 120, 6)
-    assert logits.change_point.shape == (1, 120)
-    assert logits.beat.shape == (1, 120)
-    assert logits.downbeat.shape == (1, 120)
+    assert list(logits) == list(obj.TASKS)
+    assert logits["dynamics"].shape == (1, 120, 6)
+    assert logits["change_point"].shape == (1, 120)
+    assert logits["beat"].shape == (1, 120)
+    assert logits["downbeat"].shape == (1, 120)
 
 
 def test_forward_without_mmoe_same_shapes_fewer_params():
@@ -176,8 +177,8 @@ def test_forward_without_mmoe_same_shapes_fewer_params():
     assert param_count(cfg_off) < param_count(cfg_on)
     model = DynamicsModel(cfg_off, seed=86)
     logits = model.forward(rand_features(np.random.default_rng(9), t=50))
-    assert logits.dynamics.shape == (1, 50, 6)
-    assert logits.beat.shape == (1, 50)
+    assert logits["dynamics"].shape == (1, 50, 6)
+    assert logits["beat"].shape == (1, 50)
 
 
 def test_forward_eval_mode_deterministic_bits():
@@ -185,8 +186,8 @@ def test_forward_eval_mode_deterministic_bits():
     x = rand_features(np.random.default_rng(10), t=75)
     a = model.forward(x, training=False)
     b = model.forward(x, training=False)
-    assert np.array_equal(a.dynamics.data, b.dynamics.data)
-    assert np.array_equal(a.beat.data, b.beat.data)
+    assert np.array_equal(a["dynamics"].data, b["dynamics"].data)
+    assert np.array_equal(a["beat"].data, b["beat"].data)
 
 
 def test_same_seed_same_init():
@@ -244,7 +245,7 @@ def test_disabled_task_heads_get_zero_grad():
                               dynamic_class=np.zeros((1, 40), dtype=np.int64),
                               valid=np.ones((1, 40), dtype=bool))
     logits = model.forward(feats, training=True)
-    loss, _ = obj.multitask_loss(logits, targets, obj.LossConfig(enabled_tasks=("beat",)))
+    loss, _ = obj.multitask_loss(logits, targets, enabled_tasks=("beat",))
     model.params.zero_grads()
     ad.backward(loss)
     for task in ("dynamics", "change_point", "downbeat"):

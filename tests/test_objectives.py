@@ -8,7 +8,6 @@ from dynamark import autodiff as ad
 from dynamark import objectives as obj
 from dynamark.autodiff import Tensor
 from dynamark.errors import ConfigError, ShapeError
-from dynamark.network import TaskLogits
 
 from test_autodiff import check_gradients
 
@@ -216,28 +215,25 @@ def _toy_batch(rng, b=2, t=30):
     classes[:, 15:] = 3
     targets = obj.TargetBatch(beat=beat, downbeat=downbeat, change_point=cpt,
                               dynamic_class=classes, valid=np.ones((b, t), dtype=bool))
-    logits = TaskLogits(
-        dynamics=Tensor(rng.standard_normal((b, t, 6))),
-        change_point=Tensor(rng.standard_normal((b, t))),
-        beat=Tensor(rng.standard_normal((b, t))),
-        downbeat=Tensor(rng.standard_normal((b, t))),
-    )
+    logits = {task: Tensor(rng.standard_normal((b, t, 6) if task == "dynamics" else (b, t)))
+              for task in obj.TASKS}
     return logits, targets
 
 
 def test_multitask_total_is_sum_of_terms():
     logits, targets = _toy_batch(np.random.default_rng(5))
     total, report = obj.multitask_loss(logits, targets)
-    assert abs(report.total - (report.dyn + report.cpt + report.beat + report.dbt)) < 1e-6
-    assert min(report.dyn, report.cpt, report.beat, report.dbt) >= 0.0
+    terms = [getattr(report, task) for task in obj.TASKS]
+    assert abs(report.total - sum(terms)) < 1e-6
+    assert min(terms) >= 0.0
     assert abs(total.item() - report.total) < 1e-9
 
 
 def test_multitask_disabling_terms():
     logits, targets = _toy_batch(np.random.default_rng(6))
     _, full = obj.multitask_loss(logits, targets)
-    _, only_beat = obj.multitask_loss(logits, targets, obj.LossConfig(enabled_tasks=("beat",)))
-    assert only_beat.dyn == only_beat.cpt == only_beat.dbt == 0.0
+    _, only_beat = obj.multitask_loss(logits, targets, enabled_tasks=("beat",))
+    assert only_beat.dynamics == only_beat.change_point == only_beat.downbeat == 0.0
     assert abs(only_beat.total - full.beat) < 1e-6
 
 
@@ -251,14 +247,17 @@ def test_multitask_perfect_fit_near_zero():
     strong = np.where(beat == 1, 14.0, -14.0).astype(np.float64)
     dyn = np.full((b, t, 6), -14.0)
     dyn[:, :, 2] = 14.0
-    logits = TaskLogits(dynamics=Tensor(dyn), change_point=Tensor(strong),
-                        beat=Tensor(strong), downbeat=Tensor(strong))
+    logits = {"dynamics": Tensor(dyn), "change_point": Tensor(strong),
+              "beat": Tensor(strong), "downbeat": Tensor(strong)}
     _, report = obj.multitask_loss(logits, targets)
     assert report.total < 4e-3
 
 
-def test_multitask_rejects_non_tasklogits():
+def test_multitask_rejects_logits_not_keyed_by_tasks():
     # a typed error, not an assert: ``python -O`` strips asserts
     logits, targets = _toy_batch(np.random.default_rng(7))
-    with pytest.raises(ConfigError, match="TaskLogits"):
-        obj.multitask_loss(vars(logits), targets)
+    for wrong in ({k: v for k, v in logits.items() if k != "beat"},
+                  {**logits, "onset": logits["beat"]},
+                  (logits, {})):  # forward(..., return_gates=True) passed whole
+        with pytest.raises(ConfigError, match="keyed by dynamics, change_point, beat, downbeat"):
+            obj.multitask_loss(wrong, targets)

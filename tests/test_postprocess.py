@@ -180,7 +180,8 @@ def test_build_report_and_serialization(tmp_path):
     cp_probs[101] = 0.9
     dyn_probs = np.zeros((t, 6))
     dyn_probs[:, 2] = 1.0  # 'p' everywhere
-    report = build_event_report(beat_probs, downbeat_probs, cp_probs, dyn_probs)
+    report = build_event_report({"beat": beat_probs, "downbeat": downbeat_probs,
+                                 "change_point": cp_probs, "dynamics": dyn_probs})
     assert report.beats == [1.0, 2.0, 3.0, 4.0]
     assert report.downbeats == [1.0]
     assert report.markings == ["p", "p", "p", "p"]
@@ -208,15 +209,16 @@ def test_report_beats_override():
     dyn_probs = np.zeros((t, 6))
     dyn_probs[:, 4] = 1.0
     cp_probs = np.zeros(t)
-    report = build_event_report(np.zeros(t), np.zeros(t), cp_probs, dyn_probs,
-                                beat_frames_override=np.array([10, 60, 110]))
+    probs = {"beat": np.zeros(t), "downbeat": np.zeros(t), "change_point": cp_probs, "dynamics": dyn_probs}
+    report = build_event_report(probs, beat_frames_override=np.array([10, 60, 110]))
     assert len(report.markings) == 3
     assert report.beats == [0.2, 1.2, 2.2]
 
 
 def test_report_silence_is_empty():
     t = 100
-    report = build_event_report(np.zeros(t), np.zeros(t), np.zeros(t), np.zeros((t, 6)))
+    report = build_event_report({"beat": np.zeros(t), "downbeat": np.zeros(t),
+                                 "change_point": np.zeros(t), "dynamics": np.zeros((t, 6))})
     assert report.beats == [] and report.markings == [] and report.change_points == []
 
 
@@ -227,10 +229,11 @@ def test_downbeat_alignment_flag():
     downbeat_probs = np.zeros(t)
     downbeat_probs[52] = 0.8   # 2 frames off the nearest beat
     downbeat_probs[120] = 0.8  # > 3 frames from any beat
-    loose = build_event_report(beat_probs, downbeat_probs, np.zeros(t), np.zeros((t, 6)))
+    probs = {"beat": beat_probs, "downbeat": downbeat_probs,
+             "change_point": np.zeros(t), "dynamics": np.zeros((t, 6))}
+    loose = build_event_report(probs)
     assert loose.downbeats == [52 / 50.0, 120 / 50.0]  # default: untouched
-    aligned = build_event_report(beat_probs, downbeat_probs, np.zeros(t), np.zeros((t, 6)),
-                                 align_downbeats=True)
+    aligned = build_event_report(probs, align_downbeats=True)
     assert aligned.downbeats == [1.0]  # snapped to the beat at frame 50; 120 dropped
 
 

@@ -124,8 +124,8 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert loaded.model_config == model.cfg
     restored = model_from_checkpoint(loaded)
     after = restored.forward(feats, training=False)
-    assert np.array_equal(before.dynamics.data, after.dynamics.data)
-    assert np.array_equal(before.beat.data, after.beat.data)
+    assert np.array_equal(before["dynamics"].data, after["dynamics"].data)
+    assert np.array_equal(before["beat"].data, after["beat"].data)
 
 
 def test_checkpoint_truncated_fails_checksum(tmp_path):
@@ -254,6 +254,25 @@ def test_segment_s_below_one_is_training_error(tmp_path, capsys, seconds):
     assert f"segment_s={seconds}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", 0, "epochs=0"),
+    ("epochs", -3, "epochs=-3"),
+    ("enabled_tasks", ("beat", "beats"), "unknown enabled_tasks beats"),
+])
+def test_no_epochs_or_unknown_task_is_training_error(tmp_path, capsys, field, value, message):
+    # an unknown task name would otherwise train no head and say nothing
+    with pytest.raises(TrainingError, match=message):
+        TrainConfig(**{field: value})
+    train_cfg = TrainConfig()
+    setattr(train_cfg, field, value)
+    path = tmp_path / "bad.dync"
+    save_checkpoint(Checkpoint.from_model(small_model(), train_cfg, epoch=1), path)
+    with pytest.raises(TrainingError, match=message):
+        load_checkpoint(path)
+    assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_committed_checkpoint_loads():
     # written before the writer dropped n_params/n_state and the fixed config keys
     cp = load_checkpoint(Path(__file__).resolve().parents[1] / "bench" / "data" / "stock_bssl.dync")
@@ -321,7 +340,7 @@ def test_predict_frames_same_bits_at_any_worker_count(monkeypatch):
 def test_predict_frames_holds_one_graph_per_worker(monkeypatch):
     # a window's autodiff graph is freed when its worker returns the logit
     # rows: six windows on two workers peak near two forwards (1.9), where
-    # workers that returned the TaskLogits would hold all six graphs
+    # workers that returned the whole logit tensors would hold all six graphs
     model = small_model()
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
 
