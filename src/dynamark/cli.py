@@ -201,6 +201,9 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
     model_cfg, train_cfg = build_configs(opts)
     recordings = load_corpus(opts["features_dir"], opts["annotations_dir"])
     pieces = sorted({rec.piece_id for rec in recordings})
+    if len(pieces) < 2:
+        raise ConfigError(f"--k-folds {opts['k_folds']} asked for, but the corpus holds {len(pieces)} piece; "
+                          f"cross-validation needs at least 2")
     k = min(int(opts["k_folds"]), len(pieces))
     fold_of_piece = make_folds(pieces, k=k, seed=train_cfg.seed)
     write_segment_manifest(out_dir / "segments.json", recordings, fold_of_piece,

@@ -21,6 +21,10 @@ class ShapeError(DynamarkError):
     """Tensor or array shapes are incompatible for the requested op."""
 
 
+class GraphReleasedError(DynamarkError):
+    """``backward`` reached a graph node that an earlier pass released."""
+
+
 class SchemaError(DynamarkError):
     """An annotation or report file violates its documented schema."""
 

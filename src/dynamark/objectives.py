@@ -189,6 +189,9 @@ def multitask_loss(logits: dict[str, Tensor], targets: TargetBatch, enabled_task
     if not isinstance(logits, dict) or logits.keys() != set(TASKS):
         got = sorted(logits) if isinstance(logits, dict) else type(logits).__name__
         raise ConfigError(f"multitask_loss expects logits keyed by {', '.join(TASKS)}, got {got}")
+    if unknown := [task for task in enabled_tasks if task not in TASKS]:
+        raise ConfigError(f"multitask_loss: unknown enabled_tasks {', '.join(unknown)}; "
+                          f"expected some of {', '.join(TASKS)}")
     zero = Tensor(np.zeros((), dtype=logits["beat"].data.dtype))
     terms = {}
     for task in TASKS:

@@ -553,6 +553,24 @@ def test_train_no_epochs_or_folds_exit_1(corpus, extracted, tmp_path, capsys, fl
     assert not (out / "summary.json").exists()
 
 
+def test_train_one_piece_names_piece_count_exit_1(corpus, extracted, tmp_path, capsys):
+    # the default 5 folds used to be clamped to the piece count, so the
+    # error named 1 fold, a count never asked for
+    annotations = tmp_path / "annotations"
+    annotations.mkdir()
+    rec_id = sorted(p.stem for p in extracted.glob("*.dynf"))[0]
+    for suffix in ("beats", "markings"):
+        shutil.copy(corpus / "annotations" / f"{rec_id}_{suffix}.csv", annotations)
+    out = tmp_path / "out"
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(annotations),
+                 "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--k-folds 5 asked for, but the corpus holds 1 piece" in err
+    assert "cannot make" not in err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "--audio-dir", "a", "--out-dir", "b", "--feature", "wav"],
     ["train", "--features-dir", "a", "--annotations-dir", "b", "--out-dir", "c", "--fold", "x"],

@@ -1,5 +1,8 @@
 """Network shapes, gate properties, MMoE semantics, parameter counts."""
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +236,47 @@ def test_gradient_reaches_every_parameter():
     ad.backward(loss)
     for name, tensor in model.params.items():
         assert tensor.grad is not None and np.any(tensor.grad != 0.0), f"dead parameter {name}"
+
+
+def _inside(fn) -> bool:
+    """Whether a call of ``fn`` is on the current stack."""
+    frame = sys._getframe()
+    while frame is not None and frame.f_code is not fn.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+def test_backward_frees_attention_probabilities_during_the_pass(monkeypatch):
+    # each node lets go of its saved arrays once its gradient has run, so
+    # the (B, T, T) probabilities are freed inside backward, while the
+    # caller still holds the loss and the logits
+    nodes = []
+    fused = ad.attention
+
+    def recorded(q, k, v):
+        nodes.append(fused(q, k, v))
+        return nodes[-1]
+
+    monkeypatch.setattr(ad, "attention", recorded)
+    model = small_model()
+    rng = np.random.default_rng(13)
+    feats = np.stack([rand_features(rng, t=40), rand_features(rng, t=40)])
+    beat = np.zeros((2, 40), dtype=np.uint8)
+    beat[:, ::10] = 1
+    targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
+                              dynamic_class=rng.integers(0, 6, size=(2, 40)),
+                              valid=np.ones((2, 40), dtype=bool))
+    logits = model.forward(feats, training=True)
+    loss, _ = obj.multitask_loss(logits, targets)
+    freed = []
+    for node in nodes:
+        back = node._backward
+        saved = dict(zip(back.__code__.co_freevars, (cell.cell_contents for cell in back.__closure__)))
+        weakref.finalize(saved["p"], lambda: freed.append(_inside(ad.backward)))
+    del back, saved
+    assert len(nodes) == 3 and not freed
+    ad.backward(loss)
+    assert freed == [True] * len(nodes)
 
 
 def test_disabled_task_heads_get_zero_grad():

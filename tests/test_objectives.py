@@ -261,3 +261,11 @@ def test_multitask_rejects_logits_not_keyed_by_tasks():
                   (logits, {})):  # forward(..., return_gates=True) passed whole
         with pytest.raises(ConfigError, match="keyed by dynamics, change_point, beat, downbeat"):
             obj.multitask_loss(wrong, targets)
+
+
+def test_multitask_rejects_unknown_enabled_task():
+    # a misspelt task used to add zero, so a direct caller trained nothing
+    logits, targets = _toy_batch(np.random.default_rng(8))
+    with pytest.raises(ConfigError, match="unknown enabled_tasks beats; expected some of "
+                                          "dynamics, change_point, beat, downbeat"):
+        obj.multitask_loss(logits, targets, enabled_tasks=("beats",))
