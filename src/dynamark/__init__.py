@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .audio import (  # noqa: F401
-    Waveform,
     bssl,
     decode_and_prepare,
     extract_features,

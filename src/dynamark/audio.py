@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +53,6 @@ CRITICAL_BAND_CENTERS_HZ = np.array([
 N_BARK_BANDS = len(CRITICAL_BAND_EDGES_HZ) - 1
 # Each feature kind and its row count; the model's ``input_bins`` names the kind.
 FEATURE_BINS = {"bssl": N_BARK_BANDS, "logmel": N_MELS}
-
-
-@dataclass
-class Waveform:
-    """Mono audio in [-1, 1]."""
-
-    samples: np.ndarray
-    sample_rate: int
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +167,9 @@ def _resample(x: np.ndarray, src_rate: int, dst_rate: int,
     return out
 
 
-def decode_and_prepare(path) -> Waveform:
-    """Decode a PCM WAV, downmix to mono, normalise to -1 dBFS, resample.
+def decode_and_prepare(path) -> np.ndarray:
+    """Decode a PCM WAV, downmix to mono, normalise to -1 dBFS, resample:
+    float64 samples at ``SAMPLE_RATE``.
 
     Downmix is the mean of channels; normalisation happens before
     resampling; all-zero input is left unnormalised, and a peak too small
@@ -196,8 +188,7 @@ def decode_and_prepare(path) -> Waveform:
         raise DecodeError(f"cannot decode {path}: {exc}") from exc
     if raw.size == 0:
         raise EmptyInputError(f"{path}: zero-length audio")
-    x = _resample(_mono_normalised(raw, path), int(rate), SAMPLE_RATE)
-    return Waveform(samples=x, sample_rate=SAMPLE_RATE)
+    return _resample(_mono_normalised(raw, path), int(rate), SAMPLE_RATE)
 
 
 # --------------------------------------------------------------------------
@@ -208,8 +199,9 @@ def frame_count(n_samples: int) -> int:
     return int(math.ceil(n_samples / HOP))
 
 
-def stft_power(wav: Waveform) -> np.ndarray:
-    """Hann-windowed power spectrogram at 50 fps (hop 441, window 1024).
+def stft_power(samples: np.ndarray) -> np.ndarray:
+    """Hann-windowed power spectrogram at 50 fps (hop 441, window 1024) of
+    mono samples at ``SAMPLE_RATE``.
 
     Frames are views of the samples; only the last few frames, which
     reach past the input, are copied into a short zero-padded tail.  The
@@ -219,9 +211,7 @@ def stft_power(wav: Waveform) -> np.ndarray:
     block.  Each frame's FFT and squares are those of a one-shot
     transform, bit for bit.  Returns the (513, T) transposed view.
     """
-    if wav.sample_rate != SAMPLE_RATE:
-        raise ConfigError(f"stft_power expects {SAMPLE_RATE} Hz input, got {wav.sample_rate}")
-    samples = np.asarray(wav.samples)
+    samples = np.asarray(samples)
     n = len(samples)
     if n < WINDOW:
         raise EmptyInputError(f"input too short for analysis: {n} samples, minimum {WINDOW}")
@@ -359,11 +349,11 @@ def log_mel(power: np.ndarray) -> np.ndarray:
     return np.log(mel_filterbank() @ power + LOG_FLOOR).astype(np.float32)
 
 
-def extract_features(wav: Waveform, kind: str = "bssl") -> np.ndarray:
-    """Convenience: waveform -> (F, T) float32 feature matrix."""
+def extract_features(samples: np.ndarray, kind: str = "bssl") -> np.ndarray:
+    """Convenience: samples at ``SAMPLE_RATE`` -> (F, T) float32 feature matrix."""
     if kind not in FEATURE_BINS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {', '.join(FEATURE_BINS)}")
-    power = stft_power(wav)
+    power = stft_power(samples)
     return bssl(power) if kind == "bssl" else log_mel(power)
 
 

@@ -2,7 +2,8 @@
 
 Option precedence is CLI flags > config file > DYNAMARK_SEED (seed
 only) > built-in defaults.  Config files are flat ``key = value`` text
-(``#`` comments allowed).  Every command writes a RunManifest JSON
+(``#`` comments allowed); a file or environment value is read with the
+type of the flag of the same name.  Every command writes a RunManifest JSON
 next to its outputs; ``dynamark rerun <manifest>`` replays a run from
 the resolved options recorded there.
 
@@ -34,9 +35,10 @@ from .trainer import (
     TASK_F1_KEYS,
     TrainConfig,
     annotate_features,
+    apply_ablation,
+    fold_table,
     load_checkpoint,
     model_from_checkpoint,
-    run_ablation,
     save_checkpoint,
     train_fold,
 )
@@ -62,26 +64,25 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _coerce(value):
-    if isinstance(value, str):
-        low = value.lower()
-        if low in ("true", "yes", "on"):
-            return True
-        if low in ("false", "no", "off"):
-            return False
-        try:
-            return int(value)
-        except ValueError:
-            pass
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    return value
+SWITCH_WORDS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
-def resolve_options(args: argparse.Namespace, keys) -> dict:
-    """Merge defaults <- config file <- env seed <- explicit flags."""
+def _from_text(text: str, flag: argparse.Action, source) -> object:
+    """``text`` converted as ``flag`` converts its argument (a switch takes
+    one of ``SWITCH_WORDS``); a bad value is a ConfigError naming ``source``."""
+    try:
+        if flag.nargs == 0:
+            return SWITCH_WORDS[text.lower()]
+        return flag.type(text) if flag.type else text
+    except (KeyError, ValueError):
+        expected = "true or false" if flag.nargs == 0 else f"a value of type {flag.type.__name__}"
+        raise ConfigError(f"{source}: {flag.dest} must be {expected}, got {text!r}") from None
+
+
+def resolve_options(args: argparse.Namespace, keys, flags: dict[str, argparse.Action]) -> dict:
+    """Merge defaults <- config file <- env seed <- explicit flags.  A
+    config-file or environment value is read with the type of its flag in
+    ``flags`` (keyed by option name)."""
     resolved = {}
     file_values = {}
     if getattr(args, "config", None):
@@ -91,9 +92,9 @@ def resolve_options(args: argparse.Namespace, keys) -> dict:
     for key in keys:
         value = defaults.get(key)
         if key in file_values:
-            value = _coerce(file_values[key])
+            value = _from_text(file_values[key], flags[key], args.config)
         if key == "seed" and os.environ.get(SEED_ENV_VAR):
-            value = int(os.environ[SEED_ENV_VAR])
+            value = _from_text(os.environ[SEED_ENV_VAR], flags[key], SEED_ENV_VAR)
         flag = getattr(args, key, None)
         if flag is not None:
             value = flag
@@ -140,8 +141,7 @@ def _write_json(path, report: dict) -> None:
 def _extract_one(wav_path: str, out_path: str, kind: str) -> dict:
     """Pure per-file unit of work; safe to run in worker processes."""
     try:
-        wav = decode_and_prepare(wav_path)
-        values = extract_features(wav, kind)
+        values = extract_features(decode_and_prepare(wav_path), kind)
         save_features(out_path, values, kind)
     except DynamarkError as exc:
         return {"input": wav_path, "status": "failed", "error": str(exc)}
@@ -199,6 +199,8 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     model_cfg, train_cfg = build_configs(opts)
+    if opts.get("ablation") is not None:
+        model_cfg, train_cfg = apply_ablation(opts["ablation"], model_cfg, train_cfg)
     recordings = load_corpus(opts["features_dir"], opts["annotations_dir"])
     pieces = sorted({rec.piece_id for rec in recordings})
     if len(pieces) < 2:
@@ -207,40 +209,32 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
     k = min(int(opts["k_folds"]), len(pieces))
     fold_of_piece = make_folds(pieces, k=k, seed=train_cfg.seed)
     write_segment_manifest(out_dir / "segments.json", recordings, fold_of_piece,
-                           window_s=train_cfg.segment_s)
+                           window_s=train_cfg.segment_s, mode=train_cfg.tiling)
     folds = [int(opts["fold"])] if opts.get("fold") is not None else list(range(k))
 
     outputs = [out_dir / "segments.json"]
-    if opts.get("ablation"):
-        report = run_ablation(opts["ablation"], recordings, fold_of_piece,
-                              model_cfg, train_cfg, folds=folds,
-                              log=lambda msg: print(msg, file=sys.stderr))
-        report_path = out_dir / f"ablation_{opts['ablation']}.json"
-        _write_json(report_path, report)
-        outputs.append(report_path)
-    else:
-        per_fold = []
-        for fold in folds:
-            best, history = train_fold(recordings, fold_of_piece, fold, model_cfg, train_cfg,
-                                       log=lambda msg: print(msg, file=sys.stderr))
-            cp_path = out_dir / f"fold{fold}.dync"
-            save_checkpoint(best, cp_path)
-            fold_report = {"fold": fold, "epoch": best.epoch,
-                           "val": best.val_summary,
-                           "final_epoch_loss": history["epoch_losses"][-1]}
-            fold_path = out_dir / f"fold{fold}_report.json"
-            _write_json(fold_path, fold_report)
-            outputs += [cp_path, fold_path]
-            per_fold.append(fold_report)
-        report = {"folds": folds,
-                  "per_fold": per_fold,
-                  "f1": {key: mean_std([f["val"].get(key) for f in per_fold])
-                         for key in TASK_F1_KEYS},
-                  "model_config": model_cfg.as_dict(),
-                  "train_config": train_cfg.as_dict()}
-        summary_path = out_dir / "summary.json"
-        _write_json(summary_path, report)
-        outputs.append(summary_path)
+    per_fold = []
+    for fold in folds:
+        best, history = train_fold(recordings, fold_of_piece, fold, model_cfg, train_cfg,
+                                   log=lambda msg: print(msg, file=sys.stderr))
+        cp_path = out_dir / f"fold{fold}.dync"
+        save_checkpoint(best, cp_path)
+        fold_report = {"fold": fold, "epoch": best.epoch,
+                       "val": best.val_summary,
+                       "final_epoch_loss": history["epoch_losses"][-1]}
+        fold_path = out_dir / f"fold{fold}_report.json"
+        _write_json(fold_path, fold_report)
+        outputs += [cp_path, fold_path]
+        per_fold.append(fold_report)
+    report = {"ablation": opts.get("ablation"),
+              "folds": folds,
+              "per_fold": per_fold,
+              **fold_table([f["val"] for f in per_fold]),
+              "model_config": model_cfg.as_dict(),
+              "train_config": train_cfg.as_dict()}
+    summary_path = out_dir / "summary.json"
+    _write_json(summary_path, report)
+    outputs.append(summary_path)
     write_manifest(out_dir / "train_manifest.json", "train", opts,
                    [opts["features_dir"], opts["annotations_dir"]], outputs,
                    seed=train_cfg.seed, wall_clock_s=time.monotonic() - start)
@@ -413,13 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("train", help="train folds (or one ablation) on extracted features")
+    p = sub.add_parser("train", help="train folds on extracted features, optionally under one ablation")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--annotations-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")
     p.add_argument("--fold", type=int)
-    p.add_argument("--all-folds", action="store_true")
     p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--feature", choices=FEATURE_BINS)
     p.add_argument("--k-folds", type=int, dest="k_folds")
@@ -461,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 OPTION_KEYS = {
     "extract": ("audio_dir", "out_dir", "feature", "force", "workers"),
-    "train": ("features_dir", "annotations_dir", "out_dir", "fold", "all_folds",
-              "ablation", "feature", "k_folds") + TRAIN_KEYS
+    "train": ("features_dir", "annotations_dir", "out_dir", "fold", "ablation",
+              "feature", "k_folds") + TRAIN_KEYS
              + ("channels", "blocks_per_branch", "attention_dim", "scaling_factor",
                 "use_mmoe"),
     "eval": ("predictions", "references", "out"),
@@ -472,6 +465,12 @@ OPTION_KEYS = {
 
 COMMANDS = {"extract": cmd_extract, "train": cmd_train, "eval": cmd_eval,
             "annotate": cmd_annotate}
+
+
+def _flags(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The options of ``command``'s sub-parser, keyed by option name."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag.dest: flag for flag in sub.choices[command]._actions}
 
 
 def _read_rerun_manifest(path: Path) -> tuple[str, dict]:
@@ -499,7 +498,7 @@ def main(argv=None) -> int:
             command, opts = _read_rerun_manifest(Path(args.manifest))
             code, report = COMMANDS[command](opts)
         else:
-            opts = resolve_options(args, OPTION_KEYS[args.command])
+            opts = resolve_options(args, OPTION_KEYS[args.command], _flags(parser, args.command))
             code, report = COMMANDS[args.command](opts)
         if getattr(args, "json", False):
             print(json.dumps(report, indent=2))

@@ -249,8 +249,9 @@ def make_folds(piece_ids, k: int = 5, seed: int = 86) -> dict[str, int]:
 
 
 def write_segment_manifest(path, recordings, fold_of_piece: dict[str, int],
-                           window_s: int = SEGMENT_SECONDS) -> None:
-    """JSON manifest: recording ids, fold ids, and segment offsets."""
+                           window_s: int = SEGMENT_SECONDS, mode: str = "train") -> None:
+    """JSON manifest: recording ids, fold ids, and segment offsets; the
+    training segments are placed as ``window_starts`` does in ``mode``."""
     entries = []
     for rec in recordings:
         t = rec.features.shape[1]
@@ -258,7 +259,7 @@ def write_segment_manifest(path, recordings, fold_of_piece: dict[str, int],
             "recording_id": rec.recording_id,
             "piece_id": rec.piece_id,
             "fold": fold_of_piece[rec.piece_id],
-            "train_segment_starts_s": [s / FPS for s in window_starts(t, window_s, "train")],
+            "train_segment_starts_s": [s / FPS for s in window_starts(t, window_s, mode)],
             "eval_segment_starts_s": [s / FPS for s in window_starts(t, window_s, "eval")],
         })
     Path(path).write_text(json.dumps({"window_s": window_s, "recordings": entries}, indent=2) + "\n")

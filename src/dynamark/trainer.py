@@ -12,7 +12,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,13 @@ from .postprocess import build_event_report, markings_at_beats
 CHECKPOINT_MAGIC = b"DYNC"
 CHECKPOINT_VERSION = 1
 
-ABLATIONS = ("no_mmoe", "s1", "no_augment", "seg30")
+# Each ablation is one change of the base configuration: (model fields, train fields).
+ABLATIONS = {
+    "no_mmoe": ({"use_mmoe": False}, {}),
+    "s1": ({"scaling_factor": 1}, {}),
+    "no_augment": ({}, {"augment_overlap": False}),
+    "seg30": ({}, {"segment_s": 30}),
+}
 
 
 @dataclass
@@ -57,6 +63,12 @@ class TrainConfig:
             raise TrainingError(f"unknown enabled_tasks {', '.join(unknown)}; expected some of {', '.join(TASKS)}")
         if self.segment_s < 1:
             raise TrainingError(f"invalid training config: segment_s={self.segment_s}, must be >= 1 second")
+
+    @property
+    def tiling(self) -> str:
+        """The ``window_starts`` mode that cuts training segments: half-window
+        hops with overlap augmentation, else the eval tiling."""
+        return "train" if self.augment_overlap else "eval"
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -295,6 +307,15 @@ def evaluate_recordings(model: DynamicsModel, recordings, window_s: int = 60) ->
     return {"per_recording": per_recording, **summary}
 
 
+def fold_table(val_summaries) -> dict:
+    """The cross-fold table: mean and std of each task F1 over the folds'
+    validation summaries, and ``average``, the mean of the task means that
+    are defined (None if none is)."""
+    f1 = {key: mean_std([s.get(key) for s in val_summaries]) for key in TASK_F1_KEYS}
+    defined = [agg["mean"] for agg in f1.values() if agg["mean"] is not None]
+    return {"f1": f1, "average": float(np.mean(defined)) if defined else None}
+
+
 # --------------------------------------------------------------------------
 # training
 # --------------------------------------------------------------------------
@@ -325,8 +346,7 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
     segments = []
     for rec in train_recordings:
         segments.extend(make_segments(rec.features, rec.targets, rec.recording_id,
-                                      window_s=train_cfg.segment_s,
-                                      mode="train" if train_cfg.augment_overlap else "eval"))
+                                      window_s=train_cfg.segment_s, mode=train_cfg.tiling))
     optimizer = AdamW(model.params, lr=train_cfg.lr, betas=train_cfg.betas,
                       eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
@@ -375,44 +395,8 @@ def train_fold(recordings, fold_of_piece: dict[str, int], fold: int,
 
 
 def apply_ablation(name: str, model_cfg: ModelConfig, train_cfg: TrainConfig):
-    """Exactly one modification of the base configuration."""
-    m = model_cfg.as_dict()
-    t = train_cfg.as_dict()
-    if name == "no_mmoe":
-        m["use_mmoe"] = False
-    elif name == "s1":
-        m["scaling_factor"] = 1
-    elif name == "no_augment":
-        t["augment_overlap"] = False
-    elif name == "seg30":
-        t["segment_s"] = 30
-    else:
+    """The base configuration with the one change that ablation ``name`` makes."""
+    if name not in ABLATIONS:
         raise TrainingError(f"unknown ablation {name!r}; expected one of {', '.join(ABLATIONS)}")
-    return ModelConfig.from_dict(m), TrainConfig.from_dict(t)
-
-
-def run_ablation(name: str, recordings, fold_of_piece: dict[str, int],
-                 model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 folds=None, log=None) -> dict:
-    """Run the standard protocol under one ablation switch.
-
-    Report carries the four task F1s (mean over the folds run) plus
-    their average, mirroring the ablation-table layout.
-    """
-    model_cfg, train_cfg = apply_ablation(name, model_cfg, train_cfg)
-    folds = sorted(set(fold_of_piece.values())) if folds is None else list(folds)
-    per_fold = []
-    for fold in folds:
-        best, _ = train_fold(recordings, fold_of_piece, fold, model_cfg, train_cfg, log=log)
-        per_fold.append(best.val_summary)
-    report = {"ablation": name,
-              "model_config": model_cfg.as_dict(),
-              "train_config": train_cfg.as_dict(),
-              "folds": folds,
-              "per_fold": per_fold,
-              "f1": {}}
-    for key in TASK_F1_KEYS:
-        report["f1"][key] = mean_std([s.get(key) for s in per_fold])
-    defined = [report["f1"][k]["mean"] for k in TASK_F1_KEYS if report["f1"][k]["mean"] is not None]
-    report["average"] = float(np.mean(defined)) if defined else None
-    return report
+    model_changes, train_changes = ABLATIONS[name]
+    return replace(model_cfg, **model_changes), replace(train_cfg, **train_changes)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dynamark.audio import SAMPLE_RATE, Waveform, extract_features
+from dynamark.audio import SAMPLE_RATE, extract_features
 from dynamark.dataset import Recording, load_annotation, rasterize
 
 LEVEL_AMP = {"pp": 0.03, "p": 0.07, "mf": 0.16, "f": 0.38, "ff": 0.9}
@@ -109,8 +109,7 @@ def load_synth_recordings(root, feature_kind="bssl"):
         rec_id = beats_csv.stem.removesuffix("_beats")
         wav_path = root / "audio" / f"{rec_id}.wav"
         from dynamark.audio import decode_and_prepare
-        wav = decode_and_prepare(wav_path)
-        features = extract_features(wav, feature_kind)
+        features = extract_features(decode_and_prepare(wav_path), feature_kind)
         ann = load_annotation(beats_csv, root / "annotations" / f"{rec_id}_markings.csv")
         targets = rasterize(ann, features.shape[1])
         recordings.append(Recording(recording_id=rec_id, piece_id=ann.piece_id,

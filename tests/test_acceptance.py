@@ -14,7 +14,6 @@ from dynamark.audio import (
     CRITICAL_BAND_CENTERS_HZ,
     CRITICAL_BAND_EDGES_HZ,
     SAMPLE_RATE,
-    Waveform,
     bssl,
     phon_to_sone,
     stft_power,
@@ -25,12 +24,15 @@ from dynamark.metrics import event_f1
 from dynamark.network import DynamicsModel, ModelConfig
 from dynamark.postprocess import pick_peaks
 from dynamark.trainer import (
+    ABLATIONS,
     Checkpoint,
     TrainConfig,
+    apply_ablation,
+    fold_table,
     load_checkpoint,
     model_from_checkpoint,
-    run_ablation,
     save_checkpoint,
+    train_fold,
     train_model,
 )
 
@@ -46,21 +48,21 @@ SMALL = dict(channels=4, blocks_per_branch=1, attention_dim=4)
 def test_criterion_1_psychoacoustics():
     start = time.monotonic()
     # silence -> all-zero specific loudness
-    silent = bssl(stft_power(Waveform(np.zeros(22050), SAMPLE_RATE)))
+    silent = bssl(stft_power(np.zeros(22050)))
     assert silent.shape[0] == 22 and not silent.any()
     # amplitude monotonicity on 50 random signals
     rng = np.random.default_rng(50)
     for _ in range(50):
         x = rng.standard_normal(int(rng.integers(4410, 8820))) * rng.uniform(0.005, 0.05)
         g = rng.uniform(1.0, 30.0)
-        lo = bssl(stft_power(Waveform(x, SAMPLE_RATE)))
-        hi = bssl(stft_power(Waveform(g * x, SAMPLE_RATE)))
+        lo = bssl(stft_power(x))
+        hi = bssl(stft_power(g * x))
         assert (hi >= lo).all()
     # pure tones at every band centre localise to that band
     for center in CRITICAL_BAND_CENTERS_HZ:
         t = np.arange(11025) / SAMPLE_RATE
         tone = 0.5 * np.sin(2 * np.pi * center * t)
-        sone = bssl(stft_power(Waveform(tone, SAMPLE_RATE)))
+        sone = bssl(stft_power(tone))
         want = np.searchsorted(CRITICAL_BAND_EDGES_HZ, center, side="right") - 1
         assert sone.mean(axis=1).argmax() == want
     # the sone scale anchor
@@ -184,9 +186,10 @@ def test_criterion_7_protocol_fidelity(protocol_corpus):
     fold_of_piece = {rec.piece_id: i % 2 for i, rec in enumerate(protocol_corpus)}
     base_model = ModelConfig(**SMALL)
     base_train = TrainConfig(epochs=1, batch_size=2, segment_s=10, seed=86)
-    for name in ("no_mmoe", "s1", "no_augment", "seg30"):
-        report = run_ablation(name, protocol_corpus, fold_of_piece,
-                              base_model, base_train, folds=[0])
+    for name in ABLATIONS:
+        model_cfg, train_cfg = apply_ablation(name, base_model, base_train)
+        best, _ = train_fold(protocol_corpus, fold_of_piece, 0, model_cfg, train_cfg)
+        report = fold_table([best.val_summary])
         assert set(report["f1"]) == {"dynamics_f1", "change_point_f1",
                                      "beat_f1", "downbeat_f1"}
         assert "average" in report

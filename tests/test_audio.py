@@ -16,7 +16,6 @@ from dynamark.audio import (
     CRITICAL_BAND_CENTERS_HZ,
     PEAK_TARGET,
     SAMPLE_RATE,
-    Waveform,
     bssl,
     decode_and_prepare,
     log_mel,
@@ -41,47 +40,45 @@ def test_decode_stereo_downmix_and_peak(wav_writer):
     # 3 Hz sine starts and ends at zero, so the resampler preserves its peak
     x = 0.5 * np.column_stack([tone(3.0, 1.0, rate=44100)] * 2)
     path = wav_writer("stereo.wav", x, 44100)
-    wav = decode_and_prepare(path)
-    assert wav.sample_rate == SAMPLE_RATE
-    assert len(wav.samples) == 22050
-    assert abs(np.abs(wav.samples).max() - PEAK_TARGET) < 1e-3
+    samples = decode_and_prepare(path)
+    assert samples.dtype == np.float64 and len(samples) == 22050
+    assert abs(np.abs(samples).max() - PEAK_TARGET) < 1e-3
 
 
 def test_decode_downmix_is_channel_mean(wav_writer):
     left = tone(200.0, 0.5, amp=0.6)
     right = np.zeros_like(left)
-    wav = decode_and_prepare(wav_writer("lr.wav", np.column_stack([left, right]), SAMPLE_RATE))
+    samples = decode_and_prepare(wav_writer("lr.wav", np.column_stack([left, right]), SAMPLE_RATE))
     # mean of channels halves the sine, then normalisation rescales the peak
-    assert abs(np.abs(wav.samples).max() - PEAK_TARGET) < 1e-9
+    assert abs(np.abs(samples).max() - PEAK_TARGET) < 1e-9
 
 
 def test_decode_native_rate_peak_exact(wav_writer):
     x = tone(440.0, 1.0, amp=0.37)
-    wav = decode_and_prepare(wav_writer("sine.wav", x, SAMPLE_RATE))
-    assert abs(np.abs(wav.samples).max() - PEAK_TARGET) < 1e-9
+    samples = decode_and_prepare(wav_writer("sine.wav", x, SAMPLE_RATE))
+    assert abs(np.abs(samples).max() - PEAK_TARGET) < 1e-9
 
 
 def test_decode_all_zero_unchanged(wav_writer):
-    wav = decode_and_prepare(wav_writer("zero.wav", np.zeros(22050), SAMPLE_RATE))
-    assert len(wav.samples) == 22050
-    np.testing.assert_array_equal(wav.samples, 0.0)
+    samples = decode_and_prepare(wav_writer("zero.wav", np.zeros(22050), SAMPLE_RATE))
+    assert len(samples) == 22050
+    np.testing.assert_array_equal(samples, 0.0)
 
 
 def test_decode_resampled_sine_spectral_peak(wav_writer):
     # oracle: FFT peak of the resampler output
     x = tone(1000.0, 2.0, rate=44100, amp=0.8)
-    wav = decode_and_prepare(wav_writer("sine44.wav", x, 44100))
-    assert wav.sample_rate == SAMPLE_RATE
-    spec = np.abs(np.fft.rfft(wav.samples * np.hanning(len(wav.samples))))
-    freqs = np.fft.rfftfreq(len(wav.samples), 1.0 / SAMPLE_RATE)
+    samples = decode_and_prepare(wav_writer("sine44.wav", x, 44100))
+    spec = np.abs(np.fft.rfft(samples * np.hanning(len(samples))))
+    freqs = np.fft.rfftfreq(len(samples), 1.0 / SAMPLE_RATE)
     assert abs(freqs[spec.argmax()] - 1000.0) < 1.0
 
 
 @pytest.mark.parametrize("sampwidth", ["int16", "int24", "float32"])
 def test_decode_sample_formats(wav_writer, sampwidth):
     x = tone(500.0, 0.25, amp=0.25)
-    wav = decode_and_prepare(wav_writer(f"fmt_{sampwidth}.wav", x, SAMPLE_RATE, sampwidth))
-    assert abs(np.abs(wav.samples).max() - PEAK_TARGET) < 1e-3
+    samples = decode_and_prepare(wav_writer(f"fmt_{sampwidth}.wav", x, SAMPLE_RATE, sampwidth))
+    assert abs(np.abs(samples).max() - PEAK_TARGET) < 1e-3
 
 
 def test_decode_corrupt_file(tmp_path):
@@ -213,12 +210,12 @@ def test_decode_holds_one_mono_vector(tmp_path):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        wav = decode_and_prepare(path)
+        samples = decode_and_prepare(path)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert np.array_equal(wav.samples, _reference_mono_normalised(wavfile.read(path)[1]))
-    assert peak <= 2.0 * wav.samples.nbytes, peak / wav.samples.nbytes
+    assert np.array_equal(samples, _reference_mono_normalised(wavfile.read(path)[1]))
+    assert peak <= 2.0 * samples.nbytes, peak / samples.nbytes
 
 
 def _reference_resample(x, src_rate, dst_rate):
@@ -251,25 +248,24 @@ def test_resample_spans_match_one_call_bit_for_bit(src_rate, n, workers, seed):
 # -- stft_power --------------------------------------------------------------
 
 def test_stft_frame_count_60s():
-    wav = Waveform(np.zeros(60 * SAMPLE_RATE), SAMPLE_RATE)
-    assert stft_power(wav).shape == (513, 3000)
+    assert stft_power(np.zeros(60 * SAMPLE_RATE)).shape == (513, 3000)
     assert audio.FPS == 50
 
 
 def test_stft_silence_all_zero():
-    np.testing.assert_array_equal(stft_power(Waveform(np.zeros(4410), SAMPLE_RATE)), 0.0)
+    np.testing.assert_array_equal(stft_power(np.zeros(4410)), 0.0)
 
 
 def test_stft_too_short_names_minimum():
     with pytest.raises(EmptyInputError, match="1024"):
-        stft_power(Waveform(np.zeros(1000), SAMPLE_RATE))
+        stft_power(np.zeros(1000))
 
 
 def test_stft_exact_bin_sine_matches_direct_dft():
     # bin 128 of a 1024-point DFT at 22.05 kHz is 2756.25 Hz
     freq = 128 * SAMPLE_RATE / 1024
     x = tone(freq, 0.2, amp=1.0)
-    power = stft_power(Waveform(x, SAMPLE_RATE))
+    power = stft_power(x)
     # oracle: direct DFT of the first windowed frame
     frame = x[:1024]
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(1024) / 1024)
@@ -291,7 +287,7 @@ def test_stft_blocks_match_one_shot_bit_for_bit(frames, short_by):
     # leaves one sample in the last hop, so the last frame is mostly padding
     n = max(frames * audio.HOP - short_by, audio.WINDOW)
     x = np.random.default_rng(frames).standard_normal(n)
-    got = stft_power(Waveform(x, SAMPLE_RATE))
+    got = stft_power(x)
     want = _reference_stft_power(x)
     assert got.shape == (audio.N_BINS, frames) and got.strides == want.strides
     assert np.array_equal(got, want)
@@ -301,20 +297,15 @@ def test_stft_holds_one_power_array():
     # the (T, 513) power array, one block's frames and spectrum and the
     # zero-padded tail frames: 1.13.  Padding the whole input read 2.0,
     # the one-shot transform 4.9
-    wav = Waveform(np.random.default_rng(0).standard_normal(60 * SAMPLE_RATE + 123), SAMPLE_RATE)
+    samples = np.random.default_rng(0).standard_normal(60 * SAMPLE_RATE + 123)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        power = stft_power(wav)
+        power = stft_power(samples)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * power.nbytes, peak / power.nbytes
-
-
-def test_stft_rejects_wrong_rate():
-    with pytest.raises(ConfigError):
-        stft_power(Waveform(np.zeros(44100), 44100))
 
 
 @pytest.mark.parametrize("stage", [bssl, log_mel])
@@ -335,7 +326,7 @@ def test_band_edges_shape_and_coverage():
 
 
 def test_bssl_silence_is_zero():
-    sone = bssl(stft_power(Waveform(np.zeros(22050), SAMPLE_RATE)))
+    sone = bssl(stft_power(np.zeros(22050)))
     assert sone.shape == (22, 50) and sone.dtype == np.float32
     np.testing.assert_array_equal(sone, 0.0)
 
@@ -351,16 +342,14 @@ def test_forty_phon_is_one_sone():
 
 def test_pure_tone_localizes_to_its_band():
     for center in CRITICAL_BAND_CENTERS_HZ:
-        wav = Waveform(tone(center, 0.5, amp=0.5), SAMPLE_RATE)
-        got = bssl(stft_power(wav)).mean(axis=1).argmax()
+        got = bssl(stft_power(tone(center, 0.5, amp=0.5))).mean(axis=1).argmax()
         # oracle: independent lookup in the band-edge table
         want = np.searchsorted(CRITICAL_BAND_EDGES_HZ, center, side="right") - 1
         assert got == want, f"{center} Hz: got band {got}, want {want}"
 
 
 def test_one_khz_band_index():
-    wav = Waveform(tone(1000.0, 0.5, amp=0.5), SAMPLE_RATE)
-    assert bssl(stft_power(wav)).mean(axis=1).argmax() == 8  # 920-1080 Hz band
+    assert bssl(stft_power(tone(1000.0, 0.5, amp=0.5))).mean(axis=1).argmax() == 8  # 920-1080 Hz band
 
 
 def test_amplitude_monotonicity():
@@ -369,29 +358,29 @@ def test_amplitude_monotonicity():
         n = int(rng.integers(4410, 11025))
         x = rng.standard_normal(n) * rng.uniform(0.005, 0.05)
         g = rng.uniform(1.0, 25.0)
-        lo = bssl(stft_power(Waveform(x, SAMPLE_RATE)))
-        hi = bssl(stft_power(Waveform(g * x, SAMPLE_RATE)))
+        lo = bssl(stft_power(x))
+        hi = bssl(stft_power(g * x))
         assert (hi >= lo).all()
 
 
 def test_bssl_deterministic_bits():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(22050) * 0.1
-    a = bssl(stft_power(Waveform(x, SAMPLE_RATE)))
-    b = bssl(stft_power(Waveform(x.copy(), SAMPLE_RATE)))
+    a = bssl(stft_power(x))
+    b = bssl(stft_power(x.copy()))
     assert np.array_equal(a, b)
 
 
 # -- log_mel -------------------------------------------------------------------
 
 def test_log_mel_silence_is_floor():
-    lm = log_mel(stft_power(Waveform(np.zeros(22050), SAMPLE_RATE)))
+    lm = log_mel(stft_power(np.zeros(22050)))
     assert lm.shape == (128, 50) and lm.dtype == np.float32
     np.testing.assert_allclose(lm, np.log(1e-10), rtol=1e-6)
 
 
 def test_log_mel_preserves_frame_count():
-    power = stft_power(Waveform(np.zeros(60 * SAMPLE_RATE), SAMPLE_RATE))
+    power = stft_power(np.zeros(60 * SAMPLE_RATE))
     assert log_mel(power).shape == (128, 3000)
 
 
@@ -423,7 +412,7 @@ def test_mel_profile_tracks_bandwidth_for_white_noise():
 def test_log_mel_matches_direct_filterbank_summation():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(22050) * 0.1
-    power = stft_power(Waveform(x, SAMPLE_RATE))
+    power = stft_power(x)
     want = np.log(mel_filterbank() @ power + 1e-10)
     np.testing.assert_allclose(log_mel(power), want.astype(np.float32), rtol=1e-6)
 
@@ -499,11 +488,11 @@ def test_load_features_byte_mutation_fuzz(small_feature_file, edits, keep):
 
 
 def test_extract_features_shapes():
-    wav = Waveform(np.zeros(2 * SAMPLE_RATE), SAMPLE_RATE)
-    assert audio.extract_features(wav, "bssl").shape == (22, 100)
-    assert audio.extract_features(wav, "logmel").shape == (128, 100)
+    samples = np.zeros(2 * SAMPLE_RATE)
+    assert audio.extract_features(samples, "bssl").shape == (22, 100)
+    assert audio.extract_features(samples, "logmel").shape == (128, 100)
     with pytest.raises(ConfigError):
-        audio.extract_features(wav, "mfcc")
+        audio.extract_features(samples, "mfcc")
 
 
 def test_feature_kinds_come_from_one_table(monkeypatch):
@@ -511,4 +500,4 @@ def test_feature_kinds_come_from_one_table(monkeypatch):
     assert audio.FEATURE_KINDS.keys() == audio.FEATURE_BINS.keys()
     monkeypatch.setitem(audio.FEATURE_BINS, "cqt", 84)
     with pytest.raises(ConfigError, match="expected one of bssl, logmel, cqt"):
-        audio.extract_features(Waveform(np.zeros(SAMPLE_RATE), SAMPLE_RATE), "mfcc")
+        audio.extract_features(np.zeros(SAMPLE_RATE), "mfcc")

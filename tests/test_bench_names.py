@@ -4,7 +4,10 @@
 methods by name when it installs itself; a name removed from
 ``dynamark`` would only surface as a failed ``--trace 1`` run.  The
 ``train_step`` and ``fit`` workloads' ``_step`` calls ``forward``,
-``multitask_loss``, the report's ``total`` and ``AdamW``; a change to
+``multitask_loss``, the report's ``total`` and ``AdamW``, and the
+``fit`` workload's ``common.fit_to_target`` calls ``TrainConfig``,
+``train_model`` with ``log`` and ``stop_when``, and reads the history's
+``step_losses`` and the best checkpoint's ``val_summary``; a change to
 any of them would only surface as a failed benchmark run.
 """
 
@@ -21,16 +24,21 @@ from dynamark.network import DynamicsModel, ModelConfig
 from dynamark.objectives import FrameTargets, TargetBatch
 from dynamark.trainer import AdamW
 
+from _synth import load_synth_recordings, write_corpus
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
-TRACING_PY = BENCH_DIR / "tracing.py"
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bench_module("tracing")
 
 
 def test_traced_ops_exist_in_autodiff(tracing):
@@ -57,9 +65,7 @@ def test_traced_methods_exist(tracing):
 def test_workload_step_runs(monkeypatch):
     # workloads.py imports its sibling modules by their plain names
     monkeypatch.syspath_prepend(str(BENCH_DIR))
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load_bench_module("workloads")
 
     model = DynamicsModel(ModelConfig(channels=4, blocks_per_branch=1, attention_dim=4), seed=86)
     optimizer = AdamW(model.params, lr=3e-4)
@@ -75,3 +81,15 @@ def test_workload_step_runs(monkeypatch):
     loss = workloads._step(model, optimizer, feats, targets)
     assert isinstance(loss, float) and math.isfinite(loss) and loss > 0
     assert any(not np.array_equal(p.data, before[name]) for name, p in model.params.items())
+
+
+def test_fit_to_target_runs(tmp_path):
+    common = _load_bench_module("common")
+    write_corpus(tmp_path, n_clips=1, seconds=8.0, bpm=120, beats_per_level=4, seed=11)
+    recordings = load_synth_recordings(tmp_path)
+    model_cfg = ModelConfig(channels=4, blocks_per_branch=1, attention_dim=4)
+    best, history, fired, epoch_ends = common.fit_to_target(recordings, model_cfg, epochs=1)
+    assert len(history["step_losses"]) == 1 and math.isfinite(history["step_losses"][0])
+    assert set(best.val_summary) >= {"beat_f1", "dynamics_f1", "mean_f1"}
+    assert fired == common.reached_target(best.val_summary)
+    assert len(epoch_ends) == 1

@@ -99,6 +99,7 @@ def test_train_outputs(trained):
     assert set(summary["f1"]) == {"dynamics_f1", "change_point_f1", "beat_f1", "downbeat_f1"}
     for key, agg in summary["f1"].items():
         assert set(agg) == {"mean", "std", "n"}
+    assert summary["ablation"] is None
     manifest = json.loads((trained / "train_manifest.json").read_text())
     assert manifest["seed"] == 86
     segments = json.loads((trained / "segments.json").read_text())
@@ -120,18 +121,46 @@ def test_train_single_fold(corpus, extracted, tmp_path):
 
 
 def test_train_ablation_report(corpus, extracted, tmp_path):
-    out = tmp_path / "ablation"
-    code = main(["train",
-                 "--features-dir", str(extracted),
-                 "--annotations-dir", str(corpus / "annotations"),
-                 "--out-dir", str(out),
-                 "--k-folds", "2", "--fold", "0", "--ablation", "no_mmoe",
-                 "--epochs", "1", "--batch-size", "2", "--segment-s", "10",
+    # an ablation is the config change it names, trained and reported like
+    # the run that makes the same change with a flag
+    def train(out, *flags):
+        return main(["train",
+                     "--features-dir", str(extracted),
+                     "--annotations-dir", str(corpus / "annotations"),
+                     "--out-dir", str(out),
+                     "--k-folds", "2", "--fold", "0",
+                     "--epochs", "1", "--batch-size", "2", "--segment-s", "10",
+                     "--channels", "4", "--blocks-per-branch", "1", "--attention-dim", "4", *flags])
+
+    ablation, flag = tmp_path / "ablation", tmp_path / "flag"
+    assert train(ablation, "--ablation", "no_mmoe") == 0
+    assert train(flag, "--no-mmoe") == 0
+    for name in ("fold0.dync", "fold0_report.json", "segments.json"):
+        assert (ablation / name).read_bytes() == (flag / name).read_bytes(), name
+    assert not list(ablation.glob("ablation_*.json"))
+    report = json.loads((ablation / "summary.json").read_text())
+    assert report["ablation"] == "no_mmoe" and report["model_config"]["use_mmoe"] is False
+    means = [agg["mean"] for agg in report["f1"].values() if agg["mean"] is not None]
+    assert report["average"] == (float(np.mean(means)) if means else None)
+    assert {**report, "ablation": None} == json.loads((flag / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("ablation, segment_s", [("no_augment", "4"), ("seg30", "10")])
+def test_train_ablation_segment_manifest(corpus, extracted, tmp_path, ablation, segment_s):
+    # segments.json lists the windows the ablated run trains on
+    out = tmp_path / "run"
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(out), "--k-folds", "2", "--fold", "0", "--ablation", ablation,
+                 "--epochs", "1", "--batch-size", "2", "--segment-s", segment_s,
                  "--channels", "4", "--blocks-per-branch", "1", "--attention-dim", "4"])
     assert code == 0
-    report = json.loads((out / "ablation_no_mmoe.json").read_text())
-    assert report["model_config"]["use_mmoe"] is False
-    assert "average" in report
+    segments = json.loads((out / "segments.json").read_text())
+    if ablation == "seg30":
+        assert segments["window_s"] == 30
+    else:
+        # 8 s clips in 4 s windows: half-window hops would start at 0, 2 and 4 s
+        assert all(r["train_segment_starts_s"] == r["eval_segment_starts_s"] == [0.0, 4.0]
+                   for r in segments["recordings"])
 
 
 def test_train_missing_features_actionable(corpus, tmp_path, capsys):
@@ -450,6 +479,20 @@ def test_rerun_from_manifest(corpus, extracted, tmp_path):
     assert code == 0
 
 
+def test_rerun_train_manifest_that_records_all_folds(corpus, extracted, tmp_path):
+    # train manifests once recorded an ``--all-folds`` switch that nothing read
+    out = tmp_path / "run"
+    opts = {"features_dir": str(extracted), "annotations_dir": str(corpus / "annotations"),
+            "out_dir": str(out), "fold": 0, "all_folds": True, "ablation": None, "feature": "bssl",
+            "k_folds": 2, "lr": 3e-4, "batch_size": 2, "epochs": 1, "seed": 86, "weight_decay": 0.01,
+            "segment_s": 10, "augment_overlap": True, "channels": 4, "blocks_per_branch": 1,
+            "attention_dim": 4, "scaling_factor": 5, "use_mmoe": True}
+    manifest = tmp_path / "train_manifest.json"
+    manifest.write_text(json.dumps({"command": "train", "resolved_options": opts}))
+    assert main(["rerun", str(manifest)]) == 0
+    assert (out / "fold0.dync").exists() and not (out / "fold1.dync").exists()
+
+
 @pytest.mark.parametrize("manifest", [
     {"resolved_options": {}},
     {"command": "extract"},
@@ -512,6 +555,39 @@ def test_config_file_and_env_precedence(tmp_path, monkeypatch, corpus, extracted
     assert code == 0
     manifest2 = json.loads((out2 / "train_manifest.json").read_text())
     assert manifest2["seed"] == 123  # explicit flag beats env
+
+
+SMALL_RUN_CONFIG = {"epochs": "1", "batch_size": "2", "segment_s": "10", "channels": "4",
+                    "blocks_per_branch": "1", "attention_dim": "4", "k_folds": "2", "seed": "86"}
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("epochs", "1.0", "a value of type int"),
+    ("batch_size", "2.0", "a value of type int"),
+    ("channels", "4.0", "a value of type int"),
+    ("seed", "1.5", "a value of type int"),
+    ("segment_s", "10.5", "a value of type int"),
+    ("use_mmoe", "maybe", "true or false"),
+])
+def test_config_value_takes_its_flag_type(corpus, extracted, tmp_path, capsys, monkeypatch,
+                                          key, value, expected):
+    # a value read by its looks reached the trainer as a float and ended
+    # in a TypeError traceback, exit 2
+    monkeypatch.delenv("DYNAMARK_SEED", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**SMALL_RUN_CONFIG, key: value}.items()))
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(tmp_path / "out"), "--config", str(cfg), "--fold", "0"])
+    assert code == 1
+    assert f"{cfg}: {key} must be {expected}, got {value!r}" in capsys.readouterr().err
+
+
+def test_env_seed_not_an_int_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DYNAMARK_SEED", "abc")
+    code = main(["train", "--features-dir", str(tmp_path), "--annotations-dir", str(tmp_path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "DYNAMARK_SEED: seed must be a value of type int, got 'abc'" in capsys.readouterr().err
 
 
 def test_parse_config_file_errors(tmp_path):

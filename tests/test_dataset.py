@@ -1,5 +1,6 @@
 """Annotation parsing, rasterisation, segmentation and fold assignment."""
 
+import json
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynamark.dataset import (
     Recording,
+    RecordingAnnotation,
     load_annotation,
     make_folds,
     make_segments,
@@ -295,17 +297,32 @@ def test_make_folds_needs_two_folds(k):
         make_folds(["a", "b", "c"], k=k)
 
 
-def test_segment_manifest(tmp_path):
-    features, targets = fake_recording(90)
-    from dynamark.dataset import RecordingAnnotation
+def _manifest_entry(path, duration_s, **window):
+    """The one recording's entry in a segment manifest of a fake recording."""
+    features, targets = fake_recording(duration_s)
     ann = RecordingAnnotation(piece_id="M1", performer_id="p", beat_times=np.array([0.5]),
-                              downbeat_flags=np.array([True]), markings=["blank"], duration=90.0)
+                              downbeat_flags=np.array([True]), markings=["blank"], duration=float(duration_s))
     rec = Recording(recording_id="M1__p", piece_id="M1", features=features,
                     annotation=ann, targets=targets)
-    path = tmp_path / "manifest.json"
-    write_segment_manifest(path, [rec], {"M1": 0})
-    import json
-    blob = json.loads(path.read_text())
-    assert blob["recordings"][0]["fold"] == 0
-    assert blob["recordings"][0]["train_segment_starts_s"] == [0.0, 30.0]
-    assert blob["recordings"][0]["eval_segment_starts_s"] == [0.0, 60.0]
+    write_segment_manifest(path, [rec], {"M1": 0}, **window)
+    return json.loads(path.read_text())["recordings"][0]
+
+
+def test_segment_manifest(tmp_path):
+    entry = _manifest_entry(tmp_path / "manifest.json", 90)
+    assert entry["fold"] == 0
+    assert entry["train_segment_starts_s"] == [0.0, 30.0]
+    assert entry["eval_segment_starts_s"] == [0.0, 60.0]
+
+
+@pytest.mark.parametrize("augment, starts", [(True, [0.0, 5.0, 10.0, 15.0]), (False, [0.0, 10.0, 20.0])])
+def test_segment_manifest_lists_the_training_tiling(tmp_path, augment, starts):
+    # without overlap augmentation training cuts the eval tiling, and the
+    # manifest must list the segments training uses
+    from dynamark.trainer import TrainConfig
+    cfg = TrainConfig(segment_s=10, augment_overlap=augment)
+    entry = _manifest_entry(tmp_path / "manifest.json", 25, window_s=cfg.segment_s, mode=cfg.tiling)
+    assert entry["train_segment_starts_s"] == starts
+    assert entry["eval_segment_starts_s"] == [0.0, 10.0, 20.0]
+    features, targets = fake_recording(25)
+    assert starts == [seg.start_s for seg in make_segments(features, targets, window_s=10, mode=cfg.tiling)]
