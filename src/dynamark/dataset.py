@@ -6,7 +6,7 @@ Annotation schema (CSV, one pair of files per recording):
 * ``<id>_beats.csv``    header ``beat_index,time_s,is_downbeat`` with
   0-based contiguous beat indices and strictly ascending times;
 * ``<id>_markings.csv`` header ``beat_index,marking`` listing only the
-  beats that carry a mark (tokens: pp, p, mf, ff, f).
+  beats that carry a mark (tokens: pp, p, mf, f, ff).
 
 Markings carry forward: every beat from a mark up to (but excluding)
 the next mark holds that mark; beats before the first mark are blank.
@@ -26,9 +26,8 @@ import numpy as np
 
 from .audio import FPS, load_features
 from .errors import ConfigError, EmptyInputError, SchemaError
-from .objectives import LABEL_TO_CLASS, FrameTargets
+from .objectives import DYNAMIC_LABELS, LABEL_TO_CLASS, FrameTargets
 
-MARKING_TOKENS = ("pp", "p", "mf", "f", "ff")
 SEGMENT_SECONDS = 60
 TRAIN_HOP_FRACTION = 0.5
 
@@ -99,8 +98,7 @@ def _read_rows(path, expected_header):
         yield lineno, [cell.strip() for cell in row]
 
 
-def load_annotation(beat_file, marking_file, piece_id: str | None = None,
-                    performer_id: str | None = None, duration: float | None = None) -> RecordingAnnotation:
+def load_annotation(beat_file, marking_file) -> RecordingAnnotation:
     """Parse and validate one beats/markings CSV pair."""
     beat_file = Path(beat_file)
     times: list[float] = []
@@ -130,9 +128,9 @@ def load_annotation(beat_file, marking_file, piece_id: str | None = None,
             idx = int(idx_s)
         except ValueError as exc:
             raise SchemaError(f"{marking_file}: row {lineno}: {exc}") from exc
-        if token not in MARKING_TOKENS:
+        if token not in DYNAMIC_LABELS[1:]:
             raise SchemaError(f"{marking_file}: row {lineno}: unknown marking token {token!r} "
-                              f"(expected one of {', '.join(MARKING_TOKENS)})")
+                              f"(expected one of {', '.join(DYNAMIC_LABELS[1:])})")
         if not 0 <= idx < len(times):
             raise SchemaError(f"{marking_file}: row {lineno}: beat_index {idx} outside [0, {len(times)})")
         if idx in marks_at:
@@ -146,16 +144,13 @@ def load_annotation(beat_file, marking_file, piece_id: str | None = None,
         carried.append(current)
 
     stem = beat_file.stem.removesuffix("_beats")
-    if piece_id is None:
-        piece_id = stem.split("__")[0]
-    if performer_id is None:
-        performer_id = stem.split("__")[1] if "__" in stem else stem
     return RecordingAnnotation(
-        piece_id=piece_id, performer_id=performer_id,
+        piece_id=stem.split("__")[0],
+        performer_id=stem.split("__")[1] if "__" in stem else stem,
         beat_times=np.asarray(times, dtype=np.float64),
         downbeat_flags=np.asarray(downbeats, dtype=bool),
         markings=carried,
-        duration=float(duration if duration is not None else times[-1]),
+        duration=float(times[-1]),
     )
 
 

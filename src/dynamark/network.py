@@ -160,14 +160,14 @@ class DynamicsModel:
                                     self.params[f"{prefix}.up{stage}.b"], stride=s)
         return h  # (B, 8, T_padded)
 
-    def encode(self, features: np.ndarray | Tensor, training: bool = False) -> Tensor:
+    def encode(self, features: np.ndarray, training: bool = False) -> Tensor:
         """(B, F, T) or (F, T) features -> shared latent (B, T, 8).
 
         The input is right-padded with zeros to a multiple of s^2 and
         the padding is cropped from the output.
         """
         cfg = self.cfg
-        data = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float32)
+        data = np.asarray(features, dtype=np.float32)
         if data.ndim == 2:
             data = data[None]
         bsz, f, t = data.shape

@@ -53,8 +53,10 @@ class TrainConfig:
     enabled_tasks: tuple[str, ...] = TASKS
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1:
+        if not 0 < self.lr < np.inf or self.batch_size < 1:  # a NaN lr fails the comparison too
             raise TrainingError(f"invalid training config: lr={self.lr}, batch_size={self.batch_size}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise TrainingError(f"invalid training config: weight_decay={self.weight_decay}, must be finite and >= 0")
         if self.epochs < 1:
             raise TrainingError(f"invalid training config: epochs={self.epochs}, must be >= 1")
         if not self.enabled_tasks:
@@ -369,11 +371,11 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
         if log:
             log(f"epoch {epoch + 1}/{train_cfg.epochs}: "
                 f"loss {history['epoch_losses'][-1]:.4f} val mean F1 {val['mean_f1']:.3f}")
+        summary = {k: val[k] for k in TASK_F1_KEYS + ("mean_f1",)}
         if val["mean_f1"] > best_score:
             best_score = val["mean_f1"]
-            summary = {k: val[k] for k in TASK_F1_KEYS + ("mean_f1",)}
             best = Checkpoint.from_model(model, train_cfg, epoch=epoch + 1, val_summary=summary)
-        if stop_when is not None and stop_when({k: val[k] for k in TASK_F1_KEYS + ("mean_f1",)}):
+        if stop_when is not None and stop_when(summary):
             break
     return best, history
 

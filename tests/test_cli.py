@@ -493,6 +493,42 @@ def test_rerun_train_manifest_that_records_all_folds(corpus, extracted, tmp_path
     assert (out / "fold0.dync").exists() and not (out / "fold1.dync").exists()
 
 
+SMALL_TRAIN_OPTIONS = {"fold": 0, "ablation": None, "feature": "bssl", "k_folds": 2, "lr": 3e-4,
+                       "batch_size": 2, "epochs": 1, "seed": 86, "weight_decay": 0.01, "segment_s": 10,
+                       "augment_overlap": True, "channels": 4, "blocks_per_branch": 1,
+                       "attention_dim": 4, "scaling_factor": 5, "use_mmoe": True}
+
+
+def _write_train_manifest(path, corpus, extracted, out, **changes) -> None:
+    opts = {"features_dir": str(extracted), "annotations_dir": str(corpus / "annotations"),
+            "out_dir": str(out), **SMALL_TRAIN_OPTIONS, **changes}
+    path.write_text(json.dumps({"command": "train", "resolved_options": opts}))
+
+
+def test_rerun_reads_values_with_their_flag_type(corpus, extracted, tmp_path):
+    # a recorded value was used as JSON typed it, so "epochs": "1" ended in
+    # a TypeError traceback, exit 2
+    out = tmp_path / "run"
+    manifest = tmp_path / "train_manifest.json"
+    _write_train_manifest(manifest, corpus, extracted, out, epochs="1", fold="0", lr="3e-4")
+    assert main(["rerun", str(manifest)]) == 0
+    assert (out / "fold0.dync").exists() and not (out / "fold1.dync").exists()
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("epochs", "one", "must be a value of type int, got 'one'"),
+    ("use_mmoe", "maybe", "must be true or false, got 'maybe'"),
+    ("lr", None, "must not be null"),
+], ids=["int", "switch", "null"])
+def test_rerun_value_that_does_not_convert_exit_1(corpus, extracted, tmp_path, capsys, key, value, expected):
+    out = tmp_path / "run"
+    manifest = tmp_path / "train_manifest.json"
+    _write_train_manifest(manifest, corpus, extracted, out, **{key: value})
+    assert main(["rerun", str(manifest)]) == 1
+    assert f"{manifest}: {key} {expected}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("manifest", [
     {"resolved_options": {}},
     {"command": "extract"},
@@ -535,7 +571,8 @@ def test_annotate_silence_empty_events(tmp_path):
 def test_config_file_and_env_precedence(tmp_path, monkeypatch, corpus, extracted):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs = 1\nseed = 5\nbatch_size = 2\nsegment_s = 10\n"
-                   "channels = 4\nblocks_per_branch = 1\nattention_dim = 4\nk_folds = 2\n")
+                   "channels = 4\nblocks_per_branch = 1\nattention_dim = 4\nk_folds = 2\n"
+                   "workers = 2  # an extract option, which train ignores\n")
     out = tmp_path / "cfgrun"
     monkeypatch.setenv("DYNAMARK_SEED", "99")
     code = main(["train", "--features-dir", str(extracted),
@@ -580,6 +617,19 @@ def test_config_value_takes_its_flag_type(corpus, extracted, tmp_path, capsys, m
                  "--out-dir", str(tmp_path / "out"), "--config", str(cfg), "--fold", "0"])
     assert code == 1
     assert f"{cfg}: {key} must be {expected}, got {value!r}" in capsys.readouterr().err
+
+
+def test_config_key_of_no_command_exit_1(corpus, extracted, tmp_path, capsys, monkeypatch):
+    # a typo such as ``epoch`` was ignored, so the run trained for the default 120 epochs
+    monkeypatch.delenv("DYNAMARK_SEED", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_RUN_CONFIG.items()) + "epoch = 3\n")
+    out = tmp_path / "out"
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(out), "--config", str(cfg), "--fold", "0"])
+    assert code == 1
+    assert f"{cfg}: unknown option epoch" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_env_seed_not_an_int_exit_1(tmp_path, capsys, monkeypatch):
@@ -627,6 +677,23 @@ def test_train_no_epochs_or_folds_exit_1(corpus, extracted, tmp_path, capsys, fl
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"),
+    ("--weight-decay", "inf"), ("--weight-decay", "nan"), ("--weight-decay", "-0.1"),
+])
+def test_train_non_finite_lr_or_weight_decay_exit_1(corpus, extracted, tmp_path, capsys, flag, value):
+    # ``nan <= 0`` is false, so ``--lr nan`` trained until AdamW blamed a parameter
+    out = tmp_path / "out"
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(out), "--k-folds", "2", "--fold", "0", "--epochs", "1",
+                 "--batch-size", "2", "--segment-s", "10", "--channels", "4", "--blocks-per-branch", "1",
+                 "--attention-dim", "4", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')}={float(value)}" in err
+    assert "epoch 1/" not in err
 
 
 def test_train_one_piece_names_piece_count_exit_1(corpus, extracted, tmp_path, capsys):
