@@ -11,6 +11,14 @@ Gradients accumulate with ``+=`` into ``Tensor.grad`` of every
 reachable ``requires_grad`` tensor; call ``ParameterStore.zero_grads``
 (or ``Tensor.zero_grad``) between backward passes.  A backward pass
 consumes the graph it runs over, so each pass needs its own forward.
+
+A node holds only what its backward reads.  The graph links small
+``_Node`` objects, not tensors: each keeps its op's backward closure,
+which captures only the arrays that backward reads, and the nodes of
+the inputs that need a gradient, never its op's output.  So an output
+that no backward reads (a conv output that only feeds a sum, a sum that
+feeds a relu saving a boolean mask, a batchnorm output the next conv
+pads into its own copy) is freed as soon as the forward code drops it.
 """
 
 from __future__ import annotations
@@ -33,18 +41,34 @@ class Tensor:
     """A numpy array plus autodiff bookkeeping.
 
     ``data`` is row-major float32 (or float64 on the shadow path),
-    ``grad`` is lazily allocated with the same shape and dtype.
+    ``grad`` is lazily allocated with the same shape and dtype.  The
+    output of an op that needs a gradient links to its graph node in
+    ``_node``; a leaf that needs one is its own graph node.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_needs")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_needs")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _coerce(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None
         self._needs = self.requires_grad
+
+    # The graph as seen from a tensor: its node's parents and backward
+    # closure (empty for a leaf).  ``bench/tracing.py`` wraps the closure
+    # of each op's output and walks the parents.
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, back) -> None:
+        self._node._backward = back
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,15 +99,38 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _node(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
+class _Node:
+    """One op of the graph: its backward closure, the graph nodes of the
+    inputs that need a gradient, and the dtype of its output.  It holds no
+    output array (``data`` is None), so an op output that no backward
+    reads is freed as soon as the forward code drops its ``Tensor``."""
+
+    __slots__ = ("_parents", "_backward", "dtype")
+    data = None
+
+    def __init__(self, parents: tuple, backward, dtype):
+        self._parents = parents
+        self._backward = backward
+        self.dtype = dtype
+
+
+def _node_of(t: Tensor):
+    """The graph node a gradient for ``t`` goes to: its op's node, ``t``
+    itself for a leaf that needs a gradient, or None."""
+    return t._node or (t if t._needs else None)
+
+
+def _output(data: Array, parents: tuple, backward) -> Tensor:
+    """The ``Tensor`` of an op's output; ``parents`` are the ``_node_of``
+    its inputs, and ``backward(g, grads)`` reads only what it captured."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
     out.grad = None
-    needs = any(p._needs for p in parents)
-    out._needs = needs
-    out._parents = parents if needs else ()
-    out._backward = backward if needs else None
+    if None in parents:
+        parents = tuple(p for p in parents if p is not None)
+    out._needs = bool(parents)
+    out._node = _Node(parents, backward, data.dtype) if parents else None
     return out
 
 
@@ -100,14 +147,14 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _accum(grads: dict, t: Tensor, value: Array) -> None:
-    if not t._needs:
+def _accum(grads: dict, node, value: Array) -> None:
+    if node is None:
         return
-    key = id(t)
+    key = id(node)
     if key in grads:
         grads[key] += value
     else:
-        grads[key] = value.astype(t.data.dtype, copy=True) if value.dtype != t.data.dtype else value.copy()
+        grads[key] = value.astype(node.dtype, copy=True) if value.dtype != node.dtype else value.copy()
 
 
 def _released(g, grads) -> None:
@@ -120,14 +167,16 @@ def backward(loss: Tensor) -> None:
 
     The pass consumes the graph: once a node's backward has run, or the
     node got no gradient, it drops its closure and its parents, so its
-    saved arrays and output buffer are freed as soon as nothing further
-    down needs them.  A second pass over the same graph raises
-    ``GraphReleasedError``."""
+    saved arrays are freed as soon as nothing further down needs them.
+    A second pass over the same graph raises ``GraphReleasedError``."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    topo: list[Tensor] = []
+    root = _node_of(loss)
+    if root is None:
+        return
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -141,17 +190,17 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, Array] = {id(root): np.ones_like(loss.data)}
     while topo:
         node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is not None and node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
-        back = node._backward
-        if back is None:  # a leaf
+        if type(node) is Tensor:  # a leaf
+            if g is not None:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
             continue
+        back = node._backward
         node._backward, node._parents = _released, ()
         if g is not None:
             back(g, grads)
@@ -199,73 +248,82 @@ class ParameterStore:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
 
     def back(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.data.shape))
-        _accum(grads, b, _unbroadcast(g, b.data.shape))
+        _accum(grads, na, _unbroadcast(g, sa))
+        _accum(grads, nb, _unbroadcast(g, sb))
 
-    return _node(data, (a, b), back)
+    return _output(data, (na, nb), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
+    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
 
     def back(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.data.shape))
-        _accum(grads, b, _unbroadcast(-g, b.data.shape))
+        _accum(grads, na, _unbroadcast(g, sa))
+        _accum(grads, nb, _unbroadcast(-g, sb))
 
-    return _node(data, (a, b), back)
+    return _output(data, (na, nb), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    da, db = a.data, b.data
+    data = da * db
+    na, nb = _node_of(a), _node_of(b)
 
     def back(g, grads):
-        _accum(grads, a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(grads, b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(grads, na, _unbroadcast(g * db, da.shape))
+        _accum(grads, nb, _unbroadcast(g * da, db.shape))
 
-    return _node(data, (a, b), back)
+    return _output(data, (na, nb), back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = x.data.dtype.type(c)
     data = x.data * c
+    nx = _node_of(x)
 
     def back(g, grads):
-        _accum(grads, x, g * c)
+        _accum(grads, nx, g * c)
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def mul_const(x: Tensor, c: Array) -> Tensor:
     """Multiply by a constant array (no gradient into ``c``)."""
     c = np.asarray(c, dtype=x.data.dtype)
     data = x.data * c
+    nx, shape = _node_of(x), x.data.shape
 
     def back(g, grads):
-        _accum(grads, x, _unbroadcast(g * c, x.data.shape))
+        _accum(grads, nx, _unbroadcast(g * c, shape))
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def neg(x: Tensor) -> Tensor:
-    def back(g, grads):
-        _accum(grads, x, -g)
+    nx = _node_of(x)
 
-    return _node(-x.data, (x,), back)
+    def back(g, grads):
+        _accum(grads, nx, -g)
+
+    return _output(-x.data, (nx,), back)
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    nx, shape = _node_of(x), x.data.shape
 
     def back(g, grads):
         if axis is None:
-            _accum(grads, x, np.broadcast_to(g, x.data.shape).copy())
+            _accum(grads, nx, np.broadcast_to(g, shape).copy())
         else:
             ge = g if keepdims else np.expand_dims(g, axis)
-            _accum(grads, x, np.broadcast_to(ge, x.data.shape).copy())
+            _accum(grads, nx, np.broadcast_to(ge, shape).copy())
 
-    return _node(np.asarray(data), (x,), back)
+    return _output(np.asarray(data), (nx,), back)
 
 
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -275,20 +333,22 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
+    nx, mask = _node_of(x), x.data > 0
 
     def back(g, grads):
-        _accum(grads, x, g * (x.data > 0))
+        _accum(grads, nx, g * mask)
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     data = sigmoid_np(x.data)
+    nx = _node_of(x)
 
     def back(g, grads):
-        _accum(grads, x, g * data * (1 - data))
+        _accum(grads, nx, g * data * (1 - data))
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def sigmoid_np(x: Array) -> Array:
@@ -303,30 +363,35 @@ def sigmoid_np(x: Array) -> Array:
 
 def softplus(x: Tensor) -> Tensor:
     # log(1 + e^x), stable for large |x|
-    data = np.maximum(x.data, 0) + np.log1p(np.exp(-np.abs(x.data)))
+    xd = x.data
+    data = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
+    nx = _node_of(x)
 
     def back(g, grads):
-        _accum(grads, x, g * sigmoid_np(x.data))
+        _accum(grads, nx, g * sigmoid_np(xd))
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def tlog(x: Tensor) -> Tensor:
-    data = np.log(x.data)
+    xd = x.data
+    data = np.log(xd)
+    nx = _node_of(x)
 
     def back(g, grads):
-        _accum(grads, x, g / x.data)
+        _accum(grads, nx, g / xd)
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def texp(x: Tensor) -> Tensor:
     data = np.exp(x.data)
+    nx = _node_of(x)
 
     def back(g, grads):
-        _accum(grads, x, g * data)
+        _accum(grads, nx, g * data)
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def softmax_np(x: Array) -> Array:
@@ -338,57 +403,62 @@ def softmax_np(x: Array) -> Array:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last dimension."""
     data = softmax_np(x.data)
+    nx = _node_of(x)
 
     def back(g, grads):
         dot = (g * data).sum(axis=-1, keepdims=True)
-        _accum(grads, x, (g - dot) * data)
+        _accum(grads, nx, (g - dot) * data)
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def log_softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     data = z - lse
+    nx = _node_of(x)
 
     def back(g, grads):
         sm = np.exp(data)
-        _accum(grads, x, g - sm * g.sum(axis=-1, keepdims=True))
+        _accum(grads, nx, g - sm * g.sum(axis=-1, keepdims=True))
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def take(x: Tensor, flat_indices) -> Tensor:
     """Gather entries of the flattened tensor; backward scatter-adds."""
     idx = np.asarray(flat_indices, dtype=np.intp)
     data = x.data.reshape(-1)[idx].copy()
+    nx, size, shape, dtype = _node_of(x), x.data.size, x.data.shape, x.data.dtype
 
     def back(g, grads):
-        gx = np.zeros(x.data.size, dtype=x.data.dtype)
+        gx = np.zeros(size, dtype=dtype)
         np.add.at(gx, idx, g.reshape(-1))
-        _accum(grads, x, gx.reshape(x.data.shape))
+        _accum(grads, nx, gx.reshape(shape))
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
+    nx, xshape = _node_of(x), x.data.shape
 
     def back(g, grads):
-        _accum(grads, x, g.reshape(x.data.shape))
+        _accum(grads, nx, g.reshape(xshape))
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     data = np.ascontiguousarray(x.data.transpose(axes))
+    nx = _node_of(x)
 
     def back(g, grads):
-        _accum(grads, x, np.ascontiguousarray(g.transpose(inv)))
+        _accum(grads, nx, np.ascontiguousarray(g.transpose(inv)))
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -397,43 +467,46 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
     data = np.ascontiguousarray(x.data[sl])
+    nx, shape, dtype = _node_of(x), x.data.shape, x.data.dtype
 
     def back(g, grads):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[sl] = g
-        _accum(grads, x, gx)
+        _accum(grads, nx, gx)
 
-    return _node(data, (x,), back)
+    return _output(data, (nx,), back)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [_node_of(t) for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def back(g, grads):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accum(grads, t, np.ascontiguousarray(g[tuple(sl)]))
+            _accum(grads, node, np.ascontiguousarray(g[tuple(sl)]))
 
-    return _node(data, tuple(tensors), back)
+    return _output(data, tuple(nodes), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix multiplication with numpy broadcasting semantics."""
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: expected inner dims to match, got {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
+    da, db = a.data, b.data
+    data = da @ db
+    na, nb = _node_of(a), _node_of(b)
 
     def back(g, grads):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(grads, a, _unbroadcast(ga, a.data.shape))
-        _accum(grads, b, _unbroadcast(gb, b.data.shape))
+        ga = g @ np.swapaxes(db, -1, -2)
+        gb = np.swapaxes(da, -1, -2) @ g
+        _accum(grads, na, _unbroadcast(ga, da.shape))
+        _accum(grads, nb, _unbroadcast(gb, db.shape))
 
-    return _node(data, (a, b), back)
+    return _output(data, (na, nb), back)
 
 
 # --------------------------------------------------------------------------
@@ -444,20 +517,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w.T + b`` over the last dimension; ``w`` is (out, in)."""
     if x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"linear: expected input dim {w.data.shape[1]}, got {x.data.shape}")
-    data = x.data @ w.data.T
+    xd, wd = x.data, w.data
+    data = xd @ wd.T
     if b is not None:
         data += b.data
+    nx, nw, nb = _node_of(x), _node_of(w), None if b is None else _node_of(b)
 
     def back(g, grads):
         g2 = g.reshape(-1, g.shape[-1])
-        x2 = x.data.reshape(-1, x.data.shape[-1])
-        _accum(grads, w, g2.T @ x2)
-        if b is not None:
-            _accum(grads, b, g2.sum(axis=0))
-        _accum(grads, x, (g @ w.data).reshape(x.data.shape))
+        _accum(grads, nw, g2.T @ xd.reshape(-1, xd.shape[-1]))
+        if nb is not None:
+            _accum(grads, nb, g2.sum(axis=0))
+        _accum(grads, nx, (g @ wd).reshape(xd.shape))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(data, parents, back)
+    return _output(data, (nx, nw, nb), back)
 
 
 def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
@@ -496,20 +569,21 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     if b is not None:
         data += b.data.reshape((cout,) + (1,) * n)
 
+    nx, nw, nb, wshape = _node_of(x), _node_of(w), None if b is None else _node_of(b), w.data.shape
+
     def back(g, grads):
         g2 = np.ascontiguousarray(g.reshape(bsz, cout, length).transpose(0, 2, 1)).reshape(bsz * length, cout)
-        _accum(grads, w, (g2.T @ columns().T).reshape(w.data.shape))
-        if b is not None:
-            _accum(grads, b, g.sum(axis=(0,) + axes))
-        if x._needs:
+        _accum(grads, nw, (g2.T @ columns().T).reshape(wshape))
+        if nb is not None:
+            _accum(grads, nb, g.sum(axis=(0,) + axes))
+        if nx is not None:
             gcols = (w2.T @ g2.T).reshape(cin, *ks, bsz, *spatial)
             gxp = np.zeros_like(xp)
             for tap in np.ndindex(*ks):
                 gxp[region(tap)] += np.swapaxes(gcols[(slice(None),) + tap], 0, 1)
-            _accum(grads, x, gxp[region([k // 2 for k in ks])])
+            _accum(grads, nx, gxp[region([k // 2 for k in ks])])
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(data, parents, back)
+    return _output(data, (nx, nw, nb), back)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -551,17 +625,18 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     if b is not None:
         data += b.data[None, :, None]
 
+    nx, nw, nb = _node_of(x), _node_of(w), None if b is None else _node_of(b)
+
     def back(g, grads):
         g4 = np.ascontiguousarray(g.reshape(bsz, cout, t, k).transpose(0, 2, 1, 3)).reshape(bsz * t, cout * k)
-        _accum(grads, w, (x2.T @ g4).reshape(cin, cout, k))
-        if b is not None:
-            _accum(grads, b, g.sum(axis=(0, 2)))
-        if x._needs:
+        _accum(grads, nw, (x2.T @ g4).reshape(cin, cout, k))
+        if nb is not None:
+            _accum(grads, nb, g.sum(axis=(0, 2)))
+        if nx is not None:
             gx = (g4 @ w2.T).reshape(bsz, t, cin).transpose(0, 2, 1)
-            _accum(grads, x, np.ascontiguousarray(gx))
+            _accum(grads, nx, np.ascontiguousarray(gx))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(data, parents, back)
+    return _output(data, (nx, nw, nb), back)
 
 
 def maxpool1d(x: Tensor, stride: int) -> Tensor:
@@ -575,13 +650,14 @@ def maxpool1d(x: Tensor, stride: int) -> Tensor:
     xr = x.data.reshape(*lead, t // stride, stride)
     idx = xr.argmax(axis=-1)
     data = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    nx, shape, rshape, dtype = _node_of(x), x.data.shape, xr.shape, x.data.dtype
 
     def back(g, grads):
-        gr = np.zeros_like(xr)
+        gr = np.zeros(rshape, dtype=dtype)
         np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
-        _accum(grads, x, gr.reshape(x.data.shape))
+        _accum(grads, nx, gr.reshape(shape))
 
-    return _node(np.ascontiguousarray(data), (x,), back)
+    return _output(np.ascontiguousarray(data), (nx,), back)
 
 
 class BatchNormState:
@@ -623,21 +699,23 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
         var = state.running_var.astype(x.data.dtype)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    gd = gamma.data
+    data = gd[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    nx, ngamma, nbeta = _node_of(x), _node_of(gamma), _node_of(beta)
 
     def back(g, grads):
-        _accum(grads, gamma, (g * xhat).sum(axis=axes))
-        _accum(grads, beta, g.sum(axis=axes))
-        if x._needs:
-            coeff = (gamma.data * inv)[None, :, None, None]
+        _accum(grads, ngamma, (g * xhat).sum(axis=axes))
+        _accum(grads, nbeta, g.sum(axis=axes))
+        if nx is not None:
+            coeff = (gd * inv)[None, :, None, None]
             if training:
                 gm = g.mean(axis=axes)[None, :, None, None]
                 gx = (g * xhat).mean(axis=axes)[None, :, None, None]
-                _accum(grads, x, coeff * (g - gm - xhat * gx))
+                _accum(grads, nx, coeff * (g - gm - xhat * gx))
             else:
-                _accum(grads, x, coeff * g)
+                _accum(grads, nx, coeff * g)
 
-    return _node(data, (x, gamma, beta), back)
+    return _output(data, (nx, ngamma, nbeta), back)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -649,19 +727,21 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv
-    data = gamma.data * xhat + beta.data
+    gd = gamma.data
+    data = gd * xhat + beta.data
+    nx, ngamma, nbeta = _node_of(x), _node_of(gamma), _node_of(beta)
 
     def back(g, grads):
         red = tuple(range(g.ndim - 1))
-        _accum(grads, gamma, (g * xhat).sum(axis=red))
-        _accum(grads, beta, g.sum(axis=red))
-        if x._needs:
-            gg = g * gamma.data
+        _accum(grads, ngamma, (g * xhat).sum(axis=red))
+        _accum(grads, nbeta, g.sum(axis=red))
+        if nx is not None:
+            gg = g * gd
             gm = gg.mean(axis=-1, keepdims=True)
             gx = (gg * xhat).mean(axis=-1, keepdims=True)
-            _accum(grads, x, inv * (gg - gm - xhat * gx))
+            _accum(grads, nx, inv * (gg - gm - xhat * gx))
 
-    return _node(data, (x, gamma, beta), back)
+    return _output(data, (nx, ngamma, nbeta), back)
 
 
 # Score rows per pass of attention's softmax and backward.  With block
@@ -718,20 +798,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         rows -= rows.max(axis=-1, keepdims=True)
         np.exp(rows, out=rows)
         rows /= rows.sum(axis=-1, keepdims=True)
-    data = p @ v.data
+    qd, vd = q.data, v.data
+    data = p @ vd
+    nq, nk, nv = _node_of(q), _node_of(k), _node_of(v)
 
     def back(g, grads):
-        if v._needs:  # before p is overwritten below
-            _accum(grads, v, np.swapaxes(p, 1, 2) @ g)
-        if q._needs or k._needs:
-            vt = np.swapaxes(v.data, 1, 2)
+        if nv is not None:  # before p is overwritten below
+            _accum(grads, nv, np.swapaxes(p, 1, 2) @ g)
+        if nq is not None or nk is not None:
+            vt = np.swapaxes(vd, 1, 2)
             for lo, hi in _row_blocks(t):
                 rows = p[:, lo:hi]
                 ds = g[:, lo:hi] @ vt  # gradient of these rows' probabilities
                 ds -= (ds * rows).sum(axis=-1, keepdims=True)
                 rows *= ds
                 rows *= c  # gradient of the unscaled scores q @ k^T, in p's place
-            _accum(grads, q, p @ np.swapaxes(kt, 1, 2))
-            _accum(grads, k, np.ascontiguousarray(np.swapaxes(np.swapaxes(q.data, 1, 2) @ p, 1, 2)))
+            _accum(grads, nq, p @ np.swapaxes(kt, 1, 2))
+            _accum(grads, nk, np.ascontiguousarray(np.swapaxes(np.swapaxes(qd, 1, 2) @ p, 1, 2)))
 
-    return _node(data, (q, k, v), back)
+    return _output(data, (nq, nk, nv), back)

@@ -44,7 +44,10 @@ from .trainer import (
 )
 
 SEED_ENV_VAR = "DYNAMARK_SEED"
-DEFAULTS = {**ModelConfig().as_dict(), **TrainConfig().as_dict(), "feature": "bssl", "k_folds": 5}
+# Each command's option defaults; annotate takes the feature kind of its checkpoint.
+DEFAULTS = {"extract": {"feature": "bssl"},
+            "train": {**ModelConfig().as_dict(), **TrainConfig().as_dict(), "feature": "bssl", "k_folds": 5},
+            "eval": {}, "annotate": {}}
 
 
 def parse_config_file(path) -> dict:
@@ -76,11 +79,11 @@ def _from_text(text: str, flag: argparse.Action, source) -> object:
         raise ConfigError(f"{source}: {flag.dest} must be {expected}, got {text!r}") from None
 
 
-def _from_json(value, flag: argparse.Action, source) -> object:
+def _from_json(value, flag: argparse.Action, command: str, source) -> object:
     """A manifest's recorded ``value`` converted as the same text in a config
     file would be; null is kept only for an optional flag whose default is null."""
     if value is None:
-        if flag.required or DEFAULTS.get(flag.dest) is not None:
+        if flag.required or DEFAULTS[command].get(flag.dest) is not None:
             raise ConfigError(f"{source}: {flag.dest} must not be null")
         return None
     return _from_text(value if isinstance(value, str) else json.dumps(value), flag, source)
@@ -98,7 +101,7 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             raise ConfigError(f"{args.config}: unknown option {', '.join(unknown)}")
     resolved = {}
     for key, flag in _flags(parser, args.command).items():
-        value = DEFAULTS.get(key)
+        value = DEFAULTS[args.command].get(key)
         if key in file_values:
             value = _from_text(file_values[key], flag, args.config)
         if key == "seed" and os.environ.get(SEED_ENV_VAR):
@@ -313,6 +316,7 @@ def cmd_eval(opts: dict) -> tuple[int, dict]:
         report[key] = mean_std([r[key] for r in per_recording.values()])
     out_path = Path(opts["out"]) if opts.get("out") else None
     if out_path:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_json(out_path, report)
         manifest_dir = out_path.parent
     else:
@@ -352,9 +356,10 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     kind = next((k for k, n in FEATURE_BINS.items() if n == bins), None)
     if kind is None:
         raise ConfigError(f"checkpoint expects {bins} feature bins, which no feature kind has")
-    if opts.get("feature") and opts["feature"] != kind:
+    if opts["feature"] not in (None, kind):
         raise ConfigError(f"checkpoint expects {kind} features ({bins} bins), "
                           f"but --feature {opts['feature']} was requested")
+    opts = {**opts, "feature": kind}
     power = stft_power(decode_and_prepare(audio_path))
     loudness = bssl(power) if kind == "bssl" or opts.get("loudness_csv") else None
     features = loudness if kind == "bssl" else log_mel(power)
@@ -449,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beats-from", dest="beats_from")
     p.add_argument("--align-downbeats", action="store_true", default=None)
     p.add_argument("--loudness-csv", action="store_true", default=None, dest="loudness_csv")
-    p.add_argument("--feature", choices=FEATURE_BINS)
+    p.add_argument("--feature", choices=FEATURE_BINS, help="default: the checkpoint's feature kind")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
@@ -485,7 +490,7 @@ def _read_rerun_manifest(path: Path, parser: argparse.ArgumentParser) -> tuple[s
     missing = [key for key in flags if key not in recorded]
     if missing:
         raise SchemaError(f"{path}: resolved_options lacks {', '.join(missing)}")
-    return command, {key: _from_json(recorded[key], flag, path) for key, flag in flags.items()}
+    return command, {key: _from_json(recorded[key], flag, command, path) for key, flag in flags.items()}
 
 
 def main(argv=None) -> int:

@@ -131,19 +131,23 @@ class DynamicsModel:
         return ad.batchnorm2d(x, self.params[f"{name}.gamma"], self.params[f"{name}.beta"],
                               state=self.bn_state[name], training=training)
 
+    def _block(self, name: str, h: Tensor, training: bool) -> Tensor:
+        """One residual conv block.  Its conv, sum and relu outputs die on
+        return, since no backward reads them."""
+        y = ad.conv2d(h, self.params[f"{name}.conv.w"], self.params[f"{name}.conv.b"])
+        if f"{name}.proj.w" in self.params:
+            res = ad.conv2d(h, self.params[f"{name}.proj.w"], self.params[f"{name}.proj.b"])
+        else:
+            res = h
+        return self._apply_bn(f"{name}.bn", ad.relu(ad.add(y, res)), training)
+
     def _branch(self, x4d: Tensor, b: int, training: bool) -> Tensor:
         cfg = self.cfg
         s = cfg.scaling_factor
         prefix = f"branch{b}"
         h = ad.maxpool1d(x4d, s ** b) if s ** b > 1 else x4d
         for blk in range(cfg.blocks_per_branch):
-            name = f"{prefix}.block{blk}"
-            y = ad.conv2d(h, self.params[f"{name}.conv.w"], self.params[f"{name}.conv.b"])
-            if f"{name}.proj.w" in self.params:
-                res = ad.conv2d(h, self.params[f"{name}.proj.w"], self.params[f"{name}.proj.b"])
-            else:
-                res = h
-            h = self._apply_bn(f"{name}.bn", ad.relu(ad.add(y, res)), training)
+            h = self._block(f"{prefix}.block{blk}", h, training)
         bsz, c, f, t = h.shape
         h = ad.reshape(ad.transpose(h, (0, 3, 1, 2)), (bsz, t, c * f))
         h = self._apply_linear(f"{prefix}.collapse", h)

@@ -2,8 +2,10 @@
 
 ``bench/tracing.py`` resolves autodiff ops, module functions and
 methods by name when it installs itself; a name removed from
-``dynamark`` would only surface as a failed ``--trace 1`` run.  The
-``train_step`` and ``fit`` workloads' ``_step`` calls ``forward``,
+``dynamark`` would only surface as a failed ``--trace 1`` run.  It
+also wraps the ``_backward`` of each op output and walks ``_parents``
+from the loss to size the graph.  The ``train_step`` and ``fit``
+workloads' ``_step`` calls ``forward``,
 ``multitask_loss``, the report's ``total`` and ``AdamW``, and the
 ``fit`` workload's ``common.fit_to_target`` calls ``TrainConfig``,
 ``train_model`` with ``log`` and ``stop_when``, and reads the history's
@@ -21,7 +23,7 @@ import pytest
 
 from dynamark import autodiff as ad
 from dynamark.network import DynamicsModel, ModelConfig
-from dynamark.objectives import FrameTargets, TargetBatch
+from dynamark.objectives import FrameTargets, TargetBatch, multitask_loss
 from dynamark.trainer import AdamW
 
 from _synth import load_synth_recordings, write_corpus
@@ -62,14 +64,10 @@ def test_traced_methods_exist(tracing):
     assert not missing
 
 
-def test_workload_step_runs(monkeypatch):
-    # workloads.py imports its sibling modules by their plain names
-    monkeypatch.syspath_prepend(str(BENCH_DIR))
-    workloads = _load_bench_module("workloads")
+SMALL_MODEL = ModelConfig(channels=4, blocks_per_branch=1, attention_dim=4)
 
-    model = DynamicsModel(ModelConfig(channels=4, blocks_per_branch=1, attention_dim=4), seed=86)
-    optimizer = AdamW(model.params, lr=3e-4)
-    before = {name: p.data.copy() for name, p in model.params.items()}
+
+def _small_batch():
     rng = np.random.default_rng(0)
     t = 50
     beat = np.zeros(t, dtype=np.uint8)
@@ -77,10 +75,45 @@ def test_workload_step_runs(monkeypatch):
     targets = TargetBatch.from_targets(
         [FrameTargets(beat=beat, downbeat=beat * (np.arange(t) % 20 == 0), change_point=np.zeros(t),
                       dynamic_class=rng.integers(0, 6, t)) for _ in range(2)], [t, 40])
-    feats = rng.standard_normal((2, 22, t)).astype(np.float32)
-    loss = workloads._step(model, optimizer, feats, targets)
+    return rng.standard_normal((2, 22, t)).astype(np.float32), targets
+
+
+def test_workload_step_runs(monkeypatch):
+    # workloads.py imports its sibling modules by their plain names
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = _load_bench_module("workloads")
+
+    model = DynamicsModel(SMALL_MODEL, seed=86)
+    optimizer = AdamW(model.params, lr=3e-4)
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    loss = workloads._step(model, optimizer, *_small_batch())
     assert isinstance(loss, float) and math.isfinite(loss) and loss > 0
     assert any(not np.array_equal(p.data, before[name]) for name, p in model.params.items())
+
+
+def test_traced_step_matches_untraced(tracing):
+    # the tracer wraps the backward closure of every op output it sees and
+    # walks the graph behind the loss through ``_backward`` and ``_parents``
+    feats, targets = _small_batch()
+
+    def step():
+        model = DynamicsModel(SMALL_MODEL, seed=86)
+        loss, _ = multitask_loss(model.forward(feats, training=True), targets)
+        model.params.zero_grads()
+        ad.backward(loss)
+        return loss.item(), {name: p.grad for name, p in model.params.items()}
+
+    plain_loss, plain_grads = step()
+    tracer = tracing.Tracer()
+    with tracer:
+        traced_loss, traced_grads = step()
+    assert traced_loss == plain_loss
+    assert all(np.array_equal(traced_grads[name], grad) for name, grad in plain_grads.items())
+    spans = {span[0] for span in tracer.spans}
+    assert set(tracer.calls) == set(tracing.CATEGORIES) - {"matmul"}  # no model op calls matmul
+    assert all(f"autodiff.{kind}.bwd" in spans for kind in tracer.calls)
+    [(nodes, nbytes)] = tracer.graphs
+    assert nodes > 100 and nbytes > 0
 
 
 def test_fit_to_target_runs(tmp_path):

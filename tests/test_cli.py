@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +367,26 @@ def test_annotate_feature_mismatch(corpus, trained, capsys):
     assert "bssl" in capsys.readouterr().err
 
 
+def test_annotate_takes_the_checkpoint_feature_kind(corpus, trained, tmp_path):
+    # without --feature a logmel checkpoint annotates too, and the manifest
+    # records the checkpoint's kind, which its rerun reads back
+    from dynamark.network import DynamicsModel, ModelConfig
+    from dynamark.trainer import Checkpoint, TrainConfig, save_checkpoint
+
+    cfg = ModelConfig(input_bins=128, channels=4, blocks_per_branch=1, attention_dim=4)
+    logmel = tmp_path / "logmel.dync"
+    save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg, seed=0), TrainConfig(segment_s=10), 0), logmel)
+    wav = sorted((corpus / "audio").glob("*.wav"))[0]
+    for kind, checkpoint in (("bssl", trained / "fold0.dync"), ("logmel", logmel)):
+        prefix = tmp_path / kind
+        assert main(["annotate", str(wav), "--checkpoint", str(checkpoint), "--out-prefix", str(prefix)]) == 0
+        manifest = Path(f"{prefix}.manifest.json")
+        assert json.loads(manifest.read_text())["resolved_options"]["feature"] == kind
+        before = Path(f"{prefix}.events.json").read_bytes()
+        assert main(["rerun", str(manifest)]) == 0
+        assert Path(f"{prefix}.events.json").read_bytes() == before
+
+
 def test_annotate_checkpoint_of_no_feature_kind(corpus, tmp_path, capsys):
     from dynamark.network import DynamicsModel, ModelConfig
     from dynamark.trainer import Checkpoint, TrainConfig, save_checkpoint
@@ -419,6 +440,19 @@ def test_eval_worked_example_two_thirds(tmp_path):
     assert code == 0
     metrics = json.loads(out_file.read_text())
     assert abs(metrics["per_recording"]["clip"]["beat_f1"] - 2 / 3) < 1e-9
+
+
+def test_eval_out_creates_its_directory(tmp_path):
+    from dynamark.postprocess import EventReport
+    for name in ("p", "r"):
+        (tmp_path / name).mkdir()
+        EventReport(beats=[1.0, 2.0], markings=["p", "p"]).write_json(tmp_path / name / "clip.json")
+    out_file = tmp_path / "new" / "dir" / "eval.json"
+    code = main(["eval", "--predictions", str(tmp_path / "p"), "--references", str(tmp_path / "r"),
+                 "--out", str(out_file)])
+    assert code == 0
+    assert json.loads(out_file.read_text())["per_recording"]["clip"]["beat_f1"] == 1.0
+    assert (out_file.parent / "eval_manifest.json").exists()
 
 
 def test_eval_empty_prediction_zero_beat_f1(tmp_path):

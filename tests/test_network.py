@@ -1,7 +1,9 @@
 """Network shapes, gate properties, MMoE semantics, parameter counts."""
 
 import sys
+import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -277,6 +279,56 @@ def test_backward_frees_attention_probabilities_during_the_pass(monkeypatch):
     assert len(nodes) == 3 and not freed
     ad.backward(loss)
     assert freed == [True] * len(nodes)
+
+
+def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
+    # a graph node keeps only what its backward reads: the conv2d and add
+    # outputs (relu saves a mask) and the batchnorm output (the next conv
+    # pads its own copy) are freed during the forward, before backward runs
+    made, freed = Counter(), Counter()
+
+    def recorded(op):
+        def call(*args, **kwargs):
+            out = op(*args, **kwargs)
+            made[op.__name__] += 1
+            weakref.finalize(out.data, freed.update, [op.__name__])
+            return out
+        return call
+
+    for op in (ad.conv2d, ad.add, ad.batchnorm2d):
+        monkeypatch.setattr(ad, op.__name__, recorded(op))
+    model = small_model(blocks_per_branch=2)
+    rng = np.random.default_rng(13)
+    feats = np.stack([rand_features(rng, t=40), rand_features(rng, t=40)])
+    beat = np.zeros((2, 40), dtype=np.uint8)
+    beat[:, ::10] = 1
+    targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
+                              dynamic_class=rng.integers(0, 6, size=(2, 40)),
+                              valid=np.ones((2, 40), dtype=bool))
+    logits = model.forward(feats, training=True)
+    monkeypatch.undo()
+    loss, _ = obj.multitask_loss(logits, targets)
+    assert made == {"conv2d": 9, "add": 11, "batchnorm2d": 7}
+    assert freed == made
+    model.params.zero_grads()
+    ad.backward(loss)
+    assert all(np.isfinite(t.grad).all() for _, t in model.params.items())
+
+
+def test_forward_holds_only_what_backward_reads():
+    # bytes held after a training forward, in units of one branch-0 conv
+    # output (B x C x F x T float32): about 13 when each node holds only what
+    # its backward reads, 31 when every op output lives until backward
+    model = small_model(blocks_per_branch=2)
+    feats = np.random.default_rng(13).standard_normal((2, 22, 200)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        logits = model.forward(feats, training=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert logits["beat"].shape == (2, 200)
+    assert held < 20 * feats.size * SMALL["channels"] * 4
 
 
 def test_disabled_task_heads_get_zero_grad():
