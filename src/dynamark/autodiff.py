@@ -147,14 +147,18 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _accum(grads: dict, node, value: Array) -> None:
+def _accum(grads: dict, node, value: Array, owned: bool = False) -> None:
+    # ``owned``: the op built ``value`` for this call and reads it no more,
+    # so a first accumulation keeps it instead of copying it
     if node is None:
         return
     key = id(node)
     if key in grads:
         grads[key] += value
+    elif value.dtype != node.dtype:
+        grads[key] = value.astype(node.dtype)
     else:
-        grads[key] = value.astype(node.dtype, copy=True) if value.dtype != node.dtype else value.copy()
+        grads[key] = value if owned else value.copy()
 
 
 def _released(g, grads) -> None:
@@ -535,13 +539,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Same-size convolution over the trailing axes of ``x`` (B, C, *S)
-    with ``w`` (O, C, *K), every K odd: one im2col buffer and one GEMM.
+    with ``w`` (O, C, *K), every K odd: one im2col buffer and one GEMM per
+    batch item.
 
-    The buffer is channel-first, (C*prod(K), B*prod(S)): row ``c, tap``
+    An item's buffer is channel-first, (C*prod(K), prod(S)): row ``c, tap``
     holds the padded input of channel ``c`` shifted by ``tap``, for every
-    batch item and output position.  It is filled by one block copy per
-    kernel tap, each of which moves whole rows of the last spatial axis,
-    and is rebuilt in the backward rather than held."""
+    output position.  It is filled by one block copy per kernel tap, each
+    of which moves whole rows of the last spatial axis, and its GEMM
+    writes straight into that item's output.  The backward rebuilds each
+    item's buffer in turn rather than holding it, adds that item's GEMM to
+    the weight gradient, and scatters the item's column gradient into the
+    input gradient before the next item; so no buffer spans the batch.
+    Output and input gradient equal the item-by-item B=1 results bit for
+    bit; the weight gradient is the item-ordered sum of theirs."""
     (bsz, cin), spatial = x.data.shape[:2], x.data.shape[2:]
     (cout, win_c), ks = w.data.shape[:2], w.data.shape[2:]
     if win_c != cin:
@@ -554,34 +564,40 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in ks))
 
     def region(offsets) -> tuple:
-        # index of the S-sized block of the padded input that starts at ``offsets``
-        return (slice(None), slice(None)) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
+        # index of the S-sized block of one item's padded input that starts at ``offsets``
+        return (slice(None),) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
 
-    def columns() -> Array:
-        # (B, C, *S+K-1) -> (C*prod(K), B*prod(S)) contiguous im2col buffer
-        cols = np.empty((cin, *ks, bsz, *spatial), dtype=xp.dtype)
+    def columns(i: int) -> Array:
+        # (C, *S+K-1) -> (C*prod(K), prod(S)) contiguous im2col buffer of item ``i``
+        cols = np.empty((cin, *ks, *spatial), dtype=xp.dtype)
         for tap in np.ndindex(*ks):
-            cols[(slice(None),) + tap] = np.swapaxes(xp[region(tap)], 0, 1)
-        return cols.reshape(-1, bsz * length)
+            cols[(slice(None),) + tap] = xp[i][region(tap)]
+        return cols.reshape(-1, length)
 
     w2 = w.data.reshape(cout, -1)
-    data = np.ascontiguousarray(np.swapaxes((w2 @ columns()).reshape(cout, bsz, *spatial), 0, 1))
+    data = np.empty((bsz, cout, *spatial), dtype=np.result_type(w2, xp))
+    for i in range(bsz):
+        np.matmul(w2, columns(i), out=data[i].reshape(cout, length))
     if b is not None:
         data += b.data.reshape((cout,) + (1,) * n)
 
     nx, nw, nb, wshape = _node_of(x), _node_of(w), None if b is None else _node_of(b), w.data.shape
 
     def back(g, grads):
-        g2 = np.ascontiguousarray(g.reshape(bsz, cout, length).transpose(0, 2, 1)).reshape(bsz * length, cout)
-        _accum(grads, nw, (g2.T @ columns().T).reshape(wshape))
+        gxp = None if nx is None else np.zeros_like(xp)
+        for i in range(bsz):
+            g2 = np.ascontiguousarray(g[i].reshape(cout, length).T)  # (prod(S), O)
+            if nw is not None:  # the weight gradient sums one GEMM per item, in item order
+                _accum(grads, nw, (g2.T @ columns(i).T).reshape(wshape))
+            if gxp is not None:
+                gcols = (w2.T @ g2.T).reshape(cin, *ks, *spatial)
+                for tap in np.ndindex(*ks):
+                    gxp[i][region(tap)] += gcols[(slice(None),) + tap]
+                del gcols  # before the next item's
         if nb is not None:
             _accum(grads, nb, g.sum(axis=(0,) + axes))
-        if nx is not None:
-            gcols = (w2.T @ g2.T).reshape(cin, *ks, bsz, *spatial)
-            gxp = np.zeros_like(xp)
-            for tap in np.ndindex(*ks):
-                gxp[region(tap)] += np.swapaxes(gcols[(slice(None),) + tap], 0, 1)
-            _accum(grads, nx, gxp[region([k // 2 for k in ks])])
+        if gxp is not None:
+            _accum(grads, nx, gxp[(slice(None),) + region([k // 2 for k in ks])])
 
     return _output(data, (nx, nw, nb), back)
 
@@ -704,13 +720,15 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
     nx, ngamma, nbeta = _node_of(x), _node_of(gamma), _node_of(beta)
 
     def back(g, grads):
-        _accum(grads, ngamma, (g * xhat).sum(axis=axes))
+        gxhat = g * xhat  # one product for gamma's gradient and the input's
+        _accum(grads, ngamma, gxhat.sum(axis=axes))
+        gx = gxhat.mean(axis=axes)[None, :, None, None] if nx is not None and training else None
+        del gxhat
         _accum(grads, nbeta, g.sum(axis=axes))
         if nx is not None:
             coeff = (gd * inv)[None, :, None, None]
             if training:
                 gm = g.mean(axis=axes)[None, :, None, None]
-                gx = (g * xhat).mean(axis=axes)[None, :, None, None]
                 _accum(grads, nx, coeff * (g - gm - xhat * gx))
             else:
                 _accum(grads, nx, coeff * g)
@@ -766,54 +784,78 @@ def _row_blocks(t: int) -> list[tuple[int, int]]:
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Single-head scaled dot-product attention over the time axis.
 
-    ``q`` and ``k`` are (B, T, D) and ``v`` is (B, T, D_v).  One fused node:
-    the forward fills a single (B, T, T) buffer with the softmax
-    probabilities ``ROW_BLOCK`` rows at a time (scores, scale, max-shift,
-    exp and normalisation while the block is in cache), and the backward
-    keeps only those probabilities (plus k^T).  The backward takes the
-    gradient of v from them first, then turns them into the gradient of
-    the scores in place, ``ROW_BLOCK`` rows at a time, so it allocates no
-    second (B, T, T) buffer; it can therefore run only once, which
-    ``backward`` ensures.  The ``p @ v`` product stays one GEMM, since its
-    bits depend on the row count.  Each output and gradient is computed
-    in the operand order of ``matmul``, ``scale`` and ``softmax`` applied
-    in turn, so outputs and gradients equal that composition bit for bit;
-    the tests keep it as the reference.  That holds in float32 at every T
-    tried (to 3000), in float64 only below T = 334 for the output and
-    T = 242 for the gradients of q and k (see ``ROW_BLOCK``).
+    ``q`` and ``k`` are (B, T, D) and ``v`` is (B, T, D_v).  One fused node
+    that holds one (T, T) buffer of softmax probabilities, not one per
+    batch item.  The forward fills it for each item in turn, ``ROW_BLOCK``
+    rows at a time (scores, scale, max-shift, exp and normalisation while
+    the block is in cache), and multiplies it by that item's v; it keeps
+    the last item's probabilities (plus k^T).  The backward walks the
+    items from last to first: it uses the kept buffer first, then refills
+    the same buffer for each earlier item with the forward's exact ops, so
+    the recomputed probabilities equal the forward's bit for bit.  For
+    each item it takes the gradient of v from the probabilities, then
+    turns them into the gradient of the scores in place, ``ROW_BLOCK``
+    rows at a time, so it allocates no second (T, T) buffer; it can
+    therefore run only once, which ``backward`` ensures.  At B=1 nothing
+    is recomputed.  The ``p @ v`` product stays one GEMM per item, since
+    its bits depend on the row count.  Each output and gradient is
+    computed in the operand order of ``matmul``, ``scale`` and ``softmax``
+    applied in turn, so outputs and gradients equal that composition bit
+    for bit; the tests keep it as the reference.  That holds in float32
+    at every T tried (to 3000), in float64 only below T = 334 for the
+    output and T = 242 for the gradients of q and k (see ``ROW_BLOCK``).
     """
     shapes = (q.data.shape, k.data.shape, v.data.shape)
     if (any(len(s) != 3 for s in shapes) or len({s[0] for s in shapes}) != 1
             or k.data.shape[2] != q.data.shape[2] or v.data.shape[1] != k.data.shape[1]):
         raise ShapeError(f"attention: expected q/k (B,T,D) and v (B,T,D_v) with one B, "
                          f"got q={q.data.shape}, k={k.data.shape}, v={v.data.shape}")
-    kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
-    bsz, t, _ = q.data.shape
-    p = np.empty((bsz, t, kt.shape[2]), dtype=np.result_type(q.data, kt))
-    c = p.dtype.type(1.0 / np.sqrt(q.data.shape[2]))
-    for lo, hi in _row_blocks(t):
-        rows = p[:, lo:hi]
-        np.matmul(q.data[:, lo:hi], kt, out=rows)
-        rows *= c
-        rows -= rows.max(axis=-1, keepdims=True)
-        np.exp(rows, out=rows)
-        rows /= rows.sum(axis=-1, keepdims=True)
     qd, vd = q.data, v.data
-    data = p @ vd
+    kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
+    bsz, t, _ = qd.shape
+    p = np.empty((t, kt.shape[2]), dtype=np.result_type(qd, kt))
+    c = p.dtype.type(1.0 / np.sqrt(qd.shape[2]))
+
+    def probabilities(i: int) -> None:
+        # item ``i``'s softmax probabilities into ``p``
+        for lo, hi in _row_blocks(t):
+            rows = p[lo:hi]
+            np.matmul(qd[i, lo:hi], kt[i], out=rows)
+            rows *= c
+            rows -= rows.max(axis=-1, keepdims=True)
+            np.exp(rows, out=rows)
+            rows /= rows.sum(axis=-1, keepdims=True)
+
+    data = np.empty((bsz, t, vd.shape[2]), dtype=np.result_type(p, vd))
+    for i in range(bsz):
+        probabilities(i)
+        np.matmul(p, vd[i], out=data[i])
     nq, nk, nv = _node_of(q), _node_of(k), _node_of(v)
 
     def back(g, grads):
-        if nv is not None:  # before p is overwritten below
-            _accum(grads, nv, np.swapaxes(p, 1, 2) @ g)
-        if nq is not None or nk is not None:
-            vt = np.swapaxes(vd, 1, 2)
+        gq = None if nq is None else np.empty(qd.shape, dtype=p.dtype)
+        gk = None if nk is None else np.empty((bsz, kt.shape[2], kt.shape[1]), dtype=p.dtype)
+        gv = None if nv is None else np.empty(vd.shape, dtype=np.result_type(p, g))
+        for i in reversed(range(bsz)):
+            if i < bsz - 1:
+                probabilities(i)
+            if gv is not None:  # before p is overwritten below
+                np.matmul(p.T, g[i], out=gv[i])
+            if gq is None and gk is None:
+                continue
+            vt = vd[i].T
             for lo, hi in _row_blocks(t):
-                rows = p[:, lo:hi]
-                ds = g[:, lo:hi] @ vt  # gradient of these rows' probabilities
+                rows = p[lo:hi]
+                ds = g[i, lo:hi] @ vt  # gradient of these rows' probabilities
                 ds -= (ds * rows).sum(axis=-1, keepdims=True)
                 rows *= ds
                 rows *= c  # gradient of the unscaled scores q @ k^T, in p's place
-            _accum(grads, nq, p @ np.swapaxes(kt, 1, 2))
-            _accum(grads, nk, np.ascontiguousarray(np.swapaxes(np.swapaxes(qd, 1, 2) @ p, 1, 2)))
+            if gq is not None:
+                np.matmul(p, kt[i].T, out=gq[i])
+            if gk is not None:
+                gk[i] = (qd[i].T @ p).T
+        _accum(grads, nq, gq, owned=True)
+        _accum(grads, nk, gk, owned=True)
+        _accum(grads, nv, gv, owned=True)
 
     return _output(data, (nq, nk, nv), back)

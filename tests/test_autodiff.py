@@ -248,7 +248,9 @@ def test_conv_matches_correlate_oracle(x_shape, w_shape):
 def _channel_last_conv(x, w, b, g):
     """The channel-last im2col kernel that the channel-first one replaced,
     as its reference: returns the output and the x, w and b gradients for
-    the upstream gradient ``g``."""
+    the upstream gradient ``g``.  Like the kernel it checks, it runs one
+    GEMM per batch item, and its weight gradient is the item-ordered sum
+    of theirs."""
     (bsz, cin), spatial = x.shape[:2], x.shape[2:]
     (cout, _), ks = w.shape[:2], w.shape[2:]
     n = len(spatial)
@@ -264,14 +266,17 @@ def _channel_last_conv(x, w, b, g):
     w2 = w.reshape(cout, -1)
     out = np.ascontiguousarray((windows @ w2.T).transpose(0, 2, 1)).reshape(bsz, cout, *spatial)
     out += b.reshape((cout,) + (1,) * n)
-    g2 = np.ascontiguousarray(g.reshape(bsz, cout, length).transpose(0, 2, 1)).reshape(bsz * length, cout)
-    gw = (g2.T @ windows.reshape(bsz * length, -1)).reshape(w.shape)
+    g2 = np.ascontiguousarray(g.reshape(bsz, cout, length).transpose(0, 2, 1))  # (B, prod(S), O)
+    gw = g2[0].T @ windows[0]
+    for i in range(1, bsz):  # the weight gradient sums one GEMM per item, in item order
+        gw += g2[i].T @ windows[i]
     gb = g.sum(axis=(0,) + axes)
-    gcols = (g2 @ w2).reshape(bsz, *spatial, cin, *ks)
     gxp = np.zeros_like(xp)
-    for tap in np.ndindex(*ks):
-        gxp[region(tap)] += np.moveaxis(gcols[(Ellipsis,) + tap], -1, 1)
-    return out, gxp[region([k // 2 for k in ks])], gw, gb
+    for i in range(bsz):
+        gcols = (g2[i] @ w2).reshape(*spatial, cin, *ks)
+        for tap in np.ndindex(*ks):
+            gxp[region(tap)][i] += np.moveaxis(gcols[(Ellipsis,) + tap], -1, 0)
+    return out, gxp[region([k // 2 for k in ks])], gw.reshape(w.shape), gb
 
 
 # The draws leave out three classes, where the two kernels take different
@@ -310,6 +315,53 @@ def test_conv_matches_channel_last_reference_bit_for_bit(n, k, cin, cout, bsz, d
     want = dict(zip(got, _channel_last_conv(x, w, b, g)))
     for name in got if dtype == np.float32 else ("w", "b"):
         assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, w_shape", [((3, 5, 400), (6, 5, 5)), ((3, 4, 8, 150), (5, 4, 3, 3))],
+                         ids=["conv1d", "conv2d"])
+def test_conv_batch_equals_its_items_bit_for_bit(x_shape, w_shape, dtype):
+    # one im2col buffer and GEMM per item: output and input gradient of a
+    # batch are its items' B=1 results, and the weight gradient is the
+    # item-ordered sum of theirs
+    rng = np.random.default_rng(23)
+    x, g = (rng.standard_normal(shape).astype(dtype) for shape in (x_shape, (x_shape[0], w_shape[0]) + x_shape[2:]))
+    w = rng.standard_normal(w_shape).astype(dtype)
+    b = rng.standard_normal(w_shape[0]).astype(dtype)
+    conv = ad.conv1d if len(x_shape) == 3 else ad.conv2d
+
+    def run(xs, gs):
+        xt, wt = Tensor(xs, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv(xt, wt, Tensor(b))
+        ad.backward(ad.tsum(ad.mul_const(out, gs)))
+        return out.data, xt.grad, wt.grad
+
+    out, gx, gw = run(x, g)
+    items = [run(x[i:i + 1], g[i:i + 1]) for i in range(len(x))]
+    assert np.array_equal(out, np.concatenate([item[0] for item in items]))
+    assert np.array_equal(gx, np.concatenate([item[1] for item in items]))
+    want = items[0][2].copy()
+    for item in items[1:]:
+        want += item[2]
+    assert np.array_equal(gw, want)
+
+
+def test_conv_weight_gradient_within_float32_tolerance_of_one_batch_gemm():
+    # the per-item sum moves the last bits of a batch's weight gradient
+    # against one GEMM over the whole batch's columns, by at most 1e-5 of
+    # its largest magnitude (4.9e-6 on the stock B=4 training step)
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((4, 6, 12, 300)).astype(np.float32)
+    w = rng.standard_normal((8, 6, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((4, 8, 12, 300)).astype(np.float32)
+    wt = Tensor(w, requires_grad=True)
+    ad.backward(ad.tsum(ad.mul_const(ad.conv2d(Tensor(x), wt), g)))
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, C, H, W, 3, 3)
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(6 * 9, -1)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, 8)
+    one_gemm = (g2.T @ cols.T).reshape(w.shape)
+    assert np.abs(wt.grad - one_gemm).max() <= 1e-5 * np.abs(one_gemm).max()
 
 
 def _composed_attention(q, k, v):
@@ -352,28 +404,59 @@ def test_attention_matches_composed_reference_bit_for_bit(bsz, t, d, dv, dtype, 
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("needs", [needs for needs in np.ndindex(2, 2, 2) if any(needs)],
+                         ids=lambda needs: "".join(name for name, need in zip("qkv", needs) if need))
+def test_attention_batch_equals_its_items_bit_for_bit(needs, dtype):
+    # the backward refills its one probability buffer for every item but the
+    # last: the recomputed probabilities must equal the forward's, so a
+    # batch's output and gradients equal its items' B=1 runs
+    rng = np.random.default_rng(31)
+    t = 2 * ad.ROW_BLOCK + 5
+    arrays = [rng.standard_normal((3, length, width)).astype(dtype)
+              for length, width in ((t, 8), (t + 7, 8), (t + 7, 6))]
+    g = rng.standard_normal((3, t, 6)).astype(dtype)
+
+    def run(sl):
+        leaves = [Tensor(a[sl], requires_grad=bool(need)) for a, need in zip(arrays, needs)]
+        out = ad.attention(*leaves)
+        ad.backward(ad.tsum(ad.mul_const(out, g[sl])))
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    batch = run(slice(None))
+    items = [run(slice(i, i + 1)) for i in range(3)]
+    for name, got, *want in zip(("out", "q", "k", "v"), batch, *items):
+        if got is None:
+            assert all(w is None for w in want), name
+        else:
+            assert np.array_equal(got, np.concatenate(want)), name
+
+
 def test_attention_holds_one_score_buffer():
-    # after the forward only the probabilities are held (one T*T buffer);
-    # the backward turns them into the score gradient in place, ROW_BLOCK
-    # rows at a time.  The composed reference reads 3.0 and 6.0; a second
-    # T*T buffer for the score gradient reads 2.1.
+    # after the forward only the last item's probabilities are held (one
+    # T*T buffer, whatever the batch size); the backward refills it for
+    # the other items and turns it into the score gradient in place,
+    # ROW_BLOCK rows at a time.  At B=1 the composed reference reads 3.0
+    # and 6.0, and a second T*T buffer for the score gradient reads 2.1;
+    # at B=3 a buffer per item reads 3.0 and 3.4.
     t = 1000
     buffer = t * t * 4
     rng = np.random.default_rng(0)
-    q, k, v = (Tensor(rng.standard_normal((1, t, 8)).astype(np.float32), requires_grad=True)
-               for _ in range(3))
-    r = rng.standard_normal((1, t, 8)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = ad.attention(q, k, v)
-        held = tracemalloc.get_traced_memory()[0] - base
-        ad.backward(ad.tsum(ad.mul_const(out, r)))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert held <= 1.1 * buffer, held / buffer
-    assert peak <= 1.25 * buffer, peak / buffer
+    for bsz in (1, 3):
+        q, k, v = (Tensor(rng.standard_normal((bsz, t, 8)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        r = rng.standard_normal((bsz, t, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.attention(q, k, v)
+            held = tracemalloc.get_traced_memory()[0] - base
+            ad.backward(ad.tsum(ad.mul_const(out, r)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * buffer, (bsz, held / buffer)
+        assert peak <= 1.25 * buffer, (bsz, peak / buffer)
 
 
 @pytest.mark.parametrize("shapes", [

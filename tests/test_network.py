@@ -250,8 +250,9 @@ def _inside(fn) -> bool:
 
 def test_backward_frees_attention_probabilities_during_the_pass(monkeypatch):
     # each node lets go of its saved arrays once its gradient has run, so
-    # the (B, T, T) probabilities are freed inside backward, while the
-    # caller still holds the loss and the logits
+    # attention's (T, T) probability buffer, which the forward kept for the
+    # last batch item and the backward refilled for the others, is freed
+    # inside backward, while the caller still holds the loss and the logits
     nodes = []
     fused = ad.attention
 
@@ -329,6 +330,33 @@ def test_forward_holds_only_what_backward_reads():
         tracemalloc.stop()
     assert logits["beat"].shape == (2, 200)
     assert held < 20 * feats.size * SMALL["channels"] * 4
+
+
+def test_training_step_builds_no_whole_batch_buffer():
+    # traced peak of a B=3 training step, in units of one branch-0 conv
+    # output (B x C x F x T float32): about 11.5 when conv's im2col buffers
+    # and attention's probabilities span one batch item; 13.3 with
+    # whole-batch im2col buffers, 15.5 with whole-batch probabilities and
+    # 17.2 with both
+    model = small_model()
+    rng = np.random.default_rng(13)
+    bsz, t = 3, 500
+    feats = rng.standard_normal((bsz, 22, t)).astype(np.float32)
+    beat = np.zeros((bsz, t), dtype=np.uint8)
+    beat[:, ::10] = 1
+    targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
+                              dynamic_class=rng.integers(0, 6, size=(bsz, t)),
+                              valid=np.ones((bsz, t), dtype=bool))
+    tracemalloc.start()
+    try:
+        logits = model.forward(feats, training=True)
+        loss, _ = obj.multitask_loss(logits, targets)
+        model.params.zero_grads()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5 * feats.size * SMALL["channels"] * 4
 
 
 def test_disabled_task_heads_get_zero_grad():
