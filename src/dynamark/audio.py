@@ -70,53 +70,27 @@ _SAMPLE_FORMATS = {
 }
 
 
-def _channel_sum(cols: list) -> np.ndarray:
-    """The channels summed into one float64 vector, in the order numpy's
-    pairwise ``add.reduce`` sums one row: one by one below 8 values, else
-    8 running partial sums folded as a tree, then the rest one by one;
-    above 128 values, the two halves apart.  So the sum divided by the
-    channel count equals ``mean(axis=1)`` of the float64 samples bit for
-    bit, float formats included.  ``chans.sum(axis=1, dtype=np.float64)``
-    gives the same bits but casts and reduces each short row on its own:
-    5x slower on stereo (0.38 s against 0.07 s for 320 s of 44.1 kHz int16).
-    """
-    n = len(cols)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        x = _channel_sum(cols[:half])
-        x += _channel_sum(cols[half:])
-        return x
-    if n < 8:
-        x, rest = cols[0].astype(np.float64), cols[1:]
-    else:
-        whole = n - n % 8
-        r = [cols[j].astype(np.float64) for j in range(8)]
-        for i in range(8, whole):
-            r[i % 8] += cols[i]
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            r[a] += r[b]
-        x, rest = r[0], cols[whole:]
-    for c in rest:
-        x += c
-    return x
-
-
 def _mono_normalised(raw: np.ndarray, path) -> np.ndarray:
     """Decoded WAV samples (N,) or (N, C) of ``path`` -> float64 mono at
     -1 dBFS peak.
 
-    One float64 vector is built: the channel sum, less the zero offset,
-    divided once by full scale times the channel count.  Integer channel
-    sums are exact and the scales are powers of two, so every sample is
-    the correctly rounded mean of the channels read as [-1, 1] floats,
-    the same bits as casting, dividing and averaging in turn.
+    One float64 vector is built: the channels summed left to right with
+    ``+=``, less the zero offset, divided once by full scale times the
+    channel count.  Integer channel sums are exact and the scales are
+    powers of two, so every sample is the correctly rounded mean of the
+    channels read as [-1, 1] floats, the same bits as casting, dividing
+    and averaging in turn.  Float channels are averaged in that
+    left-to-right order, not in numpy's pairwise order, so from 8
+    channels on their last bits can differ from ``mean(axis=1)``.
     """
     if raw.dtype not in _SAMPLE_FORMATS:
         raise DecodeError(f"unsupported WAV sample format: {raw.dtype}")
     scale, offset = _SAMPLE_FORMATS[raw.dtype]
     chans = raw.reshape(len(raw), -1)
     n_channels = chans.shape[1]
-    x = _channel_sum([chans[:, c] for c in range(n_channels)])
+    x = chans[:, 0].astype(np.float64)
+    for c in range(1, n_channels):
+        x += chans[:, c]
     if offset:
         x -= offset * n_channels
     x /= scale * n_channels

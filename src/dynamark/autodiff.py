@@ -12,6 +12,17 @@ reachable ``requires_grad`` tensor; call ``ParameterStore.zero_grads``
 (or ``Tensor.zero_grad``) between backward passes.  A backward pass
 consumes the graph it runs over, so each pass needs its own forward.
 
+A gradient changes hands once.  An op's backward gives ``_accum`` an
+array that no other pending gradient shares, and ``_accum`` keeps the
+first one that arrives for a node and adds later ones into it in place.
+Most backwards build a fresh array; ``reshape``, and ``transpose`` or
+``concat`` where the layout allows, hand on views of their incoming
+gradient (disjoint ones for ``concat``'s inputs), which nothing else
+holds once the engine has popped it.  ``add`` is the one op whose two
+inputs would get the same array (``_unbroadcast`` returns ``g`` itself
+when the shapes match), so when both need a gradient its second input
+gets a copy.
+
 A node holds only what its backward reads.  The graph links small
 ``_Node`` objects, not tensors: each keeps its op's backward closure,
 which captures only the arrays that backward reads, and the nodes of
@@ -46,14 +57,13 @@ class Tensor:
     ``_node``; a leaf that needs one is its own graph node.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "_needs")
+    __slots__ = ("data", "grad", "_node", "_needs")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _coerce(data)
-        self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._node: _Node | None = None
-        self._needs = self.requires_grad
+        self._needs = bool(requires_grad)
 
     # The graph as seen from a tensor: its node's parents and backward
     # closure (empty for a leaf).  ``bench/tracing.py`` wraps the closure
@@ -96,22 +106,21 @@ class Tensor:
             self.grad.fill(0.0)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self._needs})"
 
 
 class _Node:
-    """One op of the graph: its backward closure, the graph nodes of the
-    inputs that need a gradient, and the dtype of its output.  It holds no
-    output array (``data`` is None), so an op output that no backward
-    reads is freed as soon as the forward code drops its ``Tensor``."""
+    """One op of the graph: its backward closure and the graph nodes of
+    the inputs that need a gradient.  It holds no output array (``data``
+    is None), so an op output that no backward reads is freed as soon as
+    the forward code drops its ``Tensor``."""
 
-    __slots__ = ("_parents", "_backward", "dtype")
+    __slots__ = ("_parents", "_backward")
     data = None
 
-    def __init__(self, parents: tuple, backward, dtype):
+    def __init__(self, parents: tuple, backward):
         self._parents = parents
         self._backward = backward
-        self.dtype = dtype
 
 
 def _node_of(t: Tensor):
@@ -125,12 +134,11 @@ def _output(data: Array, parents: tuple, backward) -> Tensor:
     its inputs, and ``backward(g, grads)`` reads only what it captured."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = False
     out.grad = None
     if None in parents:
         parents = tuple(p for p in parents if p is not None)
     out._needs = bool(parents)
-    out._node = _Node(parents, backward, data.dtype) if parents else None
+    out._node = _Node(parents, backward) if parents else None
     return out
 
 
@@ -147,18 +155,16 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _accum(grads: dict, node, value: Array, owned: bool = False) -> None:
-    # ``owned``: the op built ``value`` for this call and reads it no more,
-    # so a first accumulation keeps it instead of copying it
+def _accum(grads: dict, node, value: Array) -> None:
+    # ``value`` shares no memory with another pending gradient (see the
+    # module docstring), so the first arrival keeps it and later ones add
     if node is None:
         return
     key = id(node)
     if key in grads:
         grads[key] += value
-    elif value.dtype != node.dtype:
-        grads[key] = value.astype(node.dtype)
     else:
-        grads[key] = value if owned else value.copy()
+        grads[key] = value
 
 
 def _released(g, grads) -> None:
@@ -220,7 +226,6 @@ class ParameterStore:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name!r}")
         t = data if isinstance(data, Tensor) else Tensor(data)
-        t.requires_grad = True
         t._needs = True
         self._entries[name] = t
         return t
@@ -255,8 +260,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
 
     def back(g, grads):
-        _accum(grads, na, _unbroadcast(g, sa))
-        _accum(grads, nb, _unbroadcast(g, sb))
+        ga, gb = _unbroadcast(g, sa), _unbroadcast(g, sb)
+        if gb is ga and na is not None and nb is not None:  # both would get ``g`` itself
+            gb = g.copy()
+        _accum(grads, na, ga)
+        _accum(grads, nb, gb)
 
     return _output(data, (na, nb), back)
 
@@ -432,7 +440,7 @@ def log_softmax(x: Tensor) -> Tensor:
 def take(x: Tensor, flat_indices) -> Tensor:
     """Gather entries of the flattened tensor; backward scatter-adds."""
     idx = np.asarray(flat_indices, dtype=np.intp)
-    data = x.data.reshape(-1)[idx].copy()
+    data = x.data.reshape(-1)[idx]
     nx, size, shape, dtype = _node_of(x), x.data.size, x.data.shape, x.data.dtype
 
     def back(g, grads):
@@ -854,8 +862,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
                 np.matmul(p, kt[i].T, out=gq[i])
             if gk is not None:
                 gk[i] = (qd[i].T @ p).T
-        _accum(grads, nq, gq, owned=True)
-        _accum(grads, nk, gk, owned=True)
-        _accum(grads, nv, gv, owned=True)
+        _accum(grads, nq, gq)
+        _accum(grads, nk, gk)
+        _accum(grads, nv, gv)
 
     return _output(data, (nq, nk, nv), back)

@@ -1,5 +1,6 @@
 """Frontend tests: decoding, STFT, specific loudness, log-mel, files."""
 
+import functools
 import math
 import tracemalloc
 
@@ -128,8 +129,11 @@ def test_decode_rejects_non_finite_and_unsupported_samples(tmp_path, bad, match)
 def _reference_mono_normalised(raw):
     """Cast and scale to float64, average the channels, normalise the
     peak: the decode steps that ``audio._mono_normalised`` replaced, kept
-    as its reference.  None where the audio is not finite; a subnormal
-    peak scales by inf, into NaN and inf samples."""
+    as its reference.  Float channels are summed left to right before
+    the division by their count; integer ones are averaged by
+    ``mean(axis=1)``, whose pairwise order gives the same exact sums.
+    None where the audio is not finite; a subnormal peak scales by inf,
+    into NaN and inf samples."""
     if raw.dtype == np.int16:
         x = raw.astype(np.float64) / 32768.0
     elif raw.dtype == np.int32:
@@ -138,7 +142,9 @@ def _reference_mono_normalised(raw):
         x = (raw.astype(np.float64) - 128.0) / 128.0
     else:
         x = raw.astype(np.float64)
-    if x.ndim == 2:
+    if x.ndim == 2 and raw.dtype.kind == "f":
+        x = functools.reduce(np.add, x.T) / x.shape[1]
+    elif x.ndim == 2:
         x = x.mean(axis=1)
     peak = np.abs(x).max()
     if not np.isfinite(peak):

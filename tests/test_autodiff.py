@@ -532,6 +532,48 @@ def test_backward_accumulates_and_doubles():
     np.testing.assert_allclose(once, np.tile(x.data.sum(axis=1), (2, 1)))
 
 
+def test_add_gives_its_inputs_separate_gradients():
+    # the add's term comes first, so its backward runs first and leaves
+    # both inputs pending; then each input's other consumer adds into that
+    # input's gradient in place.  Had the add given both the same array,
+    # the other input's gradient (and the leaf's, a view through reshape)
+    # would change with it.
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    c = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    u, v = ad.reshape(x, (3, 2)), ad.reshape(x, (3, 2))
+    loss = ad.add(ad.add(ad.tsum(ad.add(u, v)), ad.tsum(ad.mul_const(v, c))),
+                  ad.tsum(ad.mul_const(u, 10.0 * c)))
+    ad.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 + 11.0 * c.reshape(2, 3))
+
+
+def test_shape_only_backward_holds_one_gradient():
+    # tsum's backward builds the one gradient buffer; reshape and a
+    # layout-keeping transpose hand views of it on, and the zero-grad leaf
+    # adds it in place.  Copying each gradient on arrival reads 2.0 buffers.
+    x = Tensor(np.ones((1024, 2048), dtype=np.float32), requires_grad=True)
+    x.zero_grad()
+    y = ad.reshape(ad.transpose(ad.reshape(x, (1, 1024, 2048)), (1, 0, 2)), (1024, 2048))
+    loss = ad.tsum(y)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x.grad, 1.0)
+    assert peak < 1.5 * x.data.nbytes, peak / x.data.nbytes
+
+
+def test_gradient_flag_is_set_once():
+    x = Tensor(np.ones(3), requires_grad=True)
+    assert "requires_grad=True" in repr(x)
+    assert "requires_grad=False" in repr(ad.relu(Tensor(np.ones(3))))
+    with pytest.raises(AttributeError):
+        x.requires_grad = False  # the flag is fixed at construction or by ParameterStore.add
+
+
 def test_second_backward_over_one_graph_raises():
     # the first pass releases the graph and overwrites attention's saved
     # probabilities; a second pass must not read what is left

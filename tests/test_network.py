@@ -240,6 +240,33 @@ def test_gradient_reaches_every_parameter():
         assert tensor.grad is not None and np.any(tensor.grad != 0.0), f"dead parameter {name}"
 
 
+def test_pending_gradients_share_no_memory(monkeypatch):
+    # each array that reaches the pending gradients of a training step is
+    # its own: an in-place add into one never changes another
+    accum, checked = ad._accum, []
+
+    def checked_accum(grads, node, value):
+        accum(grads, node, value)
+        if node is not None:
+            mine = grads[id(node)]
+            assert not any(np.shares_memory(mine, other) for key, other in grads.items() if key != id(node))
+            checked.append(node)
+
+    monkeypatch.setattr(ad, "_accum", checked_accum)
+    model = small_model()
+    rng = np.random.default_rng(11)
+    feats = np.stack([rand_features(rng, t=40), rand_features(rng, t=40)])
+    beat = np.zeros((2, 40), dtype=np.uint8)
+    beat[:, ::10] = 1
+    targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
+                              dynamic_class=rng.integers(0, 6, size=(2, 40)),
+                              valid=np.ones((2, 40), dtype=bool))
+    loss, _ = obj.multitask_loss(model.forward(feats, training=True), targets)
+    model.params.zero_grads()
+    ad.backward(loss)
+    assert len(checked) > 100
+
+
 def _inside(fn) -> bool:
     """Whether a call of ``fn`` is on the current stack."""
     frame = sys._getframe()
