@@ -354,7 +354,8 @@ def save_features(path, values: np.ndarray, kind: str) -> None:
 
 
 def load_features(path) -> tuple[np.ndarray, str]:
-    """Read a DYNF file back; bit-exact round trip with save_features."""
+    """Read a DYNF file back; bit-exact round trip with save_features.
+    A file holding NaN or infinite values is refused."""
     blob = Path(path).read_bytes()
     if len(blob) < 17 or blob[:4] != FEATURE_MAGIC:
         raise DecodeError(f"{path}: not a DYNF feature file")
@@ -367,4 +368,6 @@ def load_features(path) -> tuple[np.ndarray, str]:
     if len(payload) != rows * cols * 4:
         raise DecodeError(f"{path}: truncated payload ({len(payload)} bytes for {rows}x{cols})")
     values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+    if not np.isfinite(values).all():
+        raise DecodeError(f"{path}: feature values are not all finite")
     return values, FEATURE_KIND_NAMES[kind_id]

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .trainer import (
 SEED_ENV_VAR = "DYNAMARK_SEED"
 # Each command's option defaults; annotate takes the feature kind of its checkpoint.
 DEFAULTS = {"extract": {"feature": "bssl"},
-            "train": {**ModelConfig().as_dict(), **TrainConfig().as_dict(), "feature": "bssl", "k_folds": 5},
+            "train": {**asdict(ModelConfig()), **asdict(TrainConfig()), "feature": "bssl", "k_folds": 5},
             "eval": {}, "annotate": {}}
 
 
@@ -160,11 +160,13 @@ def _extract_one(wav_path: str, out_path: str, kind: str) -> dict:
 
 def cmd_extract(opts: dict) -> tuple[int, dict]:
     start = time.monotonic()
+    workers = 1 if opts["workers"] is None else opts["workers"]
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     audio_dir = Path(opts["audio_dir"])
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = opts["feature"]
-    workers = opts["workers"] or 1
     wavs = sorted(audio_dir.glob("*.wav"))
     results, outputs, failures = [], [], 0
     if not wavs:
@@ -239,8 +241,8 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
               "folds": folds,
               "per_fold": per_fold,
               **fold_table([f["val"] for f in per_fold]),
-              "model_config": model_cfg.as_dict(),
-              "train_config": train_cfg.as_dict()}
+              "model_config": asdict(model_cfg),
+              "train_config": asdict(train_cfg)}
     summary_path = out_dir / "summary.json"
     _write_json(summary_path, report)
     outputs.append(summary_path)

@@ -19,7 +19,7 @@ stays exactly 8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,6 @@ LATENT_DIM = 8
 NUM_EXPERTS = 8
 # Keeps expert e's second conv on its own 8 first-conv channels.
 EXPERT_BLOCKS = np.kron(np.eye(NUM_EXPERTS), np.ones((LATENT_DIM, LATENT_DIM)))[:, :, None]
-
-
-# Settings older checkpoints record although they cannot vary.
-FIXED_CONFIG = {"latent_dim": LATENT_DIM, "num_experts": NUM_EXPERTS,
-                "num_dynamic_classes": N_DYNAMIC_CLASSES, "num_tasks": len(TASKS)}
 
 
 @dataclass
@@ -53,17 +48,6 @@ class ModelConfig:
             raise ConfigError(f"scaling_factor must be >= 1, got {self.scaling_factor}")
         if min(self.channels, self.blocks_per_branch, self.attention_dim, self.input_bins) < 1:
             raise ConfigError("all widths must be >= 1")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key, value in FIXED_CONFIG.items():
-            if (got := d.pop(key, value)) != value:
-                raise ConfigError(f"{key} is fixed at {value}, got {got!r}")
-        return cls(**d)
 
 
 class DynamicsModel:

@@ -182,22 +182,16 @@ def masked_ce(dyn_logits: Tensor, dynamic_class: np.ndarray, beat_mask: np.ndarr
     return ad.scale(ad.tsum(ad.neg(picked)), 1.0 / rows.size)
 
 
-def multitask_loss(logits: dict[str, Tensor], targets: TargetBatch, enabled_tasks=TASKS):
-    """Sum of the task losses over ``TASKS``, a task outside ``enabled_tasks``
-    adding zero; returns (scalar Tensor, LossReport).  ``logits`` is keyed
-    by ``TASKS``, as ``DynamicsModel.forward`` returns them."""
+def multitask_loss(logits: dict[str, Tensor], targets: TargetBatch):
+    """Sum of the task losses over ``TASKS``; returns (scalar Tensor,
+    LossReport).  ``logits`` is keyed by ``TASKS``, as
+    ``DynamicsModel.forward`` returns them."""
     if not isinstance(logits, dict) or logits.keys() != set(TASKS):
         got = sorted(logits) if isinstance(logits, dict) else type(logits).__name__
         raise ConfigError(f"multitask_loss expects logits keyed by {', '.join(TASKS)}, got {got}")
-    if unknown := [task for task in enabled_tasks if task not in TASKS]:
-        raise ConfigError(f"multitask_loss: unknown enabled_tasks {', '.join(unknown)}; "
-                          f"expected some of {', '.join(TASKS)}")
-    zero = Tensor(np.zeros((), dtype=logits["beat"].data.dtype))
     terms = {}
     for task in TASKS:
-        if task not in enabled_tasks:
-            terms[task] = zero
-        elif task == "dynamics":
+        if task == "dynamics":
             terms[task] = masked_ce(logits[task], targets.dynamic_class, targets.beat, valid=targets.valid)
         else:
             terms[task] = shift_tolerant_wbce(logits[task], getattr(targets, task), valid=targets.valid)

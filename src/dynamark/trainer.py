@@ -21,10 +21,10 @@ from . import parallel
 from .autodiff import ParameterStore
 from .audio import FPS
 from .dataset import Recording, Segment, crop_window, make_segments, time_to_frame, window_starts
-from .errors import CheckpointError, ShapeError, TrainingError
+from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from .metrics import mean_std, score_recording
-from .network import DynamicsModel, ModelConfig
-from .objectives import TASKS, TargetBatch, multitask_loss
+from .network import LATENT_DIM, NUM_EXPERTS, DynamicsModel, ModelConfig
+from .objectives import N_DYNAMIC_CLASSES, TASKS, TargetBatch, multitask_loss
 from .postprocess import build_event_report, markings_at_beats
 
 CHECKPOINT_MAGIC = b"DYNC"
@@ -45,12 +45,9 @@ class TrainConfig:
     batch_size: int = 10
     epochs: int = 120
     seed: int = 86
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.01
     segment_s: int = 60
     augment_overlap: bool = True
-    enabled_tasks: tuple[str, ...] = TASKS
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf or self.batch_size < 1:  # a NaN lr fails the comparison too
@@ -59,10 +56,6 @@ class TrainConfig:
             raise TrainingError(f"invalid training config: weight_decay={self.weight_decay}, must be finite and >= 0")
         if self.epochs < 1:
             raise TrainingError(f"invalid training config: epochs={self.epochs}, must be >= 1")
-        if not self.enabled_tasks:
-            raise TrainingError("enabled_tasks must not be empty")
-        if unknown := [task for task in self.enabled_tasks if task not in TASKS]:
-            raise TrainingError(f"unknown enabled_tasks {', '.join(unknown)}; expected some of {', '.join(TASKS)}")
         if self.segment_s < 1:
             raise TrainingError(f"invalid training config: segment_s={self.segment_s}, must be >= 1 second")
 
@@ -72,38 +65,22 @@ class TrainConfig:
         hops with overlap augmentation, else the eval tiling."""
         return "train" if self.augment_overlap else "eval"
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["betas"] = list(self.betas)
-        d["enabled_tasks"] = list(self.enabled_tasks)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["betas"] = tuple(d.get("betas", (0.9, 0.999)))
-        d["enabled_tasks"] = tuple(d.get("enabled_tasks", TASKS))
-        return cls(**d)
-
 
 class AdamW:
-    """Decoupled weight-decay Adam with bias correction.
+    """Decoupled weight-decay Adam with bias correction, at fixed moment
+    decay rates ``BETAS`` and denominator offset ``EPS``."""
 
-    A parameter that has never received a nonzero gradient is left
-    untouched (no decay either), so heads of disabled tasks stay at
-    their initial values exactly.
-    """
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
 
-    def __init__(self, store: ParameterStore, lr: float = 3e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, store: ParameterStore, lr: float = 3e-4, weight_decay: float = 0.01):
         self.store = store
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.state: dict[str, dict] = {}
 
     def step(self) -> None:
+        beta1, beta2 = self.BETAS
         for name, p in self.store.items():
             g = p.grad
             if g is None:
@@ -112,8 +89,6 @@ class AdamW:
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
             entry = self.state.get(name)
             if entry is None:
-                if not g.any():
-                    continue
                 entry = self.state[name] = {
                     "step": 0,
                     "m": np.zeros_like(p.data, dtype=np.float32),
@@ -123,15 +98,15 @@ class AdamW:
             t = entry["step"]
             m, v = entry["m"], entry["v"]
             g32 = g.astype(np.float32, copy=False)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g32
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g32 * g32)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
+            m *= beta1
+            m += (1.0 - beta1) * g32
+            v *= beta2
+            v += (1.0 - beta2) * (g32 * g32)
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def zero_grad(self) -> None:
         self.store.zero_grads()
@@ -158,6 +133,24 @@ class Checkpoint:
                    val_summary=dict(val_summary or {}))
 
 
+# Settings that older files record although no run can change them, by
+# config section; each is read at its one value and refused at any other.
+RETIRED_CONFIG = {
+    "model_config": {"latent_dim": LATENT_DIM, "num_experts": NUM_EXPERTS,
+                     "num_dynamic_classes": N_DYNAMIC_CLASSES, "num_tasks": len(TASKS)},
+    "train_config": {"betas": list(AdamW.BETAS), "eps": AdamW.EPS, "enabled_tasks": list(TASKS)},
+}
+
+
+def _drop_retired(section: str, recorded: dict) -> dict:
+    """A config section as a file records it, less its retired keys."""
+    kept = dict(recorded)
+    for key, value in RETIRED_CONFIG[section].items():
+        if (got := kept.pop(key, value)) != value:
+            raise ConfigError(f"{key} is fixed at {value}, got {got!r}")
+    return kept
+
+
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr, dtype="<f4")
     raw = name.encode("utf-8")
@@ -168,8 +161,8 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
     config_blob = json.dumps({
-        "model_config": cp.model_config.as_dict(),
-        "train_config": cp.train_config.as_dict(),
+        "model_config": asdict(cp.model_config),
+        "train_config": asdict(cp.train_config),
         "epoch": cp.epoch,
         "val_summary": cp.val_summary,
     }).encode("utf-8")
@@ -220,8 +213,8 @@ def load_checkpoint(path) -> Checkpoint:
             arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
             offset += 4 * count
             tensors[name] = arr.copy()
-        model_cfg = ModelConfig.from_dict(config["model_config"])
-        train_cfg = TrainConfig.from_dict(config["train_config"])
+        model_cfg = ModelConfig(**_drop_retired("model_config", config["model_config"]))
+        train_cfg = TrainConfig(**_drop_retired("train_config", config["train_config"]))
         epoch, val_summary = config["epoch"], config["val_summary"]
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint body: {exc!r}") from exc
@@ -349,8 +342,7 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
     for rec in train_recordings:
         segments.extend(make_segments(rec.features, rec.targets, rec.recording_id,
                                       window_s=train_cfg.segment_s, mode=train_cfg.tiling))
-    optimizer = AdamW(model.params, lr=train_cfg.lr, betas=train_cfg.betas,
-                      eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
+    optimizer = AdamW(model.params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
     history = {"step_losses": [], "epoch_losses": [], "val_mean_f1": []}
     best: Checkpoint | None = None
@@ -359,7 +351,7 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
         epoch_losses = []
         for feats, targets in _batches(segments, train_cfg.batch_size, rng):
             logits = model.forward(feats, training=True)
-            loss, report = multitask_loss(logits, targets, train_cfg.enabled_tasks)
+            loss, report = multitask_loss(logits, targets)
             optimizer.zero_grad()
             ad.backward(loss)
             optimizer.step()

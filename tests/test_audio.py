@@ -469,6 +469,9 @@ def test_feature_file_errors(tmp_path):
     (tmp_path / "ver.dynf").write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
     with pytest.raises(DecodeError, match="version"):
         audio.load_features(tmp_path / "ver.dynf")
+    audio.save_features(tmp_path / "inf.dynf", np.array([[0.0, np.inf, 1.0]], dtype=np.float32), "bssl")
+    with pytest.raises(DecodeError, match="inf.dynf: feature values are not all finite"):
+        audio.load_features(tmp_path / "inf.dynf")
 
 
 @pytest.fixture(scope="module")

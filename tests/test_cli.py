@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from dynamark.audio import load_features
-from dynamark.cli import _labels_at_reference_beats, main, parse_config_file
+from dynamark.audio import load_features, save_features
+from dynamark.cli import _flags, _labels_at_reference_beats, build_parser, main, parse_config_file
 from dynamark.errors import ConfigError
+from dynamark.network import ModelConfig
 from dynamark.objectives import DYNAMIC_LABELS
+from dynamark.trainer import TrainConfig
 
 from _synth import write_corpus
 
@@ -50,6 +53,15 @@ def test_extract_parallel_identical_bytes(corpus, extracted, tmp_path):
     assert code == 0
     for path in sorted(out.glob("*.dynf")):
         assert path.read_bytes() == (extracted / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_extract_workers_below_one_exit_1(corpus, tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    code = main(["extract", "--audio-dir", str(corpus / "audio"), "--out-dir", str(out), "--workers", workers])
+    assert code == 1
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extract_skip_then_force_identical(corpus, extracted):
@@ -190,6 +202,20 @@ def test_train_non_finite_beat_time_exit_1(corpus, extracted, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1"])
     assert code == 1
     assert f"{beats_csv.name}: row 4: beat time 'nan' is not finite" in capsys.readouterr().err
+
+
+def test_train_non_finite_feature_exit_1(corpus, extracted, tmp_path, capsys):
+    # a NaN frame used to be scored in validation, or blamed on a parameter in training
+    features = tmp_path / "features"
+    shutil.copytree(extracted, features)
+    dynf = sorted(features.glob("*.dynf"))[0]
+    values, kind = load_features(dynf)
+    values[3, 50] = np.nan
+    save_features(dynf, values, kind)
+    code = main(["train", "--features-dir", str(features), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1"])
+    assert code == 1
+    assert f"{dynf}: feature values are not all finite" in capsys.readouterr().err
 
 
 def test_train_non_utf8_annotation_exit_1(corpus, extracted, tmp_path, capsys):
@@ -772,7 +798,6 @@ def test_version_and_help_exit_0(capsys, flag):
 
 def test_feature_choices_come_from_feature_bins(monkeypatch):
     from dynamark import audio
-    from dynamark.cli import build_parser
 
     monkeypatch.setitem(audio.FEATURE_BINS, "cqt", 84)
     parser = build_parser()
@@ -780,6 +805,14 @@ def test_feature_choices_come_from_feature_bins(monkeypatch):
                  ["train", "--features-dir", "a", "--annotations-dir", "b", "--out-dir", "c"],
                  ["annotate", "x.wav", "--checkpoint", "c"]):
         assert parser.parse_args(argv + ["--feature", "cqt"]).feature == "cqt"
+
+
+def test_every_config_field_is_a_train_option():
+    # a field that no flag sets is a setting that no run can change
+    options = _flags(build_parser(), "train")
+    unreachable = [f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)
+                   if f.name != "input_bins" and f.name not in options]  # the feature kind sets input_bins
+    assert unreachable == []
 
 
 def test_exit_code_for_missing_input(tmp_path):

@@ -386,34 +386,6 @@ def test_training_step_builds_no_whole_batch_buffer():
     assert peak < 12.5 * feats.size * SMALL["channels"] * 4
 
 
-def test_disabled_task_heads_get_zero_grad():
-    model = small_model()
-    rng = np.random.default_rng(12)
-    feats = rand_features(rng, t=40)
-    beat = np.zeros((1, 40), dtype=np.uint8)
-    beat[:, ::10] = 1
-    targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
-                              dynamic_class=np.zeros((1, 40), dtype=np.int64),
-                              valid=np.ones((1, 40), dtype=bool))
-    logits = model.forward(feats, training=True)
-    loss, _ = obj.multitask_loss(logits, targets, enabled_tasks=("beat",))
-    model.params.zero_grads()
-    ad.backward(loss)
-    for task in ("dynamics", "change_point", "downbeat"):
-        assert not model.params[f"head_{task}.w"].grad.any()
-        assert not model.params[f"gate_{task}.w"].grad.any()
-    assert model.params["head_beat.w"].grad.any()
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(scaling_factor=0)
-    # the fixed settings exist only as keys of older checkpoint files
-    with pytest.raises(ConfigError, match="latent_dim"):
-        ModelConfig.from_dict({"latent_dim": 16})
-    with pytest.raises(ConfigError, match="num_dynamic_classes"):
-        ModelConfig.from_dict({"num_dynamic_classes": 5})
-    with pytest.raises(ConfigError, match="num_tasks"):
-        ModelConfig.from_dict({"num_tasks": 7})
-    fixed = {"latent_dim": 8, "num_experts": 8, "num_dynamic_classes": 6, "num_tasks": 4}
-    assert ModelConfig.from_dict({**fixed, "channels": 4}) == ModelConfig(channels=4)
