@@ -627,12 +627,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _conv_same("conv2d", x, w, b)
 
 
-def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
-    """Transposed 1D convolution with kernel size == stride.
+def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Transposed 1D convolution whose stride is its kernel size.
 
-    ``x`` is (B, C_in, T), ``w`` is (C_in, C_out, K) with K == stride, so
-    the output length is exactly ``T * stride`` (inverse of a stride-K
-    max-pool's length change).
+    ``x`` is (B, C_in, T), ``w`` is (C_in, C_out, K), so the output length
+    is exactly ``T * K`` (inverse of a stride-K max-pool's length change).
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv_transpose1d: expected x (B,C,T) and w (I,O,K), got {x.data.shape} and {w.data.shape}")
@@ -640,8 +639,6 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     win_c, cout, k = w.data.shape
     if win_c != cin:
         raise ShapeError(f"conv_transpose1d: expected {win_c} input channels, got {cin}")
-    if k != stride:
-        raise ShapeError(f"conv_transpose1d: kernel size {k} must equal stride {stride}")
     x2 = x.data.transpose(0, 2, 1).reshape(bsz * t, cin)
     w2 = w.data.reshape(cin, cout * k)
     y = (x2 @ w2).reshape(bsz, t, cout, k)

@@ -26,7 +26,7 @@ from . import __version__, parallel
 from .audio import (FEATURE_BINS, FPS, bssl, decode_and_prepare, extract_features, log_mel, save_features,
                     stft_power, total_loudness)
 from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
-from .errors import ConfigError, DynamarkError, SchemaError
+from .errors import CheckpointError, ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
 from .network import ModelConfig
 from .postprocess import EventReport, check_times, snap_to_nearest
@@ -122,14 +122,14 @@ def build_configs(resolved: dict) -> tuple[ModelConfig, TrainConfig]:
 
 
 def write_manifest(path, command: str, resolved: dict, inputs, outputs,
-                   seed, wall_clock_s: float) -> None:
+                   wall_clock_s: float) -> None:
     """Atomic write (tmp + rename) next to the outputs."""
     manifest = {
         "command": command,
         "resolved_options": {k: v for k, v in sorted(resolved.items())},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "seed": resolved.get("seed"),
         "tool_version": __version__,
         "wall_clock_s": round(wall_clock_s, 3),
     }
@@ -197,7 +197,7 @@ def cmd_extract(opts: dict) -> tuple[int, dict]:
             outputs.append(Path(entry["output"]))
     report = {"feature": kind, "files": results, "n_failed": failures}
     write_manifest(out_dir / "extract_manifest.json", "extract", opts,
-                   [audio_dir], outputs, seed=None, wall_clock_s=time.monotonic() - start)
+                   [audio_dir], outputs, wall_clock_s=time.monotonic() - start)
     return (1 if failures else 0), report
 
 
@@ -248,7 +248,7 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
     outputs.append(summary_path)
     write_manifest(out_dir / "train_manifest.json", "train", opts,
                    [opts["features_dir"], opts["annotations_dir"]], outputs,
-                   seed=train_cfg.seed, wall_clock_s=time.monotonic() - start)
+                   wall_clock_s=time.monotonic() - start)
     return 0, report
 
 
@@ -326,8 +326,7 @@ def cmd_eval(opts: dict) -> tuple[int, dict]:
         manifest_dir = pred if pred.is_dir() else pred.parent
     write_manifest(manifest_dir / "eval_manifest.json", "eval", opts,
                    [opts["predictions"], opts["references"]],
-                   [out_path] if out_path else [], seed=None,
-                   wall_clock_s=time.monotonic() - start)
+                   [out_path] if out_path else [], wall_clock_s=time.monotonic() - start)
     return 0, report
 
 
@@ -353,7 +352,10 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     start = time.monotonic()
     audio_path = Path(opts["audio"])
     cp = load_checkpoint(opts["checkpoint"])
-    model = model_from_checkpoint(cp)
+    try:
+        model = model_from_checkpoint(cp)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{opts['checkpoint']}: {exc}") from exc
     bins = cp.model_config.input_bins
     kind = next((k for k, n in FEATURE_BINS.items() if n == bins), None)
     if kind is None:
@@ -387,8 +389,7 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
                 fh.write(f"{i / FPS:.3f},{value:.5f}\n")
         outputs.append(loud_path)
     write_manifest(Path(f"{prefix}.manifest.json"), "annotate", opts,
-                   [audio_path, opts["checkpoint"]], outputs, seed=None,
-                   wall_clock_s=time.monotonic() - start)
+                   [audio_path, opts["checkpoint"]], outputs, wall_clock_s=time.monotonic() - start)
     return 0, report.to_json_dict()
 
 

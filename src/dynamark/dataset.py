@@ -187,8 +187,6 @@ def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
         cls = LABEL_TO_CLASS[ann.markings[i]]
         end = frames[i + 1] if i + 1 < len(frames) else n_frames
         dynamic_class[frame:end] = cls
-    if frames and frames[-1] < n_frames:
-        dynamic_class[frames[-1]:] = LABEL_TO_CLASS[ann.markings[-1]]
     targets = FrameTargets(beat=beat, downbeat=downbeat, change_point=change_point,
                            dynamic_class=dynamic_class)
     targets.validate()

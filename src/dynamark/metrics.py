@@ -14,7 +14,7 @@ from the macro mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class F1Result:
         f1 = 2 * p * r / (p + r) if p + r else 0.0
         return cls(p, r, f1, tp, fp, fn)
 
-    def as_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1,
-                "tp": self.tp, "fp": self.fp, "fn": self.fn}
-
 
 def event_f1(pred, ref, tol: float = EVENT_TOLERANCE_S) -> F1Result:
     """F1 of time-stamped events matched one-to-one within ``tol`` seconds.
@@ -71,18 +67,13 @@ def event_f1(pred, ref, tol: float = EVENT_TOLERANCE_S) -> F1Result:
 
 @dataclass
 class DynamicsF1:
-    """Per-class results plus the macro mean over classes present."""
+    """Per-class results plus the macro mean over classes present.  The
+    field order is the key order of an ``eval`` report's ``dynamics`` detail."""
 
+    macro_f1: float | None = None
     per_class: dict[str, F1Result] = field(default_factory=dict)
     present_classes: list[str] = field(default_factory=list)
-    macro_f1: float | None = None
     n_beats_evaluated: int = 0
-
-    def as_dict(self) -> dict:
-        return {"macro_f1": self.macro_f1,
-                "per_class": {c: r.as_dict() for c, r in self.per_class.items()},
-                "present_classes": self.present_classes,
-                "n_beats_evaluated": self.n_beats_evaluated}
 
 
 def dynamics_macro_f1(pred_labels, ref_labels) -> DynamicsF1:
@@ -138,8 +129,8 @@ def score_recording(pred, ref_beats, ref_downbeats, ref_change_point_beats,
     cpt = changepoint_f1(snap_to_nearest(pred.change_points, ref_beats), ref_change_point_beats)
     return {"beat_f1": beat.f1, "downbeat_f1": downbeat.f1,
             "dynamics_f1": dynamics.macro_f1, "change_point_f1": cpt.f1,
-            "detail": {"beat": beat.as_dict(), "downbeat": downbeat.as_dict(),
-                       "dynamics": dynamics.as_dict(), "change_point": cpt.as_dict()}}
+            "detail": {"beat": asdict(beat), "downbeat": asdict(downbeat),
+                       "dynamics": asdict(dynamics), "change_point": asdict(cpt)}}
 
 
 def mean_std(values) -> dict:

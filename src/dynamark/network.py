@@ -95,7 +95,7 @@ class DynamicsModel:
             self._weight_bias(rng, f"{prefix}.out", (LATENT_DIM, cfg.channels))
             for stage in range(b):
                 self._weight_bias(rng, f"{prefix}.up{stage}",  # (in, out, k)
-                                  (LATENT_DIM, LATENT_DIM, max(cfg.scaling_factor, 1)), out_axis=1)
+                                  (LATENT_DIM, LATENT_DIM, cfg.scaling_factor), out_axis=1)
         if cfg.use_mmoe:
             for e in range(NUM_EXPERTS):
                 self._weight_bias(rng, f"expert{e}.conv0", (LATENT_DIM, LATENT_DIM, 3))
@@ -145,7 +145,7 @@ class DynamicsModel:
         h = ad.transpose(h, (0, 2, 1))  # (B, 8, t)
         for stage in range(b):
             h = ad.conv_transpose1d(h, self.params[f"{prefix}.up{stage}.w"],
-                                    self.params[f"{prefix}.up{stage}.b"], stride=s)
+                                    self.params[f"{prefix}.up{stage}.b"])
         return h  # (B, 8, T_padded)
 
     def encode(self, features: np.ndarray, training: bool = False) -> Tensor:

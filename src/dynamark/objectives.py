@@ -22,8 +22,8 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 TASKS = ("dynamics", "change_point", "beat", "downbeat")
-N_DYNAMIC_CLASSES = 6
 DYNAMIC_LABELS = ("blank", "pp", "p", "mf", "f", "ff")
+N_DYNAMIC_CLASSES = len(DYNAMIC_LABELS)
 LABEL_TO_CLASS = {label: i for i, label in enumerate(DYNAMIC_LABELS)}
 
 SHIFT_TOLERANCE = 3  # frames (+-60 ms at 50 fps)

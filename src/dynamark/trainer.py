@@ -77,26 +77,23 @@ class AdamW:
         self.store = store
         self.lr = lr
         self.weight_decay = weight_decay
-        self.state: dict[str, dict] = {}
+        self.steps = 0  # the bias-correction step count t, one for all parameters
+        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # name -> (m, v)
 
     def step(self) -> None:
         beta1, beta2 = self.BETAS
+        self.steps += 1
+        t = self.steps
         for name, p in self.store.items():
             g = p.grad
             if g is None:
                 continue
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
-            entry = self.state.get(name)
-            if entry is None:
-                entry = self.state[name] = {
-                    "step": 0,
-                    "m": np.zeros_like(p.data, dtype=np.float32),
-                    "v": np.zeros_like(p.data, dtype=np.float32),
-                }
-            entry["step"] += 1
-            t = entry["step"]
-            m, v = entry["m"], entry["v"]
+            if name not in self.moments:
+                self.moments[name] = (np.zeros_like(p.data, dtype=np.float32),
+                                      np.zeros_like(p.data, dtype=np.float32))
+            m, v = self.moments[name]
             g32 = g.astype(np.float32, copy=False)
             m *= beta1
             m += (1.0 - beta1) * g32
@@ -118,7 +115,6 @@ class AdamW:
 
 @dataclass
 class Checkpoint:
-    version: int
     model_config: ModelConfig
     train_config: TrainConfig
     state: dict[str, np.ndarray]  # as DynamicsModel.state_dict() returns it
@@ -128,9 +124,8 @@ class Checkpoint:
     @classmethod
     def from_model(cls, model: DynamicsModel, train_config: TrainConfig,
                    epoch: int, val_summary: dict | None = None) -> "Checkpoint":
-        return cls(version=CHECKPOINT_VERSION, model_config=model.cfg,
-                   train_config=train_config, state=model.state_dict(), epoch=epoch,
-                   val_summary=dict(val_summary or {}))
+        return cls(model_config=model.cfg, train_config=train_config,
+                   state=model.state_dict(), epoch=epoch, val_summary=dict(val_summary or {}))
 
 
 # Settings that older files record although no run can change them, by
@@ -170,7 +165,7 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     body += struct.pack("<I", len(cp.state))
     for name, arr in sorted(cp.state.items()):
         body += _pack_tensor(name, arr)
-    blob = CHECKPOINT_MAGIC + struct.pack("<I", cp.version)
+    blob = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
     blob += struct.pack("<I", zlib.crc32(body)) + body
     # tmp + rename, so a write that fails midway leaves the old file intact
     tmp = f"{path}.tmp"
@@ -218,7 +213,9 @@ def load_checkpoint(path) -> Checkpoint:
         epoch, val_summary = config["epoch"], config["val_summary"]
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint body: {exc!r}") from exc
-    return Checkpoint(version=version, model_config=model_cfg, train_config=train_cfg,
+    except (ConfigError, TrainingError) as exc:  # the recorded configs' own checks
+        raise type(exc)(f"{path}: {exc}") from exc
+    return Checkpoint(model_config=model_cfg, train_config=train_cfg,
                       state=tensors, epoch=epoch, val_summary=val_summary)
 
 

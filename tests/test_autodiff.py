@@ -91,7 +91,7 @@ def _case_conv_transpose1d(rng):
     w = rand_leaf(rng, (3, 2, 5))
     b = rand_leaf(rng, (2,))
     r = np.asarray(rng.standard_normal((2, 2, 20)), dtype=np.float64)
-    return lambda x, w, b: ad.tsum(ad.mul_const(ad.conv_transpose1d(x, w, b, stride=5), r)), [x, w, b]
+    return lambda x, w, b: ad.tsum(ad.mul_const(ad.conv_transpose1d(x, w, b), r)), [x, w, b]
 
 
 def _case_linear(rng):
@@ -494,7 +494,7 @@ def test_maxpool_then_transpose_restores_length():
     pooled = ad.maxpool1d(x, 5)
     assert pooled.shape == (1, 2, 600)
     w = Tensor(rng.standard_normal((2, 2, 5)).astype(np.float32))
-    up = ad.conv_transpose1d(pooled, w, stride=5)
+    up = ad.conv_transpose1d(pooled, w)
     assert up.shape == (1, 2, 3000)
 
 

@@ -9,8 +9,10 @@ workloads' ``_step`` calls ``forward``,
 ``multitask_loss``, the report's ``total`` and ``AdamW``, and the
 ``fit`` workload's ``common.fit_to_target`` calls ``TrainConfig``,
 ``train_model`` with ``log`` and ``stop_when``, and reads the history's
-``step_losses`` and the best checkpoint's ``val_summary``; a change to
-any of them would only surface as a failed benchmark run.
+``step_losses`` and the best checkpoint's ``val_summary``.  The
+``annotate`` workload and ``common.extract_corpus_features`` drive
+``cli.main`` with fixed argv.  A change to any of them would only
+surface as a failed benchmark run.
 """
 
 import importlib
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from dynamark import autodiff as ad
+from dynamark import cli
 from dynamark.network import DynamicsModel, ModelConfig
 from dynamark.objectives import FrameTargets, TargetBatch, multitask_loss
 from dynamark.trainer import AdamW
@@ -126,3 +129,25 @@ def test_fit_to_target_runs(tmp_path):
     assert set(best.val_summary) >= {"beat_f1", "dynamics_f1", "mean_f1"}
     assert fired == common.reached_target(best.val_summary)
     assert len(epoch_ends) == 1
+
+
+# Copied from bench/workloads.py (`_annotate_pass`, `run_annotate`) and
+# bench/common.py (`extract_corpus_features`), with placeholder paths.
+BENCH_ARGV = {
+    "extract-logmel": ["extract", "--audio-dir", "audio", "--out-dir", "logmel",
+                       "--feature", "logmel", "--workers", "1", "--force"],
+    "extract-bssl": ["extract", "--audio-dir", "audio", "--out-dir", "features",
+                     "--feature", "bssl", "--workers", "1"],
+    "annotate": ["annotate", "audio/clip.wav", "--checkpoint", "stock_bssl.dync",
+                 "--out-prefix", "preds/clip"],
+    "eval": ["eval", "--predictions", "scored", "--references", "annotations",
+             "--out", "eval/eval.json"],
+}
+
+
+@pytest.mark.parametrize("argv", BENCH_ARGV.values(), ids=BENCH_ARGV.keys())
+def test_bench_cli_argv_parse(argv):
+    args = cli.build_parser().parse_args(argv)  # a usage error exits
+    assert args.command == argv[0]
+    for flag in (token for token in argv if token.startswith("--")):
+        assert getattr(args, flag[2:].replace("-", "_")) not in (None, False), flag

@@ -1,6 +1,7 @@
 """Metric conventions and the exhaustive-matching oracle."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from dynamark.metrics import (
     dynamics_macro_f1,
     event_f1,
     mean_std,
+    score_recording,
 )
+from dynamark.postprocess import EventReport
 
 
 def exhaustive_matching(pred, ref, tol):
@@ -198,3 +201,21 @@ def test_mean_std():
     assert abs(agg["std"] - 0.1) < 1e-12
     assert mean_std([])["mean"] is None
     assert mean_std([None, 0.4])["n"] == 1
+
+
+def test_score_recording_layout_is_the_eval_report_layout():
+    # `eval` writes this dict as it is, so its key order, in `detail`, in
+    # `per_class` and in each F1 result, is the report's layout
+    pred = EventReport(beats=[0.5, 1.0, 1.5, 2.5], downbeats=[0.5], change_points=[1.52])
+    scores = score_recording(pred, [0.5, 1.0, 1.5, 2.0], [0.5, 1.5], [2],
+                             ["p", "f", "f", "f"], ["p", "p", "f", "f"])
+    assert json.dumps(scores) == (
+        '{"beat_f1": 0.75, "downbeat_f1": 0.6666666666666666, "dynamics_f1": 0.7333333333333334, '
+        '"change_point_f1": 1.0, "detail": {'
+        '"beat": {"precision": 0.75, "recall": 0.75, "f1": 0.75, "tp": 3, "fp": 1, "fn": 1}, '
+        '"downbeat": {"precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666, "tp": 1, "fp": 0, "fn": 1}, '
+        '"dynamics": {"macro_f1": 0.7333333333333334, "per_class": {'
+        '"p": {"precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666, "tp": 1, "fp": 0, "fn": 1}, '
+        '"f": {"precision": 0.6666666666666666, "recall": 1.0, "f1": 0.8, "tp": 2, "fp": 1, "fn": 0}}, '
+        '"present_classes": ["p", "f"], "n_beats_evaluated": 4}, '
+        '"change_point": {"precision": 1.0, "recall": 1.0, "f1": 1.0, "tp": 1, "fp": 0, "fn": 0}}}')

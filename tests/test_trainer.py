@@ -229,7 +229,9 @@ def test_checkpoint_state_must_fit_the_model(tmp_path, capsys, corrupt, culprit)
     with pytest.raises(CheckpointError, match=re.escape(culprit)):
         model_from_checkpoint(load_checkpoint(path))
     assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
-    assert culprit in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert culprit in err
+    assert f"error: {path}: checkpoint state does not match" in err  # the error names the file
 
 
 @pytest.mark.parametrize("seconds", [0, -5])
@@ -241,10 +243,13 @@ def test_segment_s_below_one_is_training_error(tmp_path, capsys, seconds):
     train_cfg.segment_s = seconds
     path = tmp_path / "short.dync"
     save_checkpoint(Checkpoint.from_model(small_model(), train_cfg, epoch=1), path)
-    with pytest.raises(TrainingError, match=f"segment_s={seconds}"):
+    with pytest.raises(TrainingError, match=f"segment_s={seconds}") as info:
         load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")  # the error names the file
     assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
-    assert f"segment_s={seconds}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"segment_s={seconds}" in err
+    assert f"error: {path}: invalid training config" in err
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -295,8 +300,24 @@ def test_retired_config_key_at_another_value_is_refused(tmp_path, capsys, sectio
     config[section][key] = value
     path = tmp_path / "retired.dync"
     _forge_checkpoint(path, json.dumps(config).encode(), struct.pack("<I", 0))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {key} is fixed at ")):  # names the file
+        load_checkpoint(path)
     assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
-    assert f"{key} is fixed at {trainer.RETIRED_CONFIG[section][key]}, got {value!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{key} is fixed at {trainer.RETIRED_CONFIG[section][key]}, got {value!r}" in err
+    assert f"error: {path}: {key} is fixed at " in err
+
+
+def test_recorded_scaling_factor_below_one_names_the_file(tmp_path, capsys):
+    config = json.loads(GOOD_CONFIG)
+    config["model_config"]["scaling_factor"] = 0
+    path = tmp_path / "unscaled.dync"
+    _forge_checkpoint(path, json.dumps(config).encode(), struct.pack("<I", 0))
+    message = f"{path}: scaling_factor must be >= 1, got 0"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_checkpoint(path)
+    assert main(["annotate", str(tmp_path / "any.wav"), "--checkpoint", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
