@@ -1,11 +1,12 @@
 """Command-line interface: extract, train, eval, annotate, rerun.
 
 Each command's options are its sub-parser's flags.  Option precedence is
-CLI flags > config file > DYNAMARK_SEED (seed only) > built-in defaults.
-Config files are flat ``key = value`` lines of options (``#`` comments
-allowed).  A file or environment value, and each value that ``dynamark
-rerun <manifest>`` replays from the RunManifest JSON that every command
-writes next to its outputs, is read with the type of its flag.
+CLI flags > config file > built-in defaults.  Config files are flat
+``key = value`` lines of options (``#`` comments allowed).  A file value,
+and each value that ``dynamark rerun <manifest>`` replays from the
+RunManifest JSON that every command writes next to its outputs, is read
+with the type and choices of its flag.  ``train`` and ``annotate`` take
+the feature kind that their input files record.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
 """
@@ -23,19 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, parallel
-from .audio import (FEATURE_BINS, FPS, bssl, decode_and_prepare, extract_features, log_mel, save_features,
-                    stft_power, total_loudness)
+from .audio import (FEATURE_BINS, FPS, bssl, decode_and_prepare, extract_features, load_features, log_mel,
+                    save_features, stft_power, total_loudness)
 from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
 from .errors import CheckpointError, ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
 from .network import ModelConfig
 from .postprocess import EventReport, check_times, snap_to_nearest
 from .trainer import (
-    ABLATIONS,
     TASK_F1_KEYS,
     TrainConfig,
     annotate_features,
-    apply_ablation,
     fold_table,
     load_checkpoint,
     model_from_checkpoint,
@@ -43,10 +42,9 @@ from .trainer import (
     train_fold,
 )
 
-SEED_ENV_VAR = "DYNAMARK_SEED"
-# Each command's option defaults; annotate takes the feature kind of its checkpoint.
+# Each command's option defaults.
 DEFAULTS = {"extract": {"feature": "bssl"},
-            "train": {**asdict(ModelConfig()), **asdict(TrainConfig()), "feature": "bssl", "k_folds": 5},
+            "train": {**asdict(ModelConfig()), **asdict(TrainConfig()), "k_folds": 5},
             "eval": {}, "annotate": {}}
 
 
@@ -68,15 +66,18 @@ SWITCH_WORDS = {"true": True, "yes": True, "on": True, "false": False, "no": Fal
 
 
 def _from_text(text: str, flag: argparse.Action, source) -> object:
-    """``text`` converted as ``flag`` converts its argument (a switch takes
-    one of ``SWITCH_WORDS``); a bad value is a ConfigError naming ``source``."""
+    """``text`` read as ``flag`` reads its argument, with its type and choices (a
+    switch takes one of ``SWITCH_WORDS``); a bad value is a ConfigError naming ``source``."""
     try:
         if flag.nargs == 0:
             return SWITCH_WORDS[text.lower()]
-        return flag.type(text) if flag.type else text
+        value = flag.type(text) if flag.type else text
     except (KeyError, ValueError):
         expected = "true or false" if flag.nargs == 0 else f"a value of type {flag.type.__name__}"
         raise ConfigError(f"{source}: {flag.dest} must be {expected}, got {text!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise ConfigError(f"{source}: {flag.dest} must be one of {', '.join(flag.choices)}, got {text!r}")
+    return value
 
 
 def _from_json(value, flag: argparse.Action, command: str, source) -> object:
@@ -90,9 +91,9 @@ def _from_json(value, flag: argparse.Action, command: str, source) -> object:
 
 
 def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge defaults <- config file <- env seed <- explicit flags for the
-    options of ``args.command``.  A config-file or environment value is read
-    with the type of its flag; a config key that no command has is an error."""
+    """Merge defaults <- config file <- explicit flags for the options of
+    ``args.command``.  A config-file value is read as its flag reads it; a
+    config key that no command has is an error."""
     file_values = {}
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
@@ -104,21 +105,16 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         value = DEFAULTS[args.command].get(key)
         if key in file_values:
             value = _from_text(file_values[key], flag, args.config)
-        if key == "seed" and os.environ.get(SEED_ENV_VAR):
-            value = _from_text(os.environ[SEED_ENV_VAR], flag, SEED_ENV_VAR)
         if getattr(args, key) is not None:
             value = getattr(args, key)
         resolved[key] = value
     return resolved
 
 
-def build_configs(resolved: dict) -> tuple[ModelConfig, TrainConfig]:
-    feature = resolved.get("feature", "bssl")
-    if feature not in FEATURE_BINS:
-        raise ConfigError(f"unknown feature kind {feature!r}; expected one of {', '.join(FEATURE_BINS)}")
+def build_configs(resolved: dict, input_bins: int) -> tuple[ModelConfig, TrainConfig]:
     model_kwargs = {f.name: resolved[f.name] for f in fields(ModelConfig) if f.name in resolved}
     train_kwargs = {f.name: resolved[f.name] for f in fields(TrainConfig) if f.name in resolved}
-    return ModelConfig(**model_kwargs, input_bins=FEATURE_BINS[feature]), TrainConfig(**train_kwargs)
+    return ModelConfig(**model_kwargs, input_bins=input_bins), TrainConfig(**train_kwargs)
 
 
 def write_manifest(path, command: str, resolved: dict, inputs, outputs,
@@ -158,6 +154,14 @@ def _extract_one(wav_path: str, out_path: str, kind: str) -> dict:
             "shape": list(values.shape)}
 
 
+def _holds_kind(path: Path, kind: str) -> bool:
+    """Whether ``path`` reads as a DYNF file of feature kind ``kind``."""
+    try:
+        return load_features(path)[1] == kind
+    except DynamarkError:
+        return False
+
+
 def cmd_extract(opts: dict) -> tuple[int, dict]:
     start = time.monotonic()
     workers = 1 if opts["workers"] is None else opts["workers"]
@@ -174,7 +178,7 @@ def cmd_extract(opts: dict) -> tuple[int, dict]:
     todo = []
     for wav_path in wavs:
         out_path = out_dir / f"{wav_path.stem}.dynf"
-        if out_path.exists() and not opts.get("force"):
+        if out_path.exists() and not opts.get("force") and _holds_kind(out_path, kind):
             results.append({"input": str(wav_path), "output": str(out_path), "status": "skipped"})
             outputs.append(out_path)
         else:
@@ -209,10 +213,8 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
     start = time.monotonic()
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_cfg, train_cfg = build_configs(opts)
-    if opts.get("ablation") is not None:
-        model_cfg, train_cfg = apply_ablation(opts["ablation"], model_cfg, train_cfg)
     recordings = load_corpus(opts["features_dir"], opts["annotations_dir"])
+    model_cfg, train_cfg = build_configs(opts, input_bins=recordings[0].features.shape[0])
     pieces = sorted({rec.piece_id for rec in recordings})
     if len(pieces) < 2:
         raise ConfigError(f"--k-folds {opts['k_folds']} asked for, but the corpus holds {len(pieces)} piece; "
@@ -237,8 +239,7 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
         _write_json(fold_path, fold_report)
         outputs += [cp_path, fold_path]
         per_fold.append(fold_report)
-    report = {"ablation": opts.get("ablation"),
-              "folds": folds,
+    report = {"folds": folds,
               "per_fold": per_fold,
               **fold_table([f["val"] for f in per_fold]),
               "model_config": asdict(model_cfg),
@@ -287,7 +288,7 @@ def _labels_at_reference_beats(pred: EventReport, ref_beats: np.ndarray) -> list
 
 def _pair_eval_files(pred_path: Path, ref_path: Path) -> list[tuple[str, Path, Path]]:
     if pred_path.is_file():
-        return [(pred_path.stem, pred_path, ref_path)]
+        return [(pred_path.stem.removesuffix(".events"), pred_path, ref_path)]
     pairs = []
     for pred_file in sorted(pred_path.glob("*.json")):
         if pred_file.stem.endswith((".manifest", "_manifest")):
@@ -359,11 +360,8 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     bins = cp.model_config.input_bins
     kind = next((k for k, n in FEATURE_BINS.items() if n == bins), None)
     if kind is None:
-        raise ConfigError(f"checkpoint expects {bins} feature bins, which no feature kind has")
-    if opts["feature"] not in (None, kind):
-        raise ConfigError(f"checkpoint expects {kind} features ({bins} bins), "
-                          f"but --feature {opts['feature']} was requested")
-    opts = {**opts, "feature": kind}
+        raise ConfigError(f"{opts['checkpoint']}: checkpoint expects {bins} feature bins, "
+                          f"which no feature kind has")
     power = stft_power(decode_and_prepare(audio_path))
     loudness = bssl(power) if kind == "bssl" or opts.get("loudness_csv") else None
     features = loudness if kind == "bssl" else log_mel(power)
@@ -399,7 +397,11 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error; here that code means an internal
-    error, so a usage error exits 1 like any other bad input."""
+    error, so a usage error exits 1 like any other bad input.  A flag is
+    never abbreviated, so ``train --feature`` cannot read as ``--features-dir``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -421,14 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("train", help="train folds on extracted features, optionally under one ablation")
+    p = sub.add_parser("train", help="train folds on extracted features")
     p.add_argument("--features-dir", required=True)
     p.add_argument("--annotations-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")
     p.add_argument("--fold", type=int)
-    p.add_argument("--ablation", choices=ABLATIONS)
-    p.add_argument("--feature", choices=FEATURE_BINS)
     p.add_argument("--k-folds", type=int, dest="k_folds")
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
@@ -457,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beats-from", dest="beats_from")
     p.add_argument("--align-downbeats", action="store_true", default=None)
     p.add_argument("--loudness-csv", action="store_true", default=None, dest="loudness_csv")
-    p.add_argument("--feature", choices=FEATURE_BINS, help="default: the checkpoint's feature kind")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
@@ -489,6 +488,9 @@ def _read_rerun_manifest(path: Path, parser: argparse.ArgumentParser) -> tuple[s
         raise SchemaError(f"{path}: unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     if not isinstance(recorded, dict):
         raise SchemaError(f"{path}: resolved_options must be a JSON object")
+    if recorded.get("ablation") is not None:
+        raise SchemaError(f"{path}: records ablation {recorded['ablation']!r}, which train no longer has; "
+                          f"rerun with the flag that it stood for")
     flags = _flags(parser, command)
     missing = [key for key in flags if key not in recorded]
     if missing:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import FPS, load_features
+from .audio import FEATURE_BINS, FPS, load_features
 from .errors import ConfigError, EmptyInputError, SchemaError
 from .objectives import DYNAMIC_LABELS, LABEL_TO_CLASS, FrameTargets
 
@@ -264,20 +264,27 @@ def discover_recording_ids(annotations_dir) -> list[str]:
 
 
 def load_corpus(features_dir, annotations_dir) -> list[Recording]:
-    """Pair DYNF feature files with annotation CSVs by recording id."""
+    """Pair DYNF feature files with annotation CSVs by recording id.
+    The files must all hold one feature kind, each with that kind's rows."""
     features_dir = Path(features_dir)
     annotations_dir = Path(annotations_dir)
     ids = discover_recording_ids(annotations_dir)
     if not ids:
         raise EmptyInputError(f"no *_beats.csv annotations found in {annotations_dir}")
-    recordings = []
+    recordings, file_of_kind = [], {}
     for rec_id in ids:
         feat_path = features_dir / f"{rec_id}.dynf"
         if not feat_path.exists():
             raise EmptyInputError(
                 f"missing features for {rec_id}: expected {feat_path}; "
                 f"run `dynamark extract` over the audio directory first")
-        values, _ = load_features(feat_path)
+        values, kind = load_features(feat_path)
+        if len(values) != FEATURE_BINS[kind]:
+            raise SchemaError(f"{feat_path}: {kind} features have {FEATURE_BINS[kind]} rows, got {len(values)}")
+        file_of_kind.setdefault(kind, feat_path)
+        if len(file_of_kind) > 1:
+            raise SchemaError(f"{features_dir} mixes feature kinds: "
+                              + ", ".join(f"{path} is {k}" for k, path in file_of_kind.items()))
         ann = load_annotation(annotations_dir / f"{rec_id}_beats.csv",
                               annotations_dir / f"{rec_id}_markings.csv")
         targets = rasterize(ann, values.shape[1])

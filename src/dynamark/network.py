@@ -129,7 +129,7 @@ class DynamicsModel:
         cfg = self.cfg
         s = cfg.scaling_factor
         prefix = f"branch{b}"
-        h = ad.maxpool1d(x4d, s ** b) if s ** b > 1 else x4d
+        h = ad.maxpool1d(x4d, s ** b)
         for blk in range(cfg.blocks_per_branch):
             h = self._block(f"{prefix}.block{blk}", h, training)
         bsz, c, f, t = h.shape

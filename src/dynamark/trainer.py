@@ -1,4 +1,4 @@
-"""AdamW training, checkpoint persistence, fold orchestration, ablations.
+"""AdamW training, checkpoint persistence, fold orchestration.
 
 Checkpoint selection: after each epoch the model is scored on its
 validation recordings with the unweighted mean of the four task F1s
@@ -12,7 +12,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,14 +29,6 @@ from .postprocess import build_event_report, markings_at_beats
 
 CHECKPOINT_MAGIC = b"DYNC"
 CHECKPOINT_VERSION = 1
-
-# Each ablation is one change of the base configuration: (model fields, train fields).
-ABLATIONS = {
-    "no_mmoe": ({"use_mmoe": False}, {}),
-    "s1": ({"scaling_factor": 1}, {}),
-    "no_augment": ({}, {"augment_overlap": False}),
-    "seg30": ({}, {"segment_s": 30}),
-}
 
 
 @dataclass
@@ -384,10 +376,3 @@ def train_fold(recordings, fold_of_piece: dict[str, int], fold: int,
     model = DynamicsModel(model_cfg, seed=train_cfg.seed)
     return train_model(model, train, val, train_cfg, log=log)
 
-
-def apply_ablation(name: str, model_cfg: ModelConfig, train_cfg: TrainConfig):
-    """The base configuration with the one change that ablation ``name`` makes."""
-    if name not in ABLATIONS:
-        raise TrainingError(f"unknown ablation {name!r}; expected one of {', '.join(ABLATIONS)}")
-    model_changes, train_changes = ABLATIONS[name]
-    return replace(model_cfg, **model_changes), replace(train_cfg, **train_changes)

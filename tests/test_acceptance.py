@@ -5,6 +5,7 @@ The terminal summary (see conftest) prints one
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,8 @@ from dynamark.metrics import event_f1
 from dynamark.network import DynamicsModel, ModelConfig
 from dynamark.postprocess import pick_peaks
 from dynamark.trainer import (
-    ABLATIONS,
     Checkpoint,
     TrainConfig,
-    apply_ablation,
     fold_table,
     load_checkpoint,
     model_from_checkpoint,
@@ -186,8 +185,11 @@ def test_criterion_7_protocol_fidelity(protocol_corpus):
     fold_of_piece = {rec.piece_id: i % 2 for i, rec in enumerate(protocol_corpus)}
     base_model = ModelConfig(**SMALL)
     base_train = TrainConfig(epochs=1, batch_size=2, segment_s=10, seed=86)
-    for name in ABLATIONS:
-        model_cfg, train_cfg = apply_ablation(name, base_model, base_train)
+    # the paper's ablations: no MMoE, one scale, no overlap augmentation, 30 s segments
+    for model_cfg, train_cfg in ((replace(base_model, use_mmoe=False), base_train),
+                                 (replace(base_model, scaling_factor=1), base_train),
+                                 (base_model, replace(base_train, augment_overlap=False)),
+                                 (base_model, replace(base_train, segment_s=30))):
         best, _ = train_fold(protocol_corpus, fold_of_piece, 0, model_cfg, train_cfg)
         report = fold_table([best.val_summary])
         assert set(report["f1"]) == {"dynamics_f1", "change_point_f1",

@@ -26,7 +26,6 @@ from dynamark.trainer import (
     AdamW,
     Checkpoint,
     TrainConfig,
-    apply_ablation,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
@@ -445,22 +444,6 @@ def test_best_checkpoint_selected(tiny_recordings):
     best, history = train_model(model, tiny_recordings, tiny_recordings, quick_cfg(epochs=3))
     assert best is not None
     assert best.val_summary["mean_f1"] == max(history["val_mean_f1"])
-
-
-# -- ablations -----------------------------------------------------------------------
-
-def test_apply_ablation_single_switch():
-    m, t = ModelConfig(**SMALL), TrainConfig()
-    m2, t2 = apply_ablation("no_mmoe", m, t)
-    assert m2.use_mmoe is False and t2 == t
-    m3, t3 = apply_ablation("s1", m, t)
-    assert m3.scaling_factor == 1
-    _, t4 = apply_ablation("no_augment", m, t)
-    assert t4.augment_overlap is False
-    _, t5 = apply_ablation("seg30", m, t)
-    assert t5.segment_s == 30
-    with pytest.raises(TrainingError, match="unknown ablation"):
-        apply_ablation("bigger", m, t)
 
 
 def test_no_augment_segment_counts(tiny_recordings):
