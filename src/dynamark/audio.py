@@ -11,6 +11,12 @@ map.  After ear weighting, band dB values are read directly as phon
 Framing convention: frames are left-aligned, frame t covering samples
 [t*441, t*441 + 1024); the final partial frame is zero-padded, so an
 n-sample input yields ceil(n / 441) frames at exactly 50 fps.
+
+``extract`` and ``annotate`` read a recording through :func:`wav_features`,
+which runs each 60 s span from WAV samples to feature columns on the
+worker threads of :mod:`.parallel`.  :func:`decode_and_prepare` followed by
+:func:`extract_features` is the serial whole-signal path whose bits it
+reproduces.
 """
 
 from __future__ import annotations
@@ -37,6 +43,12 @@ DB_REFERENCE = 96.0  # full-scale power == 96 dB SPL
 N_MELS = 128
 LOG_FLOOR = 1e-10
 STFT_BLOCK = 64  # frames per FFT call: the block's frames and spectrum stay in cache
+# The most frames in one span of :func:`wav_features`: 60 s.  A clip of 60 s
+# or less is one span, which :func:`.parallel.map_in_order` runs inline, so
+# no worker thread adds its heap to a process that extracts short clips.
+# Five fit set-ups of 60 s clips peaked at 159 MB with 3000-frame spans, as
+# serially, and at 198 MB with 1024-frame spans on two threads.
+SPAN_FRAMES = 3000
 
 # Zwicker critical-band boundaries (Hz); 23 edges = 22 bands, the last
 # fully covered band below the 11.025 kHz Nyquist.
@@ -68,11 +80,12 @@ _SAMPLE_FORMATS = {
     np.dtype(np.float32): (1.0, 0.0),
     np.dtype(np.float64): (1.0, 0.0),
 }
+# Integer types that hold any channel sum of an integer format exactly.
+_EXACT_SUM = {np.dtype(np.int16): np.int32, np.dtype(np.uint8): np.int32, np.dtype(np.int32): np.int64}
 
 
-def _mono_normalised(raw: np.ndarray, path) -> np.ndarray:
-    """Decoded WAV samples (N,) or (N, C) of ``path`` -> float64 mono at
-    -1 dBFS peak.
+def _downmix(raw: np.ndarray) -> np.ndarray:
+    """Decoded WAV samples (N,) or (N, C) -> float64 mono in [-1, 1].
 
     One float64 vector is built: the channels summed left to right with
     ``+=``, less the zero offset, divided once by full scale times the
@@ -81,81 +94,86 @@ def _mono_normalised(raw: np.ndarray, path) -> np.ndarray:
     channels read as [-1, 1] floats, the same bits as casting, dividing
     and averaging in turn.  Float channels are averaged in that
     left-to-right order, not in numpy's pairwise order, so from 8
-    channels on their last bits can differ from ``mean(axis=1)``.
+    channels on their last bits can differ from ``mean(axis=1)``.  Each
+    sample depends on its own row alone, so any run of rows downmixes to
+    the same bits alone as within the whole.
     """
+    x, offset, divisor = _channel_sum(raw, np.float64)
+    if offset:
+        x -= offset
+    x /= divisor
+    return x
+
+
+def _channel_sum(raw: np.ndarray, dtype) -> tuple[np.ndarray, float, float]:
+    """The channels of ``raw`` summed left to right into ``dtype``, and
+    the offset and divisor that take the sum to [-1, 1]."""
     if raw.dtype not in _SAMPLE_FORMATS:
         raise DecodeError(f"unsupported WAV sample format: {raw.dtype}")
     scale, offset = _SAMPLE_FORMATS[raw.dtype]
     chans = raw.reshape(len(raw), -1)
-    n_channels = chans.shape[1]
-    x = chans[:, 0].astype(np.float64)
-    for c in range(1, n_channels):
+    x = chans[:, 0].astype(dtype)
+    for c in range(1, chans.shape[1]):
         x += chans[:, c]
-    if offset:
-        x -= offset * n_channels
-    x /= scale * n_channels
-    peak = max(x.max(), -x.min())
+    return x, offset * chans.shape[1], scale * chans.shape[1]
+
+
+def _downmix_peak(raw: np.ndarray):
+    """``max(x.max(), -x.min())`` of ``x = _downmix(raw)``, without
+    building ``x``: NaN where it holds a NaN.
+
+    A mono file's samples are their own sum.  Integer channels are
+    summed exactly in integers, float ones in float64 as :func:`_downmix`
+    sums them; the offset is exact, and dividing by a positive constant
+    keeps the order, so the extremes of the sum give the same bits as the
+    extremes of ``x``.
+    """
+    if raw.ndim == 1 and raw.dtype in _SAMPLE_FORMATS:  # else _channel_sum refuses the dtype
+        scale, offset = _SAMPLE_FORMATS[raw.dtype]
+        x, divisor = raw, scale
+    else:
+        x, offset, divisor = _channel_sum(raw, _EXACT_SUM.get(raw.dtype, np.float64))
+    return max((float(x.max()) - offset) / divisor, -((float(x.min()) - offset) / divisor))
+
+
+def _gain(peak, path) -> float:
+    """The factor that brings a downmix of peak ``peak`` to -1 dBFS, 1 for
+    silence; a :class:`DecodeError` for NaN or infinite audio and for a
+    peak too small to scale."""
     if not np.isfinite(peak):
         raise DecodeError(f"{path}: audio holds NaN or infinite samples")
-    if peak > 0:
-        gain = PEAK_TARGET / float(peak)  # inf for a subnormal peak
-        if not math.isfinite(gain):
-            raise DecodeError(f"{path}: peak {peak:.3g} is too small to normalise")
-        x *= gain
+    if peak == 0:
+        return 1.0
+    gain = PEAK_TARGET / float(peak)  # inf for a subnormal peak
+    if not math.isfinite(gain):
+        raise DecodeError(f"{path}: peak {peak:.3g} is too small to normalise")
+    return gain
+
+
+def _mono_normalised(raw: np.ndarray, path) -> np.ndarray:
+    """Decoded WAV samples (N,) or (N, C) of ``path`` -> float64 mono at
+    -1 dBFS peak (see :func:`_downmix` and :func:`_gain`)."""
+    x = _downmix(raw)
+    x *= _gain(max(x.max(), -x.min()), path)
     return x
 
 
-def _resample(x: np.ndarray, src_rate: int, dst_rate: int,
-              taps_per_phase: int = 64, beta: float = 9.0) -> np.ndarray:
-    """Rational-rate polyphase resampling with a Kaiser-windowed sinc.
-
-    The output is cut into one span per worker (:mod:`.parallel`), each
-    filled by ``resample_poly`` of the input slice it needs.  A slice
-    starts at a multiple of ``down``, so its outputs fall on the same
-    phases as the whole signal's, and reaches past the span by more than
-    the filter's support on both sides, so every output sums the same
-    taps in the same order: the same bits as one ``resample_poly`` call
-    at any worker count.
-    """
-    if src_rate == dst_rate:
-        return x
-    g = math.gcd(src_rate, dst_rate)
-    up, down = dst_rate // g, src_rate // g
+def _polyphase(src_rate: int, taps_per_phase: int = 64,
+               beta: float = 9.0) -> tuple[int, int, np.ndarray]:
+    """``up``, ``down`` and the Kaiser-windowed sinc of the rational
+    polyphase resampler from ``src_rate`` to ``SAMPLE_RATE``."""
+    g = math.gcd(src_rate, SAMPLE_RATE)
+    up, down = SAMPLE_RATE // g, src_rate // g
     n_taps = taps_per_phase * up
     n = np.arange(n_taps) - (n_taps - 1) / 2.0
     cutoff = 1.0 / max(up, down)
     h = cutoff * np.sinc(cutoff * n) * np.kaiser(n_taps, beta)
     h /= h.sum()
-    n_out = -(-len(x) * up // down)
-    n_spans = min(parallel.worker_count(), n_out)
-    edges = [n_out * i // n_spans for i in range(n_spans + 1)]
-    margin = n_taps // up + 2  # input samples, more than the filter reaches
-    out = np.empty(n_out, dtype=np.result_type(x, h))
-
-    def fill(span: int) -> None:
-        lo, hi = edges[span], edges[span + 1]
-        first = max(lo * down // up - margin, 0) // down  # in units of down
-        stop = min(-(-hi * down // up) + margin, len(x))
-        y = resample_poly(x[first * down:stop], up, down, window=h)
-        out[lo:hi] = y[lo - first * up:hi - first * up]
-
-    parallel.map_in_order(fill, range(n_spans))
-    return out
+    return up, down, h
 
 
-def decode_and_prepare(path) -> np.ndarray:
-    """Decode a PCM WAV, downmix to mono, normalise to -1 dBFS, resample:
-    float64 samples at ``SAMPLE_RATE``.
-
-    Downmix is the mean of channels; normalisation happens before
-    resampling; all-zero input is left unnormalised, and a peak too small
-    to scale to -1 dBFS is a :class:`DecodeError`.  Before the resample
-    one float64 vector of the input's length is held next to the decoded
-    samples (see :func:`_mono_normalised`).  The resample runs on
-    :func:`.parallel.worker_count` threads, the same bits at any count
-    (see :func:`_resample`).
-    """
-    path = Path(path)
+def _read_wav(path: Path) -> tuple[int, np.ndarray]:
+    """Sample rate and samples (N,) or (N, C) of a WAV file."""
     try:
         rate, raw = wavfile.read(path)
     except FileNotFoundError:
@@ -164,7 +182,93 @@ def decode_and_prepare(path) -> np.ndarray:
         raise DecodeError(f"cannot decode {path}: {exc}") from exc
     if raw.size == 0:
         raise EmptyInputError(f"{path}: zero-length audio")
-    return _resample(_mono_normalised(raw, path), int(rate), SAMPLE_RATE)
+    return int(rate), raw
+
+
+def decode_and_prepare(path) -> np.ndarray:
+    """Decode a PCM WAV, downmix to mono, normalise to -1 dBFS, resample:
+    float64 samples at ``SAMPLE_RATE``, serially and over the whole
+    recording.
+
+    Downmix is the mean of channels; normalisation happens before
+    resampling; all-zero input is left unnormalised, and a peak too small
+    to scale to -1 dBFS is a :class:`DecodeError`.  The CLI runs
+    :func:`wav_features` instead, which gives the features of these
+    samples bit for bit in bounded memory.
+    """
+    path = Path(path)
+    rate, raw = _read_wav(path)
+    x = _mono_normalised(raw, path)
+    if rate == SAMPLE_RATE:
+        return x
+    up, down, h = _polyphase(rate)
+    return resample_poly(x, up, down, window=h)
+
+
+def wav_features(path, kinds) -> dict[str, np.ndarray]:
+    """(F, T) float32 features of each kind in ``kinds`` for the WAV at
+    ``path``: ``extract_features(decode_and_prepare(path), kind)`` bit for
+    bit, the same typed errors, in memory that does not grow with the
+    recording beyond its decoded samples and the features.
+
+    The frames are cut into spans of at most ``SPAN_FRAMES``, all of one
+    size but the last; a recording of more than one span gets a multiple
+    of :func:`.parallel.worker_count` spans, so that the workers finish
+    together.  The spans run on :func:`.parallel.map_in_order` in two
+    passes.  The first takes the peak of each span's downmixed input
+    samples, the one quantity of the whole recording (see
+    :func:`_downmix_peak`).  The second takes each span from WAV samples to
+    feature columns: it downmixes and normalises the input slice that the
+    span's output samples need, resamples it with one ``resample_poly``
+    call, transforms those samples plus the window overlap with one
+    :func:`stft_power` call, and writes each kind's columns.  A resampled
+    slice starts at a multiple of ``down``, so its outputs fall on the
+    same phases as the whole signal's, and reaches past the span by more
+    than the filter's support on both sides, so every output sums the
+    same taps in the same order.  Frames past the last sample read zeros,
+    as in :func:`stft_power`.
+    """
+    for kind in kinds:
+        _check_kind(kind)
+    path = Path(path)
+    rate, raw = _read_wav(path)
+    n_in = len(raw)
+    up, down, h = _polyphase(rate) if rate != SAMPLE_RATE else (1, 1, None)
+    n_out = -(-n_in * up // down)
+    t = frame_count(n_out)
+    n_spans = -(-t // SPAN_FRAMES)
+    if n_spans > 1:  # a multiple of the workers, so that none idles at the end
+        workers = parallel.worker_count()
+        n_spans = -(-n_spans // workers) * workers
+    size = -(-t // n_spans)  # frames per span, at most SPAN_FRAMES
+    spans = range(-(-t // size))
+    bounds = [min(s * size * HOP * down // up, n_in) for s in spans] + [n_in]
+    peaks = parallel.map_in_order(lambda s: _downmix_peak(raw[bounds[s]:bounds[s + 1]]), spans)
+    gain = _gain(np.max(peaks), path)  # np.max, unlike max, keeps a NaN wherever it falls
+    _check_length(n_out)
+    features = {kind: np.empty((FEATURE_BINS[kind], t), dtype=np.float32) for kind in kinds}
+    margin = 0 if h is None else len(h) // up + 2  # input samples, more than the filter reaches
+
+    def span_features(s: int) -> None:
+        f0, f1 = s * size, min((s + 1) * size, t)
+        lo, hi = f0 * HOP, min((f1 - 1) * HOP + WINDOW, n_out)  # output samples the frames read
+        first = max(lo * down // up - margin, 0) // down  # in units of down
+        stop = min(-(-hi * down // up) + margin, n_in)
+        x = _downmix(raw[first * down:stop])
+        x *= gain
+        if h is not None:
+            x = resample_poly(x, up, down, window=h)
+        x = x[lo - first * up:hi - first * up]
+        if len(x) < WINDOW:  # a span within the last 3 frames
+            x = np.concatenate([x, np.zeros(WINDOW - len(x))])
+        power = stft_power(x)[:, :f1 - f0]
+        for kind, values in features.items():
+            values[:, f0:f1] = bssl(power) if kind == "bssl" else log_mel(power)
+
+    parallel.map_in_order(span_features, spans)
+    if len(spans) > 1:
+        parallel.release_thread_heaps()
+    return features
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +277,11 @@ def decode_and_prepare(path) -> np.ndarray:
 
 def frame_count(n_samples: int) -> int:
     return int(math.ceil(n_samples / HOP))
+
+
+def _check_length(n_samples: int) -> None:
+    if n_samples < WINDOW:
+        raise EmptyInputError(f"input too short for analysis: {n_samples} samples, minimum {WINDOW}")
 
 
 def stft_power(samples: np.ndarray) -> np.ndarray:
@@ -189,8 +298,7 @@ def stft_power(samples: np.ndarray) -> np.ndarray:
     """
     samples = np.asarray(samples)
     n = len(samples)
-    if n < WINDOW:
-        raise EmptyInputError(f"input too short for analysis: {n} samples, minimum {WINDOW}")
+    _check_length(n)
     t = frame_count(n)
     whole = (n - WINDOW) // HOP + 1  # frames that lie inside the input
     tail = np.zeros((t - whole - 1) * HOP + WINDOW, dtype=np.float64)
@@ -325,10 +433,14 @@ def log_mel(power: np.ndarray) -> np.ndarray:
     return np.log(mel_filterbank() @ power + LOG_FLOOR).astype(np.float32)
 
 
-def extract_features(samples: np.ndarray, kind: str = "bssl") -> np.ndarray:
-    """Convenience: samples at ``SAMPLE_RATE`` -> (F, T) float32 feature matrix."""
+def _check_kind(kind: str) -> None:
     if kind not in FEATURE_BINS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {', '.join(FEATURE_BINS)}")
+
+
+def extract_features(samples: np.ndarray, kind: str = "bssl") -> np.ndarray:
+    """Convenience: samples at ``SAMPLE_RATE`` -> (F, T) float32 feature matrix."""
+    _check_kind(kind)
     power = stft_power(samples)
     return bssl(power) if kind == "bssl" else log_mel(power)
 

@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, parallel
-from .audio import (FEATURE_BINS, FPS, bssl, decode_and_prepare, extract_features, load_features, log_mel,
-                    save_features, stft_power, total_loudness)
+from .audio import FEATURE_BINS, FPS, load_features, save_features, total_loudness, wav_features
 from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
 from .errors import CheckpointError, ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
@@ -146,7 +145,7 @@ def _write_json(path, report: dict) -> None:
 def _extract_one(wav_path: str, out_path: str, kind: str) -> dict:
     """Pure per-file unit of work; safe to run in worker processes."""
     try:
-        values = extract_features(decode_and_prepare(wav_path), kind)
+        values = wav_features(wav_path, [kind])[kind]
         save_features(out_path, values, kind)
     except DynamarkError as exc:
         return {"input": wav_path, "status": "failed", "error": str(exc)}
@@ -185,7 +184,7 @@ def cmd_extract(opts: dict) -> tuple[int, dict]:
             todo.append((str(wav_path), str(out_path)))
     if workers > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        # Each process resamples on its share of the CPUs, not on all of them.
+        # Each process runs its spans on its share of the CPUs, not on all of them.
         with ProcessPoolExecutor(max_workers=workers, initializer=parallel.share_cpus,
                                  initargs=(workers,)) as pool:
             done = list(pool.map(_extract_one, [w for w, _ in todo],
@@ -362,9 +361,9 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     if kind is None:
         raise ConfigError(f"{opts['checkpoint']}: checkpoint expects {bins} feature bins, "
                           f"which no feature kind has")
-    power = stft_power(decode_and_prepare(audio_path))
-    loudness = bssl(power) if kind == "bssl" or opts.get("loudness_csv") else None
-    features = loudness if kind == "bssl" else log_mel(power)
+    # one pass over the audio gives the model's features and the loudness curve
+    computed = wav_features(audio_path, [kind, "bssl"] if opts.get("loudness_csv") else [kind])
+    features = computed[kind]
     beats_override = None
     if opts.get("beats_from"):
         beats_override = _read_beats_from(Path(opts["beats_from"]))
@@ -379,7 +378,7 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     report.write_csv(csv_path)
     outputs = [json_path, csv_path]
     if opts.get("loudness_csv"):
-        curve = total_loudness(loudness)
+        curve = total_loudness(computed["bssl"])
         loud_path = Path(f"{prefix}.loudness.csv")
         with open(loud_path, "w") as fh:
             fh.write("time_s,total_loudness_sone\n")

@@ -1,79 +1,48 @@
 """Synthetic desk-scale corpus: metronomic click-plus-tone clips with
 piecewise dynamic levels realised as amplitude steps.
 
+The clips come from the benchmark's generator, ``bench/corpus.py``, loaded
+from its path so that tests and workloads share one model of the audio.
 Clicks (broadband, amplitude 1.0) anchor the peak normalisation so the
 sustained-tone level is comparable across clips; downbeats get a longer
 click plus a low thump.  The tone sits at 330 Hz so its critical band
 is disjoint from the click spectrum.
 
+``write_wav`` writes samples in any WAV format the front end reads, and
 ``mutate_bytes`` corrupts a valid file for the file-loader fuzz tests.
 """
 
-import csv
+import importlib.util
+import struct
 from pathlib import Path
 
 import numpy as np
+from scipy.io import wavfile
 
-from dynamark.audio import SAMPLE_RATE, extract_features
+from dynamark.audio import SAMPLE_RATE, wav_features
 from dynamark.dataset import Recording, load_annotation, rasterize
 
-LEVEL_AMP = {"pp": 0.03, "p": 0.07, "mf": 0.16, "f": 0.38, "ff": 0.9}
-LEVEL_CYCLE = ["mf", "ff", "p", "f", "pp"]
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def synth_clip(seconds=60.0, bpm=100.0, first_beat_s=0.3, beats_per_level=8,
-               level_offset=0, seed=0, rate=SAMPLE_RATE):
-    """Returns (samples, beat_times, downbeat_flags, markings_sparse)."""
-    rng = np.random.default_rng(seed)
-    n = int(round(seconds * rate))
-    samples = np.zeros(n, dtype=np.float64)
-    period = 60.0 / bpm
-    beat_times = []
-    t = first_beat_s
-    while t < seconds - 0.15:
-        beat_times.append(round(t, 6))
-        t += period
-    downbeat_flags = [i % 3 == 0 for i in range(len(beat_times))]
+def load_bench_module(name):
+    """Import ``bench/<name>.py`` from its path, as ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    # sparse markings: a level change every `beats_per_level` beats
-    marks = {}
-    for j, beat in enumerate(range(0, len(beat_times), beats_per_level)):
-        marks[beat] = LEVEL_CYCLE[(level_offset + j) % len(LEVEL_CYCLE)]
 
-    # sustained tone with per-level amplitude steps
-    level_at_beat = []
-    current = None
-    for i in range(len(beat_times)):
-        current = marks.get(i, current)
-        level_at_beat.append(current)
-    tone = np.sin(2 * np.pi * 330.0 * np.arange(n) / rate)
-    amp = np.zeros(n)
-    for i, beat in enumerate(beat_times):
-        start = int(beat * rate)
-        stop = int(beat_times[i + 1] * rate) if i + 1 < len(beat_times) else n
-        amp[start:stop] = LEVEL_AMP[level_at_beat[i]]
-    samples += amp * tone
-
-    # clicks: decaying noise bursts, longer + low thump on downbeats
-    for beat, is_down in zip(beat_times, downbeat_flags):
-        start = int(beat * rate)
-        dur = int(0.040 * rate) if is_down else int(0.015 * rate)
-        dur = min(dur, n - start)
-        envelope = np.exp(-np.arange(dur) / (0.004 * rate))
-        burst = rng.uniform(-1, 1, size=dur) * envelope
-        samples[start:start + dur] += burst
-        if is_down:
-            thump = 0.8 * np.sin(2 * np.pi * 110.0 * np.arange(dur) / rate) * envelope
-            samples[start:start + dur] += thump
-    samples = np.clip(samples, -1.0, 1.0)
-    return samples, beat_times, downbeat_flags, marks
+_corpus = load_bench_module("corpus")
+synth_clip = _corpus.synth_clip
+write_annotation = _corpus.write_annotation
 
 
 def write_corpus(root, n_clips=4, seconds=60.0, bpm=100.0, beats_per_level=8,
                  seed=86, write_audio=True):
-    """Write WAVs + annotation CSVs; returns the recording ids."""
-    from scipy.io import wavfile
-
+    """Write mono 22.05 kHz float32 WAVs + annotation CSVs; returns the
+    recording ids."""
     root = Path(root)
     audio_dir = root / "audio"
     ann_dir = root / "annotations"
@@ -84,21 +53,38 @@ def write_corpus(root, n_clips=4, seconds=60.0, bpm=100.0, beats_per_level=8,
         rec_id = f"SYN{i:02d}__p0"
         samples, beat_times, downbeat_flags, marks = synth_clip(
             seconds=seconds, bpm=bpm, beats_per_level=beats_per_level,
-            level_offset=i, seed=seed + i)
+            level_offset=i, seed=seed + i, rate=SAMPLE_RATE)
         if write_audio:
             wavfile.write(audio_dir / f"{rec_id}.wav", SAMPLE_RATE, samples.astype(np.float32))
-        with open(ann_dir / f"{rec_id}_beats.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beat_index", "time_s", "is_downbeat"])
-            for j, (t, down) in enumerate(zip(beat_times, downbeat_flags)):
-                writer.writerow([j, f"{t:.6f}", int(down)])
-        with open(ann_dir / f"{rec_id}_markings.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beat_index", "marking"])
-            for beat, token in sorted(marks.items()):
-                writer.writerow([beat, token])
+        write_annotation(ann_dir, rec_id, beat_times, downbeat_flags, marks)
         ids.append(rec_id)
     return ids
+
+
+def write_wav(path, data, rate, sampwidth="float32"):
+    """Write a test WAV of samples in [-1, 1] (NaN and inf kept by the float
+    formats); sampwidth one of int16, int24, uint8, float32, float64."""
+    data = np.asarray(data)
+    if sampwidth in ("float32", "float64"):
+        wavfile.write(path, rate, data.astype(sampwidth))
+    elif sampwidth == "int16":
+        wavfile.write(path, rate, np.clip(np.round(data * 32767), -32768, 32767).astype(np.int16))
+    elif sampwidth == "uint8":
+        wavfile.write(path, rate, np.clip(np.round(data * 127 + 128), 0, 255).astype(np.uint8))
+    elif sampwidth == "int24":
+        scaled = np.clip(np.round(data * (2 ** 23 - 1)), -(2 ** 23), 2 ** 23 - 1).astype("<i4")
+        if scaled.ndim == 1:
+            scaled = scaled[:, None]
+        frames = scaled.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()  # the low 3 bytes of each
+        n_ch = scaled.shape[1]
+        block = 3 * n_ch
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVE")
+            fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, n_ch, rate, rate * block, block, 24))
+            fh.write(b"data" + struct.pack("<I", len(frames)) + frames)
+    else:
+        raise ValueError(sampwidth)
+    return path
 
 
 def load_synth_recordings(root, feature_kind="bssl"):
@@ -107,9 +93,7 @@ def load_synth_recordings(root, feature_kind="bssl"):
     recordings = []
     for beats_csv in sorted((root / "annotations").glob("*_beats.csv")):
         rec_id = beats_csv.stem.removesuffix("_beats")
-        wav_path = root / "audio" / f"{rec_id}.wav"
-        from dynamark.audio import decode_and_prepare
-        features = extract_features(decode_and_prepare(wav_path), feature_kind)
+        features = wav_features(root / "audio" / f"{rec_id}.wav", [feature_kind])[feature_kind]
         ann = load_annotation(beats_csv, root / "annotations" / f"{rec_id}_markings.csv")
         targets = rasterize(ann, features.shape[1])
         recordings.append(Recording(recording_id=rec_id, piece_id=ann.piece_id,

@@ -1,8 +1,6 @@
-import struct
-
-import numpy as np
 import pytest
-from scipy.io import wavfile
+
+from _synth import write_wav
 
 _acceptance_results = []
 _ACCEPTANCE_PREFIX = "test_criterion_"
@@ -28,31 +26,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         number, _, label = rest.partition("_")
         status = "PASS" if outcome == "passed" else outcome.upper()
         terminalreporter.write_line(f"ACCEPTANCE {number} ({label.replace('_', ' ')}): {status}")
-
-
-def write_wav(path, data, rate, sampwidth="float32"):
-    """Write a test WAV; sampwidth one of int16, int24, float32."""
-    data = np.asarray(data)
-    if sampwidth == "float32":
-        wavfile.write(path, rate, data.astype(np.float32))
-    elif sampwidth == "int16":
-        wavfile.write(path, rate, np.clip(np.round(data * 32767), -32768, 32767).astype(np.int16))
-    elif sampwidth == "int24":
-        scaled = np.clip(np.round(data * (2 ** 23 - 1)), -(2 ** 23), 2 ** 23 - 1).astype(np.int32)
-        if scaled.ndim == 1:
-            scaled = scaled[:, None]
-        frames = b"".join(
-            struct.pack("<i", int(v))[0:3] for row in scaled for v in row
-        )
-        n_ch = scaled.shape[1]
-        block = 3 * n_ch
-        with open(path, "wb") as fh:
-            fh.write(b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVE")
-            fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, n_ch, rate, rate * block, block, 24))
-            fh.write(b"data" + struct.pack("<I", len(frames)) + frames)
-    else:
-        raise ValueError(sampwidth)
-    return path
 
 
 @pytest.fixture

@@ -16,9 +16,7 @@ surface as a failed benchmark run.
 """
 
 import importlib
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,21 +27,12 @@ from dynamark.network import DynamicsModel, ModelConfig
 from dynamark.objectives import FrameTargets, TargetBatch, multitask_loss
 from dynamark.trainer import AdamW
 
-from _synth import load_synth_recordings, write_corpus
-
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from _synth import BENCH_DIR, load_bench_module, load_synth_recordings, write_corpus
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    return _load_bench_module("tracing")
+    return load_bench_module("tracing")
 
 
 def test_traced_ops_exist_in_autodiff(tracing):
@@ -84,7 +73,7 @@ def _small_batch():
 def test_workload_step_runs(monkeypatch):
     # workloads.py imports its sibling modules by their plain names
     monkeypatch.syspath_prepend(str(BENCH_DIR))
-    workloads = _load_bench_module("workloads")
+    workloads = load_bench_module("workloads")
 
     model = DynamicsModel(SMALL_MODEL, seed=86)
     optimizer = AdamW(model.params, lr=3e-4)
@@ -120,7 +109,7 @@ def test_traced_step_matches_untraced(tracing):
 
 
 def test_fit_to_target_runs(tmp_path):
-    common = _load_bench_module("common")
+    common = load_bench_module("common")
     write_corpus(tmp_path, n_clips=1, seconds=8.0, bpm=120, beats_per_level=4, seed=11)
     recordings = load_synth_recordings(tmp_path)
     model_cfg = ModelConfig(channels=4, blocks_per_branch=1, attention_dim=4)

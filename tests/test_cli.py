@@ -388,9 +388,19 @@ def test_subnormal_peak_audio_fails_extract_and_annotate(trained, tmp_path, caps
                                "too small to normalise")
 
 
+@pytest.fixture(scope="module")
+def long_clip(tmp_path_factory):
+    # 65 s: two 60 s front-end spans
+    root = tmp_path_factory.mktemp("longclip")
+    (rec,) = write_corpus(root, n_clips=1, seconds=65.0, bpm=120, beats_per_level=4, seed=13)
+    return root / "audio" / f"{rec}.wav"
+
+
 @pytest.mark.parametrize("kind", ["bssl", "logmel"])
-def test_annotate_loudness_csv_reuses_one_spectrogram(corpus, tmp_path, monkeypatch, kind):
-    from dynamark import audio, cli
+def test_annotate_loudness_csv_reuses_one_spectrogram(long_clip, tmp_path, monkeypatch, kind):
+    # the model's features and the loudness curve read one power
+    # spectrogram per span, and bssl runs once per span for both
+    from dynamark import audio, parallel
     from dynamark.network import DynamicsModel, ModelConfig
     from dynamark.trainer import Checkpoint, TrainConfig, save_checkpoint
 
@@ -399,25 +409,18 @@ def test_annotate_loudness_csv_reuses_one_spectrogram(corpus, tmp_path, monkeypa
     checkpoint = tmp_path / f"{kind}.dync"
     save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg, seed=0), TrainConfig(segment_s=10), 0),
                     checkpoint)
-    calls = {"stft_power": 0, "bssl": 0}
-
-    def counted(name, run):
-        def call(*args):
-            calls[name] += 1
-            return run(*args)
-        return call
-
-    for name in calls:
-        wrapper = counted(name, getattr(audio, name))
-        for module in (audio, cli):  # extract_features calls the audio module's own
-            monkeypatch.setattr(module, name, wrapper)
-    wav = sorted((corpus / "audio").glob("*.wav"))[0]
-    code = main(["annotate", str(wav), "--checkpoint", str(checkpoint),
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    calls = {"stft_power": [], "bssl": []}  # appends: spans run on worker threads
+    for name, seen in calls.items():
+        monkeypatch.setattr(audio, name, lambda *args, run=getattr(audio, name), seen=seen:
+                            seen.append(1) or run(*args))
+    code = main(["annotate", str(long_clip), "--checkpoint", str(checkpoint),
                  "--out-prefix", str(tmp_path / "out"), "--loudness-csv"])
     assert code == 0
-    assert calls == {"stft_power": 1, "bssl": 1}
+    spans = -(-audio.frame_count(65 * audio.SAMPLE_RATE) // audio.SPAN_FRAMES)
+    assert spans == 2 and len(calls["stft_power"]) == len(calls["bssl"]) == spans
     monkeypatch.undo()
-    curve = audio.total_loudness(audio.bssl(audio.stft_power(audio.decode_and_prepare(wav))))
+    curve = audio.total_loudness(audio.bssl(audio.stft_power(audio.decode_and_prepare(long_clip))))
     want = "time_s,total_loudness_sone\n" + "".join(
         f"{i / audio.FPS:.3f},{value:.5f}\n" for i, value in enumerate(curve))
     assert (tmp_path / "out.loudness.csv").read_bytes() == want.encode()

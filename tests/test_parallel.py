@@ -97,8 +97,8 @@ class _RecordingPool:
 
 
 def test_extract_workers_share_the_cpus(eight_cpus, monkeypatch, tmp_path):
-    # extract --workers 4 starts four processes, each resampling on
-    # 8 // 4 = 2 threads, not on all eight
+    # extract --workers 4 starts four processes, each running its spans
+    # on 8 // 4 = 2 threads, not on all eight
     import concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     counts = []
