@@ -16,7 +16,10 @@ n-sample input yields ceil(n / 441) frames at exactly 50 fps.
 which runs each 60 s span from WAV samples to feature columns on the
 worker threads of :mod:`.parallel`.  :func:`decode_and_prepare` followed by
 :func:`extract_features` is the serial whole-signal path whose bits it
-reproduces.
+reproduces.  Both resample other rates to 22.05 kHz with
+:class:`_Resampler`, a polyphase Kaiser-windowed sinc computed as small
+GEMMs on one grid of output chunks, so that a span and the whole signal,
+and one BLAS thread and several, give the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 from . import parallel
 from .errors import ConfigError, DecodeError, EmptyInputError
@@ -49,6 +51,10 @@ STFT_BLOCK = 64  # frames per FFT call: the block's frames and spectrum stay in 
 # Five fit set-ups of 60 s clips peaked at 159 MB with 3000-frame spans, as
 # serially, and at 198 MB with 1024-frame spans on two threads.
 SPAN_FRAMES = 3000
+# OpenBLAS runs a GEMM of at most this many multiply-adds (M*N*K) on one
+# thread whatever its thread count, so the resampler's GEMMs stay below it.
+GEMM_SINGLE_THREAD_MNK = 262144
+RESAMPLE_BLOCK_BYTES = 1 << 20  # resampler windows per matmul call: they stay in cache
 
 # Zwicker critical-band boundaries (Hz); 23 edges = 22 bands, the last
 # fully covered band below the 11.025 kHz Nyquist.
@@ -172,6 +178,109 @@ def _polyphase(src_rate: int, taps_per_phase: int = 64,
     return up, down, h
 
 
+class _Resampler:
+    """The polyphase filter of :func:`_polyphase` from ``rate`` to
+    ``SAMPLE_RATE``, computed as blocked GEMMs on one fixed grid of chunks.
+
+    Output ``m`` is ``up * sum_i x[i] h[m*down + half - i*up]`` over the
+    taps that exist, with ``half = (len(h) - 1) // 2`` and zeros past both
+    ends of ``x``: the sum that scipy's ``resample_poly(x, up, down,
+    window=h)`` takes, with its length ``ceil(len(x) * up / down)``.
+
+    The outputs form rows of ``width`` consecutive samples, row ``r``
+    holding outputs ``r*width`` onwards.  A row is the product of its input
+    window, the ``span`` input samples its outputs read, and a banded
+    Toeplitz matrix of taps.  Rows whose outputs fall on the same phases
+    share that matrix; there are ``patterns = lcm(width, up) / width`` of
+    them, and each row's window starts ``stride`` inputs after that of the
+    row ``patterns`` before it.  ``width`` is the largest divisor or
+    multiple of ``up`` whose span is at most 2.5 filter lengths per phase,
+    so that at least 40 % of a GEMM's multiply-adds fall on taps while
+    rows stay wide enough for the BLAS kernels; a wider row wastes
+    multiply-adds on zeros, a narrower one runs the kernels below speed.
+
+    A chunk is ``rows`` rows of each pattern, one GEMM per pattern, and
+    chunk ``c`` starts at output ``c * chunk``.  Every call computes the
+    whole chunks that its outputs overlap, so any slice of the outputs
+    takes the same GEMMs on the same operands, and so the same bits, as
+    the whole signal.  A GEMM does at most ``GEMM_SINGLE_THREAD_MNK``
+    multiply-adds, which OpenBLAS runs on one thread at any thread count,
+    so the bits do not depend on that count either.  The sums are those of
+    ``resample_poly`` in another order, so outputs differ from it in their
+    last bits.
+    """
+
+    def __init__(self, rate: int):
+        self.up, self.down, h = _polyphase(rate)
+        up, down, n_taps = self.up, self.down, len(h)
+        half = (n_taps - 1) // 2
+
+        def layout(width: int):
+            # the first input sample of each pattern's first row, and the widest window
+            patterns = math.lcm(width, up) // width
+            first = np.arange(patterns) * width
+            starts = (first * down + half - n_taps) // up + 1
+            return starts, int((((first + width - 1) * down + half) // up - starts + 1).max())
+
+        most = 5 * (n_taps // up) // 2
+        self.width = max(g for g in range(1, most * up // down + 2)
+                         if (up % g == 0 or g % up == 0) and (span := layout(g)[1]) <= most
+                         and g * span <= GEMM_SINGLE_THREAD_MNK)
+        self.starts, self.span = layout(self.width)
+        patterns = len(self.starts)
+        self.stride = patterns * self.width * down // up
+        self.rows = max(GEMM_SINGLE_THREAD_MNK // (self.width * self.span), 1)
+        self.chunk = self.rows * patterns * self.width
+        self.block = max(RESAMPLE_BLOCK_BYTES // (self.rows * patterns * self.span * 8), 1)  # chunks
+        m = np.arange(patterns)[:, None, None] * self.width + np.arange(self.width)
+        i = self.starts[:, None, None] + np.arange(self.span)[:, None]
+        taps = m * down + half - i * up  # (patterns, span, width)
+        inside = (taps >= 0) & (taps < n_taps)
+        self.toeplitz = np.where(inside, (h * up)[np.where(inside, taps, 0)], 0.0)
+
+    def n_out(self, n_in: int) -> int:
+        return -(-n_in * self.up // self.down)
+
+    def _window_range(self, c0: int, c1: int) -> tuple[int, int]:
+        """The input samples that the windows of chunks [c0, c1) read."""
+        return (int(self.starts[0]) + c0 * self.rows * self.stride,
+                int(self.starts[-1]) + (c1 * self.rows - 1) * self.stride + self.span)
+
+    def _chunks(self, lo: int, hi: int) -> tuple[int, int]:
+        return lo // self.chunk, -(-hi // self.chunk)
+
+    def inputs(self, lo: int, hi: int, n_in: int) -> tuple[int, int]:
+        """The input samples, within [0, ``n_in``), that outputs [lo, hi)
+        read through the chunks that cover them."""
+        a, b = self._window_range(*self._chunks(lo, hi))
+        return max(a, 0), min(b, n_in)
+
+    def __call__(self, x: np.ndarray, start: int, lo: int, hi: int) -> np.ndarray:
+        """Outputs [lo, hi) of the signal that is ``x`` from sample
+        ``start`` on and zero elsewhere; ``x`` holds at least the samples
+        that :meth:`inputs` names."""
+        c0, c1 = self._chunks(lo, hi)
+        patterns, rows, span, width = len(self.starts), self.rows, self.span, self.width
+        y = np.empty((c1 - c0) * self.chunk)
+        block = np.empty((self.block, rows, patterns, span))
+        for b0 in range(c0, c1, self.block):
+            b1 = min(b0 + self.block, c1)
+            u, v = self._window_range(b0, b1)
+            if start <= u and v <= start + len(x):
+                src = x[u - start:v - start]
+            else:  # the signal's first or last chunks: zeros past its ends
+                src = np.zeros(v - u)
+                a, b = max(u, start), min(v, start + len(x))
+                src[a - u:b - u] = x[a - start:b - start]
+            windows = np.lib.stride_tricks.sliding_window_view(src, span)
+            n = b1 - b0
+            for p, first in enumerate(self.starts - self.starts[0]):
+                block[:n, :, p] = windows[first::self.stride][:n * rows].reshape(n, rows, span)
+            out = y[(b0 - c0) * self.chunk:(b1 - c0) * self.chunk].reshape(n, rows, patterns, width)
+            np.matmul(block[:n].transpose(0, 2, 1, 3), self.toeplitz, out=out.transpose(0, 2, 1, 3))
+        return y[lo - c0 * self.chunk:hi - c0 * self.chunk]
+
+
 def _read_wav(path: Path) -> tuple[int, np.ndarray]:
     """Sample rate and samples (N,) or (N, C) of a WAV file."""
     try:
@@ -192,7 +301,9 @@ def decode_and_prepare(path) -> np.ndarray:
 
     Downmix is the mean of channels; normalisation happens before
     resampling; all-zero input is left unnormalised, and a peak too small
-    to scale to -1 dBFS is a :class:`DecodeError`.  The CLI runs
+    to scale to -1 dBFS is a :class:`DecodeError`.  The resampler is
+    :class:`_Resampler`: scipy's ``resample_poly`` with the filter of
+    :func:`_polyphase`, up to the last bits, as blocked GEMMs.  The CLI runs
     :func:`wav_features` instead, which gives the features of these
     samples bit for bit in bounded memory.
     """
@@ -201,8 +312,8 @@ def decode_and_prepare(path) -> np.ndarray:
     x = _mono_normalised(raw, path)
     if rate == SAMPLE_RATE:
         return x
-    up, down, h = _polyphase(rate)
-    return resample_poly(x, up, down, window=h)
+    resample = _Resampler(rate)
+    return resample(x, 0, 0, resample.n_out(len(x)))
 
 
 def wav_features(path, kinds) -> dict[str, np.ndarray]:
@@ -218,22 +329,22 @@ def wav_features(path, kinds) -> dict[str, np.ndarray]:
     passes.  The first takes the peak of each span's downmixed input
     samples, the one quantity of the whole recording (see
     :func:`_downmix_peak`).  The second takes each span from WAV samples to
-    feature columns: it downmixes and normalises the input slice that the
-    span's output samples need, resamples it with one ``resample_poly``
-    call, transforms those samples plus the window overlap with one
-    :func:`stft_power` call, and writes each kind's columns.  A resampled
-    slice starts at a multiple of ``down``, so its outputs fall on the
-    same phases as the whole signal's, and reaches past the span by more
-    than the filter's support on both sides, so every output sums the
-    same taps in the same order.  Frames past the last sample read zeros,
-    as in :func:`stft_power`.
+    feature columns: it downmixes and normalises the input samples that
+    the resampler chunks covering the span's output samples read,
+    resamples them with one :class:`_Resampler` call, transforms those
+    output samples plus the window overlap with one :func:`stft_power`
+    call, and writes each kind's columns.  The chunks lie on one grid
+    anchored at output 0, so a span's outputs come from the same GEMMs on
+    the same operands as the whole signal's.  Frames past the last sample
+    read zeros, as in :func:`stft_power`.
     """
     for kind in kinds:
         _check_kind(kind)
     path = Path(path)
     rate, raw = _read_wav(path)
     n_in = len(raw)
-    up, down, h = _polyphase(rate) if rate != SAMPLE_RATE else (1, 1, None)
+    resample = _Resampler(rate) if rate != SAMPLE_RATE else None
+    up, down = (1, 1) if resample is None else (resample.up, resample.down)
     n_out = -(-n_in * up // down)
     t = frame_count(n_out)
     n_spans = -(-t // SPAN_FRAMES)
@@ -247,18 +358,15 @@ def wav_features(path, kinds) -> dict[str, np.ndarray]:
     gain = _gain(np.max(peaks), path)  # np.max, unlike max, keeps a NaN wherever it falls
     _check_length(n_out)
     features = {kind: np.empty((FEATURE_BINS[kind], t), dtype=np.float32) for kind in kinds}
-    margin = 0 if h is None else len(h) // up + 2  # input samples, more than the filter reaches
 
     def span_features(s: int) -> None:
         f0, f1 = s * size, min((s + 1) * size, t)
         lo, hi = f0 * HOP, min((f1 - 1) * HOP + WINDOW, n_out)  # output samples the frames read
-        first = max(lo * down // up - margin, 0) // down  # in units of down
-        stop = min(-(-hi * down // up) + margin, n_in)
-        x = _downmix(raw[first * down:stop])
+        a, b = (lo, hi) if resample is None else resample.inputs(lo, hi, n_in)
+        x = _downmix(raw[a:b])
         x *= gain
-        if h is not None:
-            x = resample_poly(x, up, down, window=h)
-        x = x[lo - first * up:hi - first * up]
+        if resample is not None:
+            x = resample(x, a, lo, hi)
         if len(x) < WINDOW:  # a span within the last 3 frames
             x = np.concatenate([x, np.zeros(WINDOW - len(x))])
         power = stft_power(x)[:, :f1 - f0]

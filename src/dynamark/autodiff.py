@@ -547,17 +547,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Same-size convolution over the trailing axes of ``x`` (B, C, *S)
-    with ``w`` (O, C, *K), every K odd: one im2col buffer and one GEMM per
-    batch item.
+    with ``w`` (O, C, *K), every K odd: one im2col buffer per call, and one
+    GEMM per batch item.
 
-    An item's buffer is channel-first, (C*prod(K), prod(S)): row ``c, tap``
-    holds the padded input of channel ``c`` shifted by ``tap``, for every
-    output position.  It is filled by one block copy per kernel tap, each
-    of which moves whole rows of the last spatial axis, and its GEMM
-    writes straight into that item's output.  The backward rebuilds each
-    item's buffer in turn rather than holding it, adds that item's GEMM to
-    the weight gradient, and scatters the item's column gradient into the
-    input gradient before the next item; so no buffer spans the batch.
+    The buffer is channel-first, (C*prod(K), prod(S)): row ``c, tap`` holds
+    one item's padded input of channel ``c`` shifted by ``tap``, for every
+    output position.  The forward refills it for each item, by one block
+    copy per kernel tap, each of which moves whole rows of the last spatial
+    axis, and that item's GEMM writes straight into its output.  The
+    backward allocates its own buffer rather than holding the forward's.
+    For each item in turn it refills the buffer, adds that item's GEMM to
+    the weight gradient, takes the item's column gradient into the same
+    buffer and scatters it into the input gradient; so no buffer spans the
+    batch, and reuse spares each item the page faults of a fresh one.
     Output and input gradient equal the item-by-item B=1 results bit for
     bit; the weight gradient is the item-ordered sum of theirs."""
     (bsz, cin), spatial = x.data.shape[:2], x.data.shape[2:]
@@ -575,17 +577,23 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         # index of the S-sized block of one item's padded input that starts at ``offsets``
         return (slice(None),) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
 
-    def columns(i: int) -> Array:
-        # (C, *S+K-1) -> (C*prod(K), prod(S)) contiguous im2col buffer of item ``i``
-        cols = np.empty((cin, *ks, *spatial), dtype=xp.dtype)
+    w2 = w.data.reshape(cout, -1)
+    dtype = np.result_type(w2, xp)
+
+    def buffer() -> Array:
+        return np.empty((cin * int(np.prod(ks)), length), dtype=dtype)
+
+    def columns(i: int, buf: Array) -> Array:
+        # (C, *S+K-1) -> im2col buffer ``buf`` (C*prod(K), prod(S)) of item ``i``
+        cols = buf.reshape(cin, *ks, *spatial)
         for tap in np.ndindex(*ks):
             cols[(slice(None),) + tap] = xp[i][region(tap)]
-        return cols.reshape(-1, length)
+        return buf
 
-    w2 = w.data.reshape(cout, -1)
-    data = np.empty((bsz, cout, *spatial), dtype=np.result_type(w2, xp))
+    data = np.empty((bsz, cout, *spatial), dtype=dtype)
+    buf = buffer()
     for i in range(bsz):
-        np.matmul(w2, columns(i), out=data[i].reshape(cout, length))
+        np.matmul(w2, columns(i, buf), out=data[i].reshape(cout, length))
     if b is not None:
         data += b.data.reshape((cout,) + (1,) * n)
 
@@ -593,15 +601,15 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 
     def back(g, grads):
         gxp = None if nx is None else np.zeros_like(xp)
+        buf = buffer()  # untouched, so unmapped, when only the bias needs a gradient
         for i in range(bsz):
             g2 = np.ascontiguousarray(g[i].reshape(cout, length).T)  # (prod(S), O)
             if nw is not None:  # the weight gradient sums one GEMM per item, in item order
-                _accum(grads, nw, (g2.T @ columns(i).T).reshape(wshape))
+                _accum(grads, nw, (g2.T @ columns(i, buf).T).reshape(wshape))
             if gxp is not None:
-                gcols = (w2.T @ g2.T).reshape(cin, *ks, *spatial)
+                gcols = np.matmul(w2.T, g2.T, out=buf).reshape(cin, *ks, *spatial)
                 for tap in np.ndindex(*ks):
                     gxp[i][region(tap)] += gcols[(slice(None),) + tap]
-                del gcols  # before the next item's
         if nb is not None:
             _accum(grads, nb, g.sum(axis=(0,) + axes))
         if gxp is not None:

@@ -2,13 +2,18 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.io import wavfile
+from scipy.signal import resample_poly
 
 from dynamark import audio, parallel
 from dynamark.audio import (
@@ -72,6 +77,53 @@ def test_decode_resampled_sine_spectral_peak(wav_writer):
     spec = np.abs(np.fft.rfft(samples * np.hanning(len(samples))))
     freqs = np.fft.rfftfreq(len(samples), 1.0 / SAMPLE_RATE)
     assert abs(freqs[spec.argmax()] - 1000.0) < 1.0
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 32000, 44100, 48000, 88200, 96000])
+def test_resampler_matches_resample_poly(rate):
+    # every rate span_cases draws but the native one; lengths from one sample
+    # to several chunks.  The GEMMs sum scipy's products in another order and
+    # with fused multiply-adds: the largest gap is 7.4e-16 * max|x| on these
+    # inputs and 1.2e-15 * max|x| on 60 s of noise at these rates
+    up, down, h = audio._polyphase(rate)
+    resample = audio._Resampler(rate)
+    rng = np.random.default_rng(rate)
+    for n in (1, 63, 1000, 3 * resample.chunk * down // up + 7):
+        x = rng.uniform(-1.5, 1.5, n)
+        want = resample_poly(x, up, down, window=h)
+        got = resample(x, 0, 0, resample.n_out(n))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(x).max(), n
+
+
+_FEATURE_DIGESTS = """
+import hashlib, sys
+from dynamark import audio
+for path in sys.argv[1:]:
+    features = audio.wav_features(path, ["bssl", "logmel"])
+    print(hashlib.sha256(features["bssl"].tobytes() + features["logmel"].tobytes()).hexdigest())
+"""
+
+
+def test_span_features_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # README: extract and annotate give the same bits with one BLAS thread and
+    # with two.  The resampler keeps each GEMM small enough for OpenBLAS to
+    # run it on one thread at any thread count, so this holds by construction
+    rng = np.random.default_rng(0)
+    paths = [str(write_wav(tmp_path / f"{rate}.wav", rng.uniform(-0.9, 0.9, (20 * rate, 2)), rate, "int16"))
+             for rate in (44100, 48000)]
+    src = str(Path(audio.__file__).resolve().parents[1])
+
+    def digests(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _FEATURE_DIGESTS, *paths], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.split()
+
+    one = digests(1)
+    assert len(one) == 2 and digests(2) == one
 
 
 @pytest.mark.parametrize("sampwidth", ["int16", "int24", "float32"])

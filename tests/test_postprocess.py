@@ -290,3 +290,33 @@ def test_from_json_byte_mutation_fuzz(tmp_path_factory, edits, keep):
     except DynamarkError:
         return
     assert len(report.markings) == len(report.beats)
+
+
+def _metrical_track(seed, t=1500, off_beat_downbeat=False):
+    """Probability tracks of a steady meter: beat peaks every 20-34 frames,
+    downbeat peaks on every fourth beat give or take 2 frames, a few
+    change-point peaks anywhere, over noise below the thresholds."""
+    rng = np.random.default_rng(seed)
+    period = int(rng.integers(20, 35))
+    beats = np.arange(int(rng.integers(0, period)), t, period)
+    probs = {task: rng.uniform(0.0, 0.3, t) for task in ("beat", "downbeat", "change_point")}
+    probs["beat"][beats] = rng.uniform(0.6, 1.0, beats.size)
+    downbeats = beats[::4] + rng.integers(-2, 3, beats[::4].size)
+    if off_beat_downbeat:  # halfway between two beats
+        downbeats = np.append(downbeats, beats[5] + period // 2)
+    probs["downbeat"][np.clip(downbeats, 0, t - 1)] = rng.uniform(0.6, 1.0, downbeats.size)
+    probs["change_point"][rng.integers(0, t, 5)] = 0.9
+    probs["dynamics"] = rng.dirichlet(np.ones(6), t)
+    return probs
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "downbeats are peak-picked apart from beats: in these tracks a downbeat peak up to 2 "
+    "frames off its beat, or halfway between two beats, is reported as a downbeat that "
+    "is not a beat: 7-12 of the 12-14 downbeats of each track (change points are snapped "
+    "to beats and hold)"))
+def test_every_downbeat_and_change_point_is_a_reported_beat():
+    for probs in [_metrical_track(seed) for seed in range(3)] + [_metrical_track(3, off_beat_downbeat=True)]:
+        report = build_event_report(probs)
+        assert set(report.change_points) <= set(report.beats)
+        assert set(report.downbeats) <= set(report.beats), sorted(set(report.downbeats) - set(report.beats))
