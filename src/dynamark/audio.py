@@ -24,12 +24,12 @@ and one BLAS thread and several, give the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import parallel
 from .errors import ConfigError, DecodeError, EmptyInputError
@@ -283,6 +283,8 @@ class _Resampler:
 
 def _read_wav(path: Path) -> tuple[int, np.ndarray]:
     """Sample rate and samples (N,) or (N, C) of a WAV file."""
+    from scipy.io import wavfile  # here, so that training and inference never import scipy
+
     try:
         rate, raw = wavfile.read(path)
     except FileNotFoundError:
@@ -436,6 +438,19 @@ def _check_bins(power: np.ndarray) -> None:
 # specific loudness
 # --------------------------------------------------------------------------
 
+def _built_once(build):
+    """``build`` cached: its array is built on the first call, made
+    read-only and returned by every call after."""
+    @functools.cache
+    @functools.wraps(build)
+    def once(*args):
+        arr = build(*args)
+        arr.setflags(write=False)
+        return arr
+
+    return once
+
+
 def outer_middle_ear_weights(freq_hz: np.ndarray) -> np.ndarray:
     """Terhardt ear-transfer weights in the power domain (0 at DC)."""
     f = np.asarray(freq_hz, dtype=np.float64) / 1000.0
@@ -448,6 +463,13 @@ def outer_middle_ear_weights(freq_hz: np.ndarray) -> np.ndarray:
     return w
 
 
+@_built_once
+def _bin_ear_weights() -> np.ndarray:
+    """:func:`outer_middle_ear_weights` of every STFT bin, as a (513, 1) column."""
+    return outer_middle_ear_weights(BIN_HZ)[:, None]
+
+
+@_built_once
 def critical_band_matrix() -> np.ndarray:
     """0/1 matrix (22, 513) summing STFT bins into Zwicker bands.
 
@@ -461,6 +483,7 @@ def critical_band_matrix() -> np.ndarray:
     return m
 
 
+@_built_once
 def spreading_matrix(n_bands: int = N_BARK_BANDS) -> np.ndarray:
     """Schroeder spreading function across critical bands (power domain)."""
     i = np.arange(n_bands)
@@ -492,7 +515,7 @@ def bssl(power: np.ndarray) -> np.ndarray:
     """Bark-scale specific loudness in sone, (22, T) float32, from a
     (513, T) power spectrogram."""
     _check_bins(power)
-    weighted = power * outer_middle_ear_weights(BIN_HZ)[:, None]
+    weighted = power * _bin_ear_weights()
     bands = critical_band_matrix() @ weighted
     spread = spreading_matrix() @ bands
     return np.maximum(phon_to_sone(power_to_phon(spread)), 0.0).astype(np.float32)
@@ -518,6 +541,7 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@_built_once
 def mel_filterbank() -> np.ndarray:
     """Triangular mel filters (128, 513), peak height 1.
 

@@ -30,6 +30,11 @@ the inputs that need a gradient, never its op's output.  So an output
 that no backward reads (a conv output that only feeds a sum, a sum that
 feeds a relu saving a boolean mask, a batchnorm output the next conv
 pads into its own copy) is freed as soon as the forward code drops it.
+
+An op none of whose inputs needs a gradient links no node at all, so a
+forward over tensors that need none (``ParameterStore.frozen``) builds
+no graph.  Then ``relu`` keeps no mask, ``batchnorm2d`` normalises in
+place and ``attention`` holds no (T, T) buffer.
 """
 
 from __future__ import annotations
@@ -247,6 +252,18 @@ class ParameterStore:
         for _, t in self.items():
             t.zero_grad()
 
+    def frozen(self) -> "ParameterStore":
+        """A store of copies of every tensor, none of which needs a
+        gradient; ``trainable`` is False."""
+        store = ParameterStore()
+        store._entries = {name: Tensor(t.data.copy()) for name, t in self._entries.items()}
+        return store
+
+    @property
+    def trainable(self) -> bool:
+        """Whether every tensor needs a gradient, as :meth:`add` makes it."""
+        return all(t._needs for t in self._entries.values())
+
     def total_parameters(self) -> int:
         return sum(t.size for _, t in self.items())
 
@@ -345,7 +362,8 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
-    nx, mask = _node_of(x), x.data > 0
+    nx = _node_of(x)
+    mask = None if nx is None else x.data > 0
 
     def back(g, grads):
         _accum(grads, nx, g * mask)
@@ -703,7 +721,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
 
     Training mode normalises with batch statistics and, when ``state``
     is given, updates running estimates with the stated momentum; eval
-    mode normalises with the running estimates.
+    mode normalises with the running estimates.  When no input needs a
+    gradient, the output is built in place and no normalised copy is kept.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d: expected (B,C,H,W), got {x.data.shape}")
@@ -727,10 +746,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
         mean = state.running_mean.astype(x.data.dtype)
         var = state.running_var.astype(x.data.dtype)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
     gd = gamma.data
-    data = gd[None, :, None, None] * xhat + beta.data[None, :, None, None]
     nx, ngamma, nbeta = _node_of(x), _node_of(gamma), _node_of(beta)
+    if nx is ngamma is nbeta is None:  # in place, with no xhat kept: the same bits
+        data = x.data - mean[None, :, None, None]
+        data *= inv[None, :, None, None]
+        data *= gd[None, :, None, None]
+        data += beta.data[None, :, None, None]
+        return _output(data, (), None)
+    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
+    data = gd[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def back(g, grads):
         gxhat = g * xhat  # one product for gamma's gradient and the input's
@@ -775,7 +800,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     return _output(data, (nx, ngamma, nbeta), back)
 
 
-# Score rows per pass of attention's softmax and backward.  With block
+# Score rows per pass of attention's softmax and backward (and, with no
+# gradient, of its p @ v).  With block
 # edges at multiples of 12, the float64 score gradient of short sequences
 # (T < 242) equals one GEMM over all rows bit for bit under OpenBLAS's
 # small-matrix kernels; at 32 or 64 rows a block's last rows round
@@ -817,6 +843,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     for bit; the tests keep it as the reference.  That holds in float32
     at every T tried (to 3000), in float64 only below T = 334 for the
     output and T = 242 for the gradients of q and k (see ``ROW_BLOCK``).
+
+    When none of q, k and v needs a gradient (inference), no (T, T)
+    buffer exists: each ``ROW_BLOCK`` of probabilities is multiplied by v
+    into its output rows and dropped.  The probabilities are the same
+    bits, but the blocked ``p @ v`` rounds differently from one GEMM: each
+    output is within 4e-6 of max |v| of the training path's (float32; at
+    most 8.2e-7 measured, over T = 1-145 and 500-3000).
     """
     shapes = (q.data.shape, k.data.shape, v.data.shape)
     if (any(len(s) != 3 for s in shapes) or len({s[0] for s in shapes}) != 1
@@ -826,24 +859,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     qd, vd = q.data, v.data
     kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
     bsz, t, _ = qd.shape
-    p = np.empty((t, kt.shape[2]), dtype=np.result_type(qd, kt))
-    c = p.dtype.type(1.0 / np.sqrt(qd.shape[2]))
+    nq, nk, nv = _node_of(q), _node_of(k), _node_of(v)
+    dtype = np.result_type(qd, kt)
+    c = dtype.type(1.0 / np.sqrt(qd.shape[2]))
+
+    def softmax_rows(i: int, lo: int, hi: int, rows: Array) -> None:
+        # rows ``lo:hi`` of item ``i``'s softmax probabilities into ``rows``
+        np.matmul(qd[i, lo:hi], kt[i], out=rows)
+        rows *= c
+        rows -= rows.max(axis=-1, keepdims=True)
+        np.exp(rows, out=rows)
+        rows /= rows.sum(axis=-1, keepdims=True)
+
+    data = np.empty((bsz, t, vd.shape[2]), dtype=np.result_type(dtype, vd))
+    if nq is nk is nv is None:  # one row block of probabilities at a time
+        block = np.empty((ROW_BLOCK + 1, kt.shape[2]), dtype=dtype)  # + 1: a folded tail row
+        for i in range(bsz):
+            for lo, hi in _row_blocks(t):
+                softmax_rows(i, lo, hi, block[:hi - lo])
+                np.matmul(block[:hi - lo], vd[i], out=data[i, lo:hi])
+        return _output(data, (), None)
+
+    p = np.empty((t, kt.shape[2]), dtype=dtype)
 
     def probabilities(i: int) -> None:
         # item ``i``'s softmax probabilities into ``p``
         for lo, hi in _row_blocks(t):
-            rows = p[lo:hi]
-            np.matmul(qd[i, lo:hi], kt[i], out=rows)
-            rows *= c
-            rows -= rows.max(axis=-1, keepdims=True)
-            np.exp(rows, out=rows)
-            rows /= rows.sum(axis=-1, keepdims=True)
+            softmax_rows(i, lo, hi, p[lo:hi])
 
-    data = np.empty((bsz, t, vd.shape[2]), dtype=np.result_type(p, vd))
     for i in range(bsz):
         probabilities(i)
         np.matmul(p, vd[i], out=data[i])
-    nq, nk, nv = _node_of(q), _node_of(k), _node_of(v)
 
     def back(g, grads):
         gq = None if nq is None else np.empty(qd.shape, dtype=p.dtype)

@@ -18,6 +18,7 @@ stays exactly 8.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, ParameterStore, Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TrainingError
 from .objectives import N_DYNAMIC_CLASSES, TASKS
 
 LATENT_DIM = 8
@@ -204,6 +205,8 @@ class DynamicsModel:
     def forward(self, features, training: bool = False, return_gates: bool = False):
         """Full pass: features -> raw per-frame logits keyed by task, (B, T, 6)
         for dynamics and (B, T) for the rest (with the gates if asked)."""
+        if training and not self.params.trainable:
+            raise TrainingError("a frozen model cannot be trained")
         latent = self.encode(features, training=training)
         if self.cfg.use_mmoe:
             task_features, gates = self.mmoe(latent)
@@ -217,6 +220,16 @@ class DynamicsModel:
         return (logits, gates) if return_gates else logits
 
     # -- bookkeeping ----------------------------------------------------------
+
+    def frozen(self) -> "DynamicsModel":
+        """A copy for inference: the same parameter values and batchnorm
+        statistics in tensors that need no gradient, so its forward builds
+        no graph.  It cannot be trained; a frozen model returns itself."""
+        if not self.params.trainable:
+            return self
+        twin = DynamicsModel.__new__(DynamicsModel)
+        twin.cfg, twin.params, twin.bn_state = self.cfg, self.params.frozen(), copy.deepcopy(self.bn_state)
+        return twin
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and batchnorm running statistic, by name."""

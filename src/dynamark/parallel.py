@@ -1,4 +1,4 @@
-"""The one rule for how many threads inference uses: one per CPU this
+"""The one rule for how many threads the work uses: one per CPU this
 process may run on.
 
 Only independent pieces of work go through :func:`map_in_order`: the
@@ -7,35 +7,40 @@ each) and its 60 s inference windows.  Each piece computes exactly what
 it would serially, so outputs are the same bits at any worker count.
 ``taskset``, a cgroup CPU set and a cgroup CPU quota all limit the
 count; ``extract --workers N`` gives each of its N processes an equal
-share through :func:`share_cpus`.
+share through :func:`share_cpus`.  Training scores each epoch on a
+:func:`side_lane` while the calling thread trains on; the lane's
+:func:`map_in_order` leaves one CPU to the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # Set in each of extract's worker processes: that process's share of the CPUs.
 _share: int | None = None
+# ``cap`` is set on a side lane's thread: the workers left to it.
+_lane = threading.local()
 
 
 def worker_count() -> int:
     """CPUs in the process's affinity mask (``os.cpu_count()`` where the
-    platform has no affinity call), no more than a cgroup CPU quota grants
-    and no more than this process's share set by :func:`share_cpus`."""
+    platform has no affinity call), no more than a cgroup CPU quota grants,
+    no more than this process's share set by :func:`share_cpus` and, on a
+    :func:`side_lane`, no more than the lane's share."""
     try:
         count = len(os.sched_getaffinity(0))
     except AttributeError:
         count = os.cpu_count() or 1
-    quota = quota_cpus()
-    if quota is not None:
-        count = min(count, quota)
-    if _share is not None:
-        count = min(count, _share)
+    for limit in (quota_cpus(), _share, getattr(_lane, "cap", None)):
+        if limit is not None:
+            count = min(count, limit)
     return max(1, count)
 
 
@@ -112,6 +117,24 @@ def map_in_order(fn, items) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _cap_lane(workers: int) -> None:
+    _lane.cap = workers
+
+
+@contextlib.contextmanager
+def side_lane():
+    """A one-thread executor for work that runs beside the caller's own,
+    or None when :func:`worker_count` is 1.  On the lane's thread
+    :func:`worker_count` is one less than the caller's, so the caller and
+    the lane keep no more threads busy than there are workers."""
+    workers = worker_count()
+    if workers == 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=1, initializer=_cap_lane, initargs=(workers - 1,)) as lane:
+        yield lane
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import FPS
 from .errors import SchemaError
@@ -94,12 +94,14 @@ def pick_peaks(probs: np.ndarray, threshold: float = PEAK_THRESHOLD,
     A frame survives when it is >= every neighbour within ``radius``
     and no earlier surviving frame lies within ``radius`` (so selected
     frames are at least radius+1 apart; plateau ties go to the earlier
-    frame).
+    frame).  A NaN frame is never picked, nor is any frame within
+    ``radius`` of one, since its window maximum is NaN.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.size == 0:
         return np.zeros(0, dtype=np.intp)
-    win_max = maximum_filter1d(probs, size=2 * radius + 1, mode="constant", cval=-np.inf)
+    padded = np.pad(probs, radius, constant_values=-np.inf)
+    win_max = sliding_window_view(padded, 2 * radius + 1).max(axis=-1)
     candidates = np.nonzero((probs > threshold) & (probs >= win_max))[0]
     picked: list[int] = []
     for t in candidates:

@@ -12,6 +12,7 @@ import json
 import os
 import struct
 import zlib
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,6 +67,8 @@ class AdamW:
     EPS = 1e-8
 
     def __init__(self, store: ParameterStore, lr: float = 3e-4, weight_decay: float = 0.01):
+        if not store.trainable:
+            raise TrainingError("AdamW: the parameters need no gradient (a frozen model cannot be trained)")
         self.store = store
         self.lr = lr
         self.weight_decay = weight_decay
@@ -230,13 +233,14 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
     over windows: a (T, 6) softmax for dynamics, (T,) sigmoids for the
     three binary tasks.
 
-    The windows run on :func:`.parallel.map_in_order` and are joined in
-    window order; each forward is the same B=1 pass as run alone, so the
-    bits do not depend on the worker count.  A window returns only its
-    logit rows, so its autodiff graph is freed when it ends and at most
-    one graph per worker is alive.
+    The forwards run on a frozen copy of the model (``model.frozen()``),
+    so they build no autodiff graph.  The windows run on
+    :func:`.parallel.map_in_order` and are joined in window order; each
+    forward is the same B=1 pass as run alone, so the bits do not depend
+    on the worker count.
     """
     t = features.shape[1]
+    model = model.frozen()
 
     def window(start: int) -> dict[str, np.ndarray]:
         logits = model.forward(crop_window(features, start, window_s * FPS), training=False)
@@ -314,6 +318,17 @@ def _batches(segments: list[Segment], batch_size: int, rng: np.random.Generator)
         yield feats, targets
 
 
+def _attempt(fn) -> Future:
+    """``fn()`` run now, with its result or its exception held in a done
+    future, to be raised when the result is read."""
+    done = Future()
+    try:
+        done.set_result(fn())
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
 def train_model(model: DynamicsModel, train_recordings, val_recordings,
                 train_cfg: TrainConfig, log=None, stop_when=None) -> tuple[Checkpoint, dict]:
     """Fit on train recordings; keep the best-validation checkpoint.
@@ -322,6 +337,15 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
     validation summaries).  ``stop_when(val_summary)`` returning True
     ends training early (off by default, so the stock protocol always
     runs the configured number of epochs).
+
+    Each epoch is scored on a frozen snapshot of the model taken when it
+    ends.  With more than one worker (:func:`.parallel.worker_count`),
+    the snapshot is scored on a :func:`.parallel.side_lane` while the
+    next epoch trains ahead.  If ``stop_when`` then fires, the model goes
+    back to the snapshot and the epoch trained ahead, with any error it
+    raised, is dropped; else its error is raised once the scored epoch
+    is recorded.  The last epoch is scored alone.  History, checkpoint
+    and final model state equal a one-worker run bit for bit.
     """
     if not train_recordings:
         raise TrainingError("training split is empty")
@@ -333,31 +357,52 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
                                       window_s=train_cfg.segment_s, mode=train_cfg.tiling))
     optimizer = AdamW(model.params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
-    history = {"step_losses": [], "epoch_losses": [], "val_mean_f1": []}
-    best: Checkpoint | None = None
-    best_score = -1.0
-    for epoch in range(train_cfg.epochs):
-        epoch_losses = []
+
+    def train_epoch() -> list[float]:
+        losses = []
         for feats, targets in _batches(segments, train_cfg.batch_size, rng):
             logits = model.forward(feats, training=True)
             loss, report = multitask_loss(logits, targets)
             optimizer.zero_grad()
             ad.backward(loss)
             optimizer.step()
-            history["step_losses"].append(report.total)
-            epoch_losses.append(report.total)
-        history["epoch_losses"].append(float(np.mean(epoch_losses)))
-        val = evaluate_recordings(model, val_recordings, window_s=train_cfg.segment_s)
-        history["val_mean_f1"].append(val["mean_f1"])
-        if log:
-            log(f"epoch {epoch + 1}/{train_cfg.epochs}: "
-                f"loss {history['epoch_losses'][-1]:.4f} val mean F1 {val['mean_f1']:.3f}")
-        summary = {k: val[k] for k in TASK_F1_KEYS + ("mean_f1",)}
-        if val["mean_f1"] > best_score:
-            best_score = val["mean_f1"]
-            best = Checkpoint.from_model(model, train_cfg, epoch=epoch + 1, val_summary=summary)
-        if stop_when is not None and stop_when(summary):
-            break
+            losses.append(report.total)
+        return losses
+
+    def validate(snapshot: DynamicsModel) -> dict:
+        return evaluate_recordings(snapshot, val_recordings, window_s=train_cfg.segment_s)
+
+    history = {"step_losses": [], "epoch_losses": [], "val_mean_f1": []}
+    best: Checkpoint | None = None
+    best_score = -1.0
+    losses = train_epoch()
+    with parallel.side_lane() as lane:
+        for epoch in range(train_cfg.epochs):
+            snapshot = model.frozen()
+            last = epoch + 1 == train_cfg.epochs
+            ahead = lane is not None and not last
+            if ahead:
+                scoring = lane.submit(validate, snapshot)
+                next_epoch = _attempt(train_epoch)
+                val = scoring.result()
+            else:
+                val = validate(snapshot)
+            history["step_losses"].extend(losses)
+            history["epoch_losses"].append(float(np.mean(losses)))
+            history["val_mean_f1"].append(val["mean_f1"])
+            if log:
+                log(f"epoch {epoch + 1}/{train_cfg.epochs}: "
+                    f"loss {history['epoch_losses'][-1]:.4f} val mean F1 {val['mean_f1']:.3f}")
+            summary = {k: val[k] for k in TASK_F1_KEYS + ("mean_f1",)}
+            if val["mean_f1"] > best_score:
+                best_score = val["mean_f1"]
+                best = Checkpoint.from_model(snapshot, train_cfg, epoch=epoch + 1, val_summary=summary)
+            if stop_when is not None and stop_when(summary):
+                if ahead:
+                    model.load_state_dict(snapshot.state_dict())
+                break
+            if not last:
+                losses = next_epoch.result() if ahead else train_epoch()
     return best, history
 
 

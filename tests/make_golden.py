@@ -53,7 +53,7 @@ def stock_model_outputs() -> dict[str, np.ndarray]:
         targets = [rasterize(load_annotation(ann_dir / f"{rec}_beats.csv", ann_dir / f"{rec}_markings.csv"),
                              frames) for rec in ids]
     model = DynamicsModel(ModelConfig(), seed=MODEL_SEED)
-    logits = model.forward(features, training=False)
+    logits = model.frozen().forward(features, training=False)
     out = {f"logits.{head}": logits[head].data.copy() for head in HEADS}
     model.params.zero_grads()
     loss, _ = multitask_loss(model.forward(features, training=True), TargetBatch.from_targets(targets))

@@ -578,6 +578,12 @@ def test_mel_filterbank_energy_preservation():
     np.testing.assert_allclose(response[interior], 1.0, atol=0.01)
 
 
+@pytest.mark.parametrize("build", [mel_filterbank, audio.critical_band_matrix,
+                                   audio.spreading_matrix, audio._bin_ear_weights])
+def test_constant_maps_are_built_once_and_read_only(build):
+    assert build() is build() and not build().flags.writeable
+
+
 def test_mel_profile_tracks_bandwidth_for_white_noise():
     # wider filters collect more of a flat spectrum; discretisation makes
     # the profile only broadly monotone, so assert the trend not each step

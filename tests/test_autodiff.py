@@ -373,7 +373,9 @@ def _composed_attention(q, k, v):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4 * ad.ROW_BLOCK + 1), st.integers(1, 9), st.integers(1, 9),
-       st.sampled_from([np.float32, np.float64]), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.sampled_from([np.float32, np.float64]),
+       # with no input needing a gradient p @ v is row-blocked: see the graph-free test below
+       st.lists(st.booleans(), min_size=3, max_size=3).filter(any),
        st.integers(0, 2**32 - 1))
 # one row past a block: a lone last row would take the GEMV path and round differently
 @example(2, ad.ROW_BLOCK + 1, 8, 8, np.float32, [True, True, True], 0)
@@ -457,6 +459,44 @@ def test_attention_holds_one_score_buffer():
             tracemalloc.stop()
         assert held <= 1.1 * buffer, (bsz, held / buffer)
         assert peak <= 1.25 * buffer, (bsz, peak / buffer)
+
+
+def test_graph_free_attention_within_its_tolerance_of_the_training_path():
+    # with no input needing a gradient, each ROW_BLOCK of probabilities is
+    # multiplied by v into its output rows, so no (T, T) buffer is held and
+    # each output is within 4e-6 of max |v| of the one-GEMM training path
+    rng = np.random.default_rng(17)
+    for t in [*range(1, 3 * ad.ROW_BLOCK + 2), 3000]:
+        q, k = (rng.standard_normal((2, t, 8)).astype(np.float32) for _ in range(2))
+        v = rng.standard_normal((2, t, 9)).astype(np.float32)
+        want = ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v)).data
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = ad.attention(Tensor(q), Tensor(k), Tensor(v))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got._node is None and got.data.dtype == want.dtype
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=4e-6 * np.abs(v).max(), err_msg=str(t))
+        assert peak <= want.nbytes + 4 * (ad.ROW_BLOCK + 1) * t * 4 + 4096, (t, peak)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_graph_free_batchnorm_gives_the_same_bits(training):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32) * 3 + 1
+    gamma, beta = (rng.standard_normal(3).astype(np.float32) for _ in range(2))
+    outs = []
+    for needs in (True, False):
+        state = ad.BatchNormState(3)
+        state.running_mean += 0.5
+        out = ad.batchnorm2d(Tensor(x), Tensor(gamma, requires_grad=needs), Tensor(beta),
+                             state=state, training=training)
+        assert (out._node is None) is not needs
+        outs.append((out.data, state.running_mean, state.running_var))
+    for got, want in zip(*outs):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shapes", [

@@ -390,9 +390,53 @@ def test_training_step_builds_no_whole_batch_buffer():
     assert peak < 12.5 * feats.size * SMALL["channels"] * 4
 
 
+def test_frozen_forward_builds_no_graph():
+    model = small_model()
+    rng = np.random.default_rng(21)
+    model.forward(rand_features(rng, t=80), training=True)  # move the running statistics
+    frozen = model.frozen()
+    assert frozen.frozen() is frozen and model.params.trainable and not frozen.params.trainable
+    state = model.state_dict()
+    assert all(np.array_equal(state[name], arr) for name, arr in frozen.state_dict().items())
+    logits, gates = frozen.forward(rand_features(rng, t=80), return_gates=True)
+    assert all(out._node is None for out in [*logits.values(), *gates.values()])
+    # the copy holds its own arrays: training the model leaves it as it was
+    model.params["head_beat.b"].data += 1.0
+    model.bn_state["input_bn"].running_mean += 1.0
+    assert np.array_equal(frozen.params["head_beat.b"].data, state["head_beat.b"])
+    assert np.array_equal(frozen.bn_state["input_bn"].running_mean, state["input_bn.running_mean"])
+
+
+@pytest.mark.parametrize("widths, limit_mb", [({}, 70.0), (dict(channels=8, blocks_per_branch=1), 15.0)],
+                         ids=["stock", "fit_model"])
+def test_one_window_eval_forward_peak(widths, limit_mb):
+    # one 60 s window through a frozen model: the stock model peaks at
+    # 64 MB traced (77 MB with its graph), 47.5 MB of it the first conv's
+    # im2col buffer; the benchmark's fit model at 8.7 MB (51.3 MB with its graph)
+    frozen = DynamicsModel(ModelConfig(**widths), seed=86).frozen()
+    feats = rand_features(np.random.default_rng(3), t=3000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frozen.forward(feats, training=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6, peak / 1e6
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(scaling_factor=0)
+
+
+def _checkpoint_on_a_clip(tmp_path):
+    """The committed checkpoint, frozen, and the bssl features of a 20 s
+    synthetic clip (1000 frames, a multiple of s^2 = 25, so a pass over
+    the whole clip has no pad of its own)."""
+    (rec,) = write_corpus(tmp_path, n_clips=1, seconds=20.0, seed=make_golden.MODEL_SEED)
+    features = wav_features(tmp_path / "audio" / f"{rec}.wav", ["bssl"])["bssl"]
+    return model_from_checkpoint(load_checkpoint(make_golden.CHECKPOINT)).frozen(), features
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -401,15 +445,51 @@ def test_config_validation():
     "valid-frame logits move by up to 10.1 (beat; mean |logit| 8.4), 11.5 (change point), "
     "7.3 (downbeat) and 4.6 (dynamics)"))
 def test_padding_leaves_valid_frame_logits_unchanged(tmp_path):
-    # 1000 frames, a multiple of s^2 = 25, so the unpadded pass has no pad of its own; a
-    # padding-invariant encoder gives the same logits up to float32 rounding, well
-    # inside 1e-3 of logits whose mean magnitude is 2-8
-    (rec,) = write_corpus(tmp_path, n_clips=1, seconds=20.0, seed=make_golden.MODEL_SEED)
-    features = wav_features(tmp_path / "audio" / f"{rec}.wav", ["bssl"])["bssl"]
-    model = model_from_checkpoint(load_checkpoint(make_golden.CHECKPOINT))
+    # a padding-invariant encoder gives the same logits up to float32
+    # rounding, well inside 1e-3 of logits whose mean magnitude is 2-8
+    model, features = _checkpoint_on_a_clip(tmp_path)
     t = features.shape[1]
     plain = model.forward(features, training=False)
     padded = model.forward(np.pad(features, ((0, 0), (0, 25))), training=False)
     gaps = {task: float(np.abs(padded[task].data[0, :t] - plain[task].data[0, :t]).max())
             for task in obj.TASKS}
     assert max(gaps.values()) <= 1e-3, gaps
+
+
+SHIFT_WINDOW = 950  # frames per window: a multiple of s^2 = 25 that leaves room for d = 25
+SHIFT_EDGE = 150  # frames kept clear of each window edge
+# Mean |difference| of beat logits allowed: under twice the 25-frame shift's
+# 0.28, which attention's changed context gives even a phase-free encoder.
+SHIFT_TOLERANCE = 0.5
+
+
+@pytest.fixture(scope="module")
+def beat_logits_by_shift(tmp_path_factory):
+    """Beat logits of the committed checkpoint for the window that starts
+    d frames into the 20 s clip, for each d tried."""
+    model, features = _checkpoint_on_a_clip(tmp_path_factory.mktemp("shift"))
+    return {d: model.forward(features[:, d:d + SHIFT_WINDOW], training=False)["beat"].data[0]
+            for d in (0, 1, 2, 3, 5, 25)}
+
+
+def _shift_gap(logits, d):
+    """Mean |difference| between the window shifted by d frames and the
+    unshifted logits shifted by d, away from the window edges."""
+    frames = np.arange(SHIFT_EDGE, SHIFT_WINDOW - SHIFT_EDGE - d)
+    return float(np.abs(logits[d][frames] - logits[0][frames + d]).mean())
+
+
+def test_a_whole_block_shift_moves_the_logits_with_it(beat_logits_by_shift):
+    # the control: a shift by s^2 = 25 frames keeps every frame's phase in the pooling grid
+    assert _shift_gap(beat_logits_by_shift, 25) <= SHIFT_TOLERANCE
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the encoder sees time modulo s^2 = 25 frames: its strided max-pools and kernel = stride "
+    "transposed convolutions give each frame phase its own weights. Committed checkpoint, 20 s "
+    "synthetic clip, 950-frame windows: mean |delta beat logit| 3.4-3.6 at d = 1-3 frames and "
+    "1.06 at d = 5, against 0.28 at d = 25 (mean |logit| 8.5); 60 s windows read 3.5-4.0 "
+    "against 0.02-0.03"))
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_beat_logits_shift_with_the_audio(beat_logits_by_shift, d):
+    assert _shift_gap(beat_logits_by_shift, d) <= SHIFT_TOLERANCE

@@ -1,5 +1,6 @@
 """How many threads inference may use: affinity mask, cgroup CPU quota and
-the per-process share of ``extract --workers``."""
+the per-process share of ``extract --workers``, and the side lane that
+scores a training epoch."""
 
 from concurrent.futures import ProcessPoolExecutor
 
@@ -114,3 +115,12 @@ def test_extract_workers_share_the_cpus(eight_cpus, monkeypatch, tmp_path):
     assert _RecordingPool.seen == {"max_workers": 4, "initializer": parallel.share_cpus,
                                    "initargs": (4,)}
     assert counts == [2, 2]
+
+
+def test_a_side_lane_leaves_one_cpu_to_its_caller(eight_cpus, monkeypatch):
+    with parallel.side_lane() as lane:
+        assert lane.submit(parallel.worker_count).result(timeout=10) == 7
+        assert parallel.worker_count() == 8  # the caller keeps its count
+    monkeypatch.setattr(parallel, "_share", 1)
+    with parallel.side_lane() as lane:
+        assert lane is None

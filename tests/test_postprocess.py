@@ -2,10 +2,17 @@
 marking readout, and report serialisation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import maximum_filter1d
+
+import dynamark
 
 from dynamark.errors import DynamarkError, SchemaError
 from dynamark.postprocess import (
@@ -71,6 +78,45 @@ def test_peaks_match_brute_force_1000_trials():
         got = pick_peaks(probs).tolist()
         want = brute_force_peaks(probs)
         assert got == want, f"trial {trial}: {got} != {want}"
+
+
+def _scipy_peaks(probs, threshold, radius):
+    """``pick_peaks`` as it was written with ``scipy.ndimage``: the oracle."""
+    probs = np.asarray(probs, dtype=np.float64)
+    win_max = maximum_filter1d(probs, size=2 * radius + 1, mode="constant", cval=-np.inf)
+    picked = []
+    for t in np.nonzero((probs > threshold) & (probs >= win_max))[0]:
+        if not picked or t - picked[-1] > radius:
+            picked.append(int(t))
+    return picked
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.51, 0.8, 0.8, 0.9, 1.0]), min_size=1, max_size=40)
+       | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       st.integers(0, 5), st.sampled_from([0.0, 0.5, 0.8]))
+def test_peaks_match_the_scipy_window_max(probs, radius, threshold):
+    # few distinct values make plateaus, short tracks make every frame an edge
+    assert pick_peaks(probs, threshold, radius).tolist() == _scipy_peaks(probs, threshold, radius)
+
+
+def test_peaks_never_within_radius_of_a_nan():
+    probs = np.zeros(40)
+    probs[[5, 12, 20, 33]] = 0.9
+    probs[15] = np.nan
+    assert pick_peaks(probs).tolist() == [5, 20, 33]
+
+
+def test_training_and_inference_import_no_scipy():
+    # only WAV reading needs scipy, so training and inference never load it
+    code = ("import sys, dynamark.cli, dynamark.trainer, dynamark.postprocess; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(dynamark.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_threshold_monotonicity():

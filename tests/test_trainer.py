@@ -362,8 +362,8 @@ def test_predict_frames_same_bits_at_any_worker_count(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     serial = trainer.predict_frames(model, feats, window_s=2)
     threads = []
-    forward = model.forward
-    monkeypatch.setattr(model, "forward",
+    forward = DynamicsModel.forward  # the windows run on a frozen copy of ``model``
+    monkeypatch.setattr(DynamicsModel, "forward",
                         lambda *a, **kw: threads.append(threading.get_ident()) or forward(*a, **kw))
     monkeypatch.setattr(parallel, "worker_count", lambda: 3)
     pooled = trainer.predict_frames(model, feats, window_s=2)
@@ -374,10 +374,18 @@ def test_predict_frames_same_bits_at_any_worker_count(monkeypatch):
         assert pooled[task].dtype == want.dtype and np.array_equal(pooled[task], want), task
 
 
+def test_predict_frames_builds_no_graph(monkeypatch):
+    forward, outputs = DynamicsModel.forward, []
+    monkeypatch.setattr(DynamicsModel, "forward",
+                        lambda *a, **kw: outputs.append(forward(*a, **kw)) or outputs[-1])
+    trainer.predict_frames(small_model(), _windowed_features(2, 2), window_s=2)
+    assert len(outputs) == 2 and all(logit._node is None for out in outputs for logit in out.values())
+
+
 def test_predict_frames_holds_one_graph_per_worker(monkeypatch):
-    # a window's autodiff graph is freed when its worker returns the logit
-    # rows: six windows on two workers peak near two forwards (1.9), where
-    # workers that returned the whole logit tensors would hold all six graphs
+    # a window's forward is freed when its worker returns the logit rows:
+    # six windows on two workers peak near two forwards, where workers
+    # that held on to their windows' arrays would hold all six
     model = small_model()
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
 
@@ -454,3 +462,75 @@ def test_no_augment_segment_counts(tiny_recordings):
     eval_segs = make_segments(rec.features, rec.targets, rec.recording_id,
                               window_s=4, mode="eval")
     assert len(train_aug) > len(eval_segs) >= 2
+
+
+# -- validation beside training ----------------------------------------------------
+
+def _run_at(workers, monkeypatch, recordings, stop_at=None, fail_step=None):
+    """``train_model`` at ``workers`` workers for 4 epochs (2 steps each), stopping
+    at epoch ``stop_at`` and raising from AdamW step ``fail_step``.  Returns
+    (best checkpoint, history or the error raised, final model state, log
+    lines, threads that scored an epoch)."""
+    step, steps = AdamW.step, []
+
+    def failing_step(self):
+        steps.append(None)
+        if len(steps) == fail_step:
+            raise TrainingError("injected")
+        step(self)
+
+    evaluate, scorers = trainer.evaluate_recordings, []
+
+    def recorded_evaluate(*args, **kwargs):
+        scorers.append(threading.get_ident())
+        return evaluate(*args, **kwargs)
+
+    model, lines = small_model(), []
+    stop = None if stop_at is None else (lambda summary: len(lines) == stop_at)
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "worker_count", lambda: workers)
+        patch.setattr(AdamW, "step", failing_step)
+        patch.setattr(trainer, "evaluate_recordings", recorded_evaluate)
+        try:
+            best, history = train_model(model, recordings, recordings,
+                                        quick_cfg(epochs=4, batch_size=1),
+                                        log=lines.append, stop_when=stop)
+        except TrainingError as exc:
+            best, history = None, str(exc)
+    return best, history, model.state_dict(), lines, scorers
+
+
+def _same_state(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+@pytest.mark.parametrize("stop_at, fail_step", [(None, None), (2, None), (2, 5), (None, 5)],
+                         ids=["to_the_end", "stop_at_2", "error_ahead_dropped", "error_ahead_raised"])
+def test_validation_beside_training_gives_the_serial_bits(tiny_recordings, monkeypatch, stop_at, fail_step):
+    # step 5 is the first of epoch 3: trained ahead while epoch 2 is scored
+    serial = _run_at(1, monkeypatch, tiny_recordings, stop_at, fail_step)
+    beside = _run_at(2, monkeypatch, tiny_recordings, stop_at, fail_step)
+    assert serial[1] == beside[1] and serial[3] == beside[3]
+    assert _same_state(serial[2], beside[2])
+    if serial[0] is None:
+        assert beside[0] is None and serial[1] == "injected" and len(serial[3]) == 2
+    else:
+        assert (serial[0].epoch, serial[0].val_summary) == (beside[0].epoch, beside[0].val_summary)
+        assert _same_state(serial[0].state, beside[0].state)
+        assert len(serial[1]["epoch_losses"]) == len(serial[3]) == (stop_at or 4)
+    main = threading.get_ident()
+    assert set(serial[4]) == {main}
+    # epochs 1 to 3 are scored on the side lane, the last one alone
+    assert main not in beside[4][:3] and beside[4][3:] in ([], [main])
+
+
+def test_a_frozen_model_cannot_be_trained(tiny_recordings, tmp_path):
+    path = tmp_path / "model.dync"
+    save_checkpoint(Checkpoint.from_model(small_model(), TrainConfig(), epoch=1), path)
+    frozen = model_from_checkpoint(load_checkpoint(path)).frozen()
+    with pytest.raises(TrainingError, match="frozen"):
+        train_model(frozen, tiny_recordings, tiny_recordings, quick_cfg())
+    with pytest.raises(TrainingError, match="frozen"):
+        AdamW(frozen.params)
+    with pytest.raises(TrainingError, match="frozen"):
+        frozen.forward(tiny_recordings[0].features, training=True)
