@@ -368,7 +368,6 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     if opts.get("beats_from"):
         beats_override = _read_beats_from(Path(opts["beats_from"]))
     report = annotate_features(model, features, beat_times_override=beats_override,
-                               align_downbeats=opts["align_downbeats"],
                                window_s=cp.train_config.segment_s)
     prefix = Path(opts["out_prefix"]) if opts.get("out_prefix") else audio_path.with_suffix("")
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -454,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-prefix", dest="out_prefix")
     p.add_argument("--beats-from", dest="beats_from")
-    p.add_argument("--align-downbeats", action="store_true", default=None)
     p.add_argument("--loudness-csv", action="store_true", default=None, dest="loudness_csv")
     p.add_argument("--json", action="store_true")
 
@@ -487,9 +485,11 @@ def _read_rerun_manifest(path: Path, parser: argparse.ArgumentParser) -> tuple[s
         raise SchemaError(f"{path}: unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     if not isinstance(recorded, dict):
         raise SchemaError(f"{path}: resolved_options must be a JSON object")
-    if recorded.get("ablation") is not None:
-        raise SchemaError(f"{path}: records ablation {recorded['ablation']!r}, which train no longer has; "
-                          f"rerun with the flag that it stood for")
+    # retired options, each with the one recorded value that today's command reproduces
+    for key, replayable in {"ablation": None, "align_downbeats": True}.items():
+        if key in recorded and recorded[key] is not replayable:
+            raise SchemaError(f"{path}: records {key} {recorded[key]!r}, which {command} no longer has; "
+                              f"only {replayable!r} replays as the run it was")
     flags = _flags(parser, command)
     missing = [key for key in flags if key not in recorded]
     if missing:

@@ -1,10 +1,10 @@
 """Frame-wise probabilities to discrete musical events.
 
 Beats and downbeats come from thresholding at 50% plus peak-picking in
-a +-3 frame (70 ms) neighbourhood; the dynamic marking of each beat is
-the argmax class at that frame; change-point candidates above 75% are
-snapped to the nearest detected beat.  All tie-breaks (plateaus,
-equidistant snaps) resolve to the earlier frame.
+a +-3 frame (70 ms) neighbourhood; downbeats, and change-point candidates
+above 75%, snap to the nearest beat (a downbeat only within +-3 frames);
+the marking of each beat is the argmax class at that frame.  All
+tie-breaks (plateaus, equidistant snaps) resolve to the earlier frame.
 """
 
 from __future__ import annotations
@@ -152,26 +152,24 @@ def to_seconds(frames) -> np.ndarray:
     return np.asarray(frames, dtype=np.float64) / FPS
 
 
-def build_event_report(probs: dict[str, np.ndarray], align_downbeats: bool = False,
+def build_event_report(probs: dict[str, np.ndarray],
                        beat_frames_override: np.ndarray | None = None) -> EventReport:
     """Assemble an EventReport from per-frame probabilities keyed by task,
     as ``trainer.predict_frames`` returns them: a (T, 6) softmax for
     dynamics, (T,) for the three binary tasks.
 
-    ``beat_frames_override`` substitutes an externally supplied beat
-    grid (score-assisted mode); markings and change points then attach
-    to that grid.  ``align_downbeats`` snaps detected downbeats to the
-    nearest beat within +-3 frames (off by default).
+    Every downbeat and change point is a reported beat; a picked downbeat
+    with no beat within +-``PEAK_RADIUS`` frames is dropped.
+    ``beat_frames_override`` substitutes an externally supplied beat grid
+    (score-assisted mode); markings, downbeats and change points attach to it.
     """
     if beat_frames_override is not None:
         beat_frames = np.asarray(beat_frames_override, dtype=np.intp)
     else:
         beat_frames = pick_peaks(probs["beat"])
-    downbeat_frames = pick_peaks(probs["downbeat"])
-    if align_downbeats and beat_frames.size and downbeat_frames.size:
-        snapped = snap_to_nearest(downbeat_frames, beat_frames)
-        keep = np.abs(beat_frames[snapped] - downbeat_frames) <= PEAK_RADIUS
-        downbeat_frames = np.unique(beat_frames[snapped[keep]])
+    picked = pick_peaks(probs["downbeat"]) if beat_frames.size else beat_frames  # no beat, no downbeat
+    nearest = beat_frames[snap_to_nearest(picked, beat_frames)]
+    downbeat_frames = np.unique(nearest[np.abs(nearest - picked) <= PEAK_RADIUS])
     cp_idx = change_points(probs["change_point"], beat_frames)
     return EventReport(
         beats=[float(t) for t in to_seconds(beat_frames)],

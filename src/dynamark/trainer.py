@@ -253,8 +253,7 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
 
 
 def annotate_features(model: DynamicsModel, features: np.ndarray,
-                      beat_times_override=None, align_downbeats: bool = False,
-                      window_s: int = 60):
+                      beat_times_override=None, window_s: int = 60):
     """Features -> EventReport via forward pass + post-processing."""
     probs = predict_frames(model, features, window_s=window_s)
     override_frames = None
@@ -262,8 +261,7 @@ def annotate_features(model: DynamicsModel, features: np.ndarray,
         t = features.shape[1]
         override_frames = np.asarray(
             [min(time_to_frame(bt), t - 1) for bt in beat_times_override], dtype=np.intp)
-    return build_event_report(probs, align_downbeats=align_downbeats,
-                              beat_frames_override=override_frames)
+    return build_event_report(probs, beat_frames_override=override_frames)
 
 
 def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int = 60) -> dict:

@@ -617,6 +617,41 @@ def test_rerun_manifest_that_records_an_ablation_exit_1(corpus, extracted, tmp_p
     assert not out.exists()
 
 
+def _annotate_manifest_recording(corpus, trained, prefix, align_downbeats) -> Path:
+    """The manifest of one annotate run, edited to record ``align_downbeats``
+    as annotate did while it had that flag; its report is removed."""
+    wav = sorted((corpus / "audio").glob("*.wav"))[0]
+    assert main(["annotate", str(wav), "--checkpoint", str(trained / "fold0.dync"),
+                 "--out-prefix", str(prefix)]) == 0
+    manifest = Path(f"{prefix}.manifest.json")
+    blob = json.loads(manifest.read_text())
+    blob["resolved_options"]["align_downbeats"] = align_downbeats
+    manifest.write_text(json.dumps(blob))
+    return manifest
+
+
+@pytest.mark.parametrize("recorded", [None, False], ids=["null", "false"])
+def test_rerun_manifest_of_unaligned_downbeats_exit_1(corpus, trained, tmp_path, capsys, recorded):
+    # without the flag, annotate once reported downbeats that are not beats
+    prefix = tmp_path / "out"
+    manifest = _annotate_manifest_recording(corpus, trained, prefix, recorded)
+    report = Path(f"{prefix}.events.json")
+    report.unlink()
+    assert main(["rerun", str(manifest)]) == 1
+    assert f"{manifest}: records align_downbeats {recorded!r}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_rerun_manifest_of_aligned_downbeats(corpus, trained, tmp_path):
+    prefix = tmp_path / "out"
+    manifest = _annotate_manifest_recording(corpus, trained, prefix, True)
+    report = Path(f"{prefix}.events.json")
+    before = report.read_bytes()
+    report.unlink()
+    assert main(["rerun", str(manifest)]) == 0
+    assert report.read_bytes() == before
+
+
 @pytest.mark.parametrize("key, value, expected", [
     ("epochs", "one", "must be a value of type int, got 'one'"),
     ("use_mmoe", "maybe", "must be true or false, got 'maybe'"),
@@ -812,6 +847,7 @@ def test_train_one_piece_names_piece_count_exit_1(corpus, extracted, tmp_path, c
     ["train", "--features-dir", "a", "--annotations-dir", "b", "--out-dir", "c", "--feature", "logmel"],
     ["annotate", "x.wav"],
     ["transcribe"],
+    ["annotate", "x.wav", "--checkpoint", "c.dync", "--align-downbeats"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     # argparse's own code is 2, which here means an internal error

@@ -268,7 +268,7 @@ def test_report_silence_is_empty():
     assert report.beats == [] and report.markings == [] and report.change_points == []
 
 
-def test_downbeat_alignment_flag():
+def test_downbeats_snap_to_the_nearest_beat():
     t = 200
     beat_probs = np.zeros(t)
     beat_probs[[50, 100, 150]] = 0.9
@@ -277,10 +277,40 @@ def test_downbeat_alignment_flag():
     downbeat_probs[120] = 0.8  # > 3 frames from any beat
     probs = {"beat": beat_probs, "downbeat": downbeat_probs,
              "change_point": np.zeros(t), "dynamics": np.zeros((t, 6))}
-    loose = build_event_report(probs)
-    assert loose.downbeats == [52 / 50.0, 120 / 50.0]  # default: untouched
-    aligned = build_event_report(probs, align_downbeats=True)
-    assert aligned.downbeats == [1.0]  # snapped to the beat at frame 50; 120 dropped
+    report = build_event_report(probs)
+    assert report.downbeats == [1.0]  # snapped to the beat at frame 50; 120 dropped
+    # with no beat, no downbeat
+    report = build_event_report({**probs, "beat": np.zeros(t)})
+    assert report.beats == [] and report.downbeats == []
+
+
+# Few distinct values make plateaus and ties; a track of values <= 0.5 has
+# no frame above the peak threshold.
+TRACK_VALUES = [0.0, 0.3, 0.5, 0.6, 0.8, 0.8, 0.9, 1.0]
+QUIET_VALUES = [0.0, 0.3, 0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 120), st.booleans(), st.data())
+def test_report_events_are_reported_beats(tmp_path_factory, t, quiet_beats, data):
+    track = lambda values: np.asarray(data.draw(st.lists(st.sampled_from(values), min_size=t, max_size=t)))
+    probs = {"beat": track(QUIET_VALUES if quiet_beats else TRACK_VALUES),
+             "downbeat": track(TRACK_VALUES), "change_point": track(TRACK_VALUES),
+             "dynamics": np.full((t, 6), 1 / 6)}
+    # an external grid, as ``--beats-from`` gives it: ascending, equal frames allowed, maybe empty
+    override = data.draw(st.none() | st.lists(st.integers(0, t - 1), max_size=12).map(sorted))
+    report = build_event_report(probs, beat_frames_override=override)
+    assert set(report.downbeats) <= set(report.beats)
+    assert set(report.change_points) <= set(report.beats)
+    assert (np.diff(report.downbeats) > 0).all()
+    path = tmp_path_factory.getbasetemp() / "events.csv"
+    report.write_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    flagged = [float(row.split(",")[0]) for row in rows if row.split(",")[2] == "1"]
+    assert len(rows) == len(report.beats)
+    assert set(flagged) == {round(d, 3) for d in report.downbeats}
+    if len(set(report.beats)) == len(report.beats):  # equal beats would flag one downbeat twice
+        assert len(flagged) == len(report.downbeats)
 
 
 def test_from_json_schema_errors(tmp_path):
@@ -356,11 +386,6 @@ def _metrical_track(seed, t=1500, off_beat_downbeat=False):
     return probs
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "downbeats are peak-picked apart from beats: in these tracks a downbeat peak up to 2 "
-    "frames off its beat, or halfway between two beats, is reported as a downbeat that "
-    "is not a beat: 7-12 of the 12-14 downbeats of each track (change points are snapped "
-    "to beats and hold)"))
 def test_every_downbeat_and_change_point_is_a_reported_beat():
     for probs in [_metrical_track(seed) for seed in range(3)] + [_metrical_track(3, off_beat_downbeat=True)]:
         report = build_event_report(probs)
