@@ -28,8 +28,15 @@ A node holds only what its backward reads.  The graph links small
 which captures only the arrays that backward reads, and the nodes of
 the inputs that need a gradient, never its op's output.  So an output
 that no backward reads (a conv output that only feeds a sum, a sum that
-feeds a relu saving a boolean mask, a batchnorm output the next conv
-pads into its own copy) is freed as soon as the forward code drops it.
+feeds a relu saving a boolean mask) is freed as soon as the forward code
+drops it.  A batchnorm output is not copied either: a conv or linear
+that reads it, directly or through a reshape or transpose, keeps the
+output's ``_rebuild`` instead, which recomputes it, whole or one batch
+item at a time, with the forward's own ops from the normalised input
+that the batchnorm's backward keeps anyway.  Those consumers' backwards
+run before the batchnorm's, so the rebuild always finds it.  Conv keeps
+each of its buffers within ``CONV_BUFFER_BYTES`` where that keeps the
+bits.
 
 An op none of whose inputs needs a gradient links no node at all, so a
 forward over tensors that need none (``ParameterStore.frozen``) builds
@@ -59,16 +66,21 @@ class Tensor:
     ``data`` is row-major float32 (or float64 on the shadow path),
     ``grad`` is lazily allocated with the same shape and dtype.  The
     output of an op that needs a gradient links to its graph node in
-    ``_node``; a leaf that needs one is its own graph node.
+    ``_node``; a leaf that needs one is its own graph node.  A batchnorm
+    output that needs a gradient, and a reshape or transpose of one that
+    keeps the batch axis, carries ``_rebuild``: ``_rebuild()`` recomputes ``data``
+    and ``_rebuild(i)`` its batch item ``i``, bit for bit, from what the
+    batchnorm's backward keeps anyway.
     """
 
-    __slots__ = ("data", "grad", "_node", "_needs")
+    __slots__ = ("data", "grad", "_node", "_needs", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _coerce(data)
         self.grad: Array | None = None
         self._node: _Node | None = None
         self._needs = bool(requires_grad)
+        self._rebuild = None
 
     # The graph as seen from a tensor: its node's parents and backward
     # closure (empty for a leaf).  ``bench/tracing.py`` wraps the closure
@@ -140,6 +152,7 @@ def _output(data: Array, parents: tuple, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._rebuild = None
     if None in parents:
         parents = tuple(p for p in parents if p is not None)
     out._needs = bool(parents)
@@ -476,7 +489,11 @@ def reshape(x: Tensor, shape) -> Tensor:
     def back(g, grads):
         _accum(grads, nx, g.reshape(xshape))
 
-    return _output(data, (nx,), back)
+    out = _output(data, (nx,), back)
+    if x._rebuild is not None and data.shape[:1] == xshape[:1]:  # items stay items
+        parent, shape = x._rebuild, data.shape
+        out._rebuild = lambda i=None: parent().reshape(shape) if i is None else parent(i).reshape(shape[1:])
+    return out
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -488,7 +505,20 @@ def transpose(x: Tensor, axes) -> Tensor:
     def back(g, grads):
         _accum(grads, nx, np.ascontiguousarray(g.transpose(inv)))
 
-    return _output(data, (nx,), back)
+    out = _output(data, (nx,), back)
+    if x._rebuild is not None and axes[0] == 0:  # items stay items
+        parent, item_axes, shape, dtype = x._rebuild, [a - 1 for a in axes[1:]], data.shape, data.dtype
+
+        def rebuild(i=None):
+            if i is not None:
+                return parent(i).transpose(item_axes)
+            whole = np.empty(shape, dtype=dtype)  # filled item by item: one item's rebuild at a time
+            for j in range(shape[0]):
+                whole[j] = parent(j).transpose(item_axes)
+            return whole
+
+        out._rebuild = rebuild
+    return out
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -547,91 +577,165 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w.T + b`` over the last dimension; ``w`` is (out, in)."""
     if x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"linear: expected input dim {w.data.shape[1]}, got {x.data.shape}")
-    xd, wd = x.data, w.data
-    data = xd @ wd.T
+    wd = w.data
+    data = x.data @ wd.T
     if b is not None:
         data += b.data
     nx, nw, nb = _node_of(x), _node_of(w), None if b is None else _node_of(b)
+    # the weight gradient reads x again: through its rebuild if it has one, so no copy is kept
+    rebuild = None if nw is None else x._rebuild
+    xd, xshape = None if nw is None or rebuild else x.data, x.data.shape
 
     def back(g, grads):
         g2 = g.reshape(-1, g.shape[-1])
-        _accum(grads, nw, g2.T @ xd.reshape(-1, xd.shape[-1]))
+        if nw is not None:
+            _accum(grads, nw, g2.T @ (xd if rebuild is None else rebuild()).reshape(-1, xshape[-1]))
         if nb is not None:
             _accum(grads, nb, g2.sum(axis=0))
-        _accum(grads, nx, (g @ wd).reshape(xd.shape))
+        _accum(grads, nx, (g @ wd).reshape(xshape))
 
     return _output(data, (nx, nw, nb), back)
 
 
+# Largest im2col buffer that ``_conv_same`` builds where the split rules
+# below allow.  The stock block conv's unsplit buffer is 47.5 MB per item;
+# its other per-item arrays (padded input and its gradient, one item's
+# output gradient) are 5.3-5.8 MB, so a smaller bound would not lower the
+# step's peak much and would only add GEMM calls.
+CONV_BUFFER_BYTES = 8 << 20
+# A GEMM is split only in float32, and only into pieces of more than this
+# many multiply-adds with no dimension of 1; each piece then keeps the
+# unsplit GEMM's bits at one BLAS thread.  At or below 10**6, OpenBLAS on
+# AVX-512 CPUs picks a small-matrix kernel, and numpy runs a dimension of 1
+# as a matrix-vector product; both sum in another order.  Float64 pieces
+# changed the bits of a few elements even at 8 * 10**6 multiply-adds
+# (float64 is the gradient-check path, whose buffers are small).  At two
+# BLAS threads, splitting a weight-gradient GEMM with 2-8 output channels
+# over 119,837 positions changed its last bits.
+MIN_SPLIT_MACS = 10**6
+
+
+def _spans(n: int, unit_bytes: int, unit_macs: int, least: int = 1) -> list[tuple[int, int]]:
+    """Even spans of ``n`` units of an im2col buffer (output columns or
+    kernel taps), each of at most ``CONV_BUFFER_BYTES`` where every span can
+    keep at least ``least`` units and more than ``MIN_SPLIT_MACS``
+    multiply-adds; one unit takes ``unit_bytes`` of the buffer and
+    ``unit_macs`` of its GEMM."""
+    smallest = max(least, MIN_SPLIT_MACS // unit_macs + 1)
+    count = max(1, min(-(-n // max(1, CONV_BUFFER_BYTES // unit_bytes)), n // smallest))
+    edges = [n * j // count for j in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     """Same-size convolution over the trailing axes of ``x`` (B, C, *S)
-    with ``w`` (O, C, *K), every K odd: one im2col buffer per call, and one
-    GEMM per batch item.
+    with ``w`` (O, C, *K), every K odd, by im2col and GEMM, one batch item
+    at a time and with no buffer over ``CONV_BUFFER_BYTES`` where the
+    split rules allow.
 
-    The buffer is channel-first, (C*prod(K), prod(S)): row ``c, tap`` holds
-    one item's padded input of channel ``c`` shifted by ``tap``, for every
-    output position.  The forward refills it for each item, by one block
-    copy per kernel tap, each of which moves whole rows of the last spatial
-    axis, and that item's GEMM writes straight into its output.  The
-    backward allocates its own buffer rather than holding the forward's.
-    For each item in turn it refills the buffer, adds that item's GEMM to
-    the weight gradient, takes the item's column gradient into the same
-    buffer and scatters it into the input gradient; so no buffer spans the
-    batch, and reuse spares each item the page faults of a fresh one.
-    Output and input gradient equal the item-by-item B=1 results bit for
-    bit; the weight gradient is the item-ordered sum of theirs."""
+    An im2col buffer is channel-first: row ``c, tap`` holds one item's
+    padded input of channel ``c`` shifted by ``tap``, for every output
+    position.  Each item's input is copied into one zero-bordered padded
+    buffer.  The forward builds the item's columns one tile of the last
+    spatial axis at a time, and each tile's GEMM gives those output
+    columns.  The backward keeps no padded copy of the input, and for a
+    batchnorm output no copy at all (it calls its ``_rebuild``); it pads
+    the input one item at a time.  It builds the columns of one span of
+    kernel taps at a time (all of them when they fit), adds that span's
+    GEMM to the item's weight gradient, and scatters that span's column
+    gradient into the item's padded input gradient, whose centre is the
+    item's input gradient.
+
+    A split GEMM gives the unsplit one's bits only while every piece stays
+    on its BLAS path (see ``MIN_SPLIT_MACS``), so a tile keeps every output
+    channel and kernel tap, and a span of taps every input channel.  Output
+    and input gradient equal the item-by-item B=1 results bit for bit; the
+    weight gradient is the item-ordered sum of theirs."""
     (bsz, cin), spatial = x.data.shape[:2], x.data.shape[2:]
     (cout, win_c), ks = w.data.shape[:2], w.data.shape[2:]
     if win_c != cin:
         raise ShapeError(f"{op}: expected {win_c} input channels, got {cin}")
     if any(k % 2 != 1 for k in ks):
         raise ShapeError(f"{op}: same padding requires odd kernel, got {ks}")
-    n = len(spatial)
-    axes = tuple(range(2, 2 + n))
-    length = int(np.prod(spatial))
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in ks))
-
-    def region(offsets) -> tuple:
-        # index of the S-sized block of one item's padded input that starts at ``offsets``
-        return (slice(None),) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
-
+    axes = tuple(range(2, 2 + len(spatial)))
+    taps = list(np.ndindex(*ks))
+    width, rows = spatial[-1], int(np.prod(spatial[:-1]))  # the last spatial axis, and the rest
     w2 = w.data.reshape(cout, -1)
-    dtype = np.result_type(w2, xp)
+    dtype = np.result_type(w2, x.data)
+    size, xdtype = np.dtype(dtype).itemsize, x.data.dtype
+    centre = (slice(None),) + tuple(slice(k // 2, k // 2 + s) for k, s in zip(ks, spatial))
 
-    def buffer() -> Array:
-        return np.empty((cin * int(np.prod(ks)), length), dtype=dtype)
+    def padded() -> Array:
+        # one item's zero-bordered padded input, or its padded input gradient
+        return np.zeros((cin,) + tuple(s + k - 1 for s, k in zip(spatial, ks)), dtype=xdtype)
 
-    def columns(i: int, buf: Array) -> Array:
-        # (C, *S+K-1) -> im2col buffer ``buf`` (C*prod(K), prod(S)) of item ``i``
-        cols = buf.reshape(cin, *ks, *spatial)
-        for tap in np.ndindex(*ks):
-            cols[(slice(None),) + tap] = xp[i][region(tap)]
-        return buf
+    def region(tap, lo: int, hi: int) -> tuple:
+        # the block of an item's padded input that starts at ``tap`` and spans output columns lo:hi
+        return ((slice(None),) + tuple(slice(o, o + s) for o, s in zip(tap[:-1], spatial[:-1]))
+                + (slice(tap[-1] + lo, tap[-1] + hi),))
 
+    def columns(buf: Array, xp: Array, t0: int, t1: int, lo: int, hi: int) -> Array:
+        # rows (c, tap) for taps t0:t1 and output columns lo:hi of padded item ``xp``, in ``buf``
+        cols = buf[:cin * (t1 - t0) * rows * (hi - lo)].reshape(cin, t1 - t0, *spatial[:-1], hi - lo)
+        for j in range(t0, t1):
+            cols[:, j - t0] = xp[region(taps[j], lo, hi)]
+        return cols.reshape(cin * (t1 - t0), rows * (hi - lo))
+
+    kk, split = cin * len(taps), dtype == np.float32  # see MIN_SPLIT_MACS
+    tiles = (_spans(width, kk * rows * size, cout * kk * rows, least=2 if rows == 1 else 1)
+             if split and cout > 1 and kk > 1 else [(0, width)])
+    most = max(hi - lo for lo, hi in tiles) * rows
     data = np.empty((bsz, cout, *spatial), dtype=dtype)
-    buf = buffer()
+    xp, buf = padded(), np.empty(kk * most, dtype=dtype)
+    out = np.empty(cout * most, dtype=dtype) if len(tiles) > 1 else None
     for i in range(bsz):
-        np.matmul(w2, columns(i, buf), out=data[i].reshape(cout, length))
+        xp[centre] = x.data[i]
+        for lo, hi in tiles:
+            cols = columns(buf, xp, 0, len(taps), lo, hi)
+            if out is None:
+                np.matmul(w2, cols, out=data[i].reshape(cout, -1))
+            else:
+                tile = np.matmul(w2, cols, out=out[:cout * cols.shape[1]].reshape(cout, -1))
+                data[i][..., lo:hi] = tile.reshape(cout, *spatial[:-1], hi - lo)
     if b is not None:
-        data += b.data.reshape((cout,) + (1,) * n)
+        data += b.data.reshape((cout,) + (1,) * len(spatial))
 
     nx, nw, nb, wshape = _node_of(x), _node_of(w), None if b is None else _node_of(b), w.data.shape
+    rebuild = None if nw is None else x._rebuild  # as in ``linear``
+    xd = None if nw is None or rebuild else x.data
+    length = rows * width
+    groups = (_spans(len(taps), cin * length * size, cout * cin * length)
+              if split and cin > 1 and cout > 1 and length > 1 else [(0, len(taps))])
+    w3 = w.data.reshape(cout, cin, len(taps))
+    wt = [np.ascontiguousarray(w3[:, :, t0:t1]).reshape(cout, -1).T for t0, t1 in groups]
 
     def back(g, grads):
-        gxp = None if nx is None else np.zeros_like(xp)
-        buf = buffer()  # untouched, so unmapped, when only the bias needs a gradient
+        gx = None if nx is None else np.empty((bsz, cin, *spatial), dtype=xdtype)
+        xp = None if nw is None else padded()
+        gxp = None if nx is None else padded()
+        # unmapped until written, so untouched when only the bias needs a gradient
+        buf = np.empty(cin * max(t1 - t0 for t0, t1 in groups) * length, dtype=dtype)
         for i in range(bsz):
             g2 = np.ascontiguousarray(g[i].reshape(cout, length).T)  # (prod(S), O)
-            if nw is not None:  # the weight gradient sums one GEMM per item, in item order
-                _accum(grads, nw, (g2.T @ columns(i, buf).T).reshape(wshape))
+            if xp is not None:  # the weight gradient sums one GEMM per item, in item order
+                xp[centre] = xd[i] if rebuild is None else rebuild(i)
+                gw = np.empty((cout, cin, len(taps)), dtype=np.result_type(g2, dtype))
+                for t0, t1 in groups:
+                    part = g2.T @ columns(buf, xp, t0, t1, 0, width).T
+                    gw[:, :, t0:t1] = part.reshape(cout, cin, t1 - t0)
+                _accum(grads, nw, gw.reshape(wshape))
             if gxp is not None:
-                gcols = np.matmul(w2.T, g2.T, out=buf).reshape(cin, *ks, *spatial)
-                for tap in np.ndindex(*ks):
-                    gxp[i][region(tap)] += gcols[(slice(None),) + tap]
+                gxp.fill(0)
+                for (t0, t1), a in zip(groups, wt):
+                    gcols = np.matmul(a, g2.T, out=buf[:a.shape[0] * length].reshape(-1, length))
+                    gcols = gcols.reshape(cin, t1 - t0, *spatial)
+                    for j in range(t0, t1):
+                        gxp[region(taps[j], 0, width)] += gcols[:, j - t0]
+                gx[i] = gxp[centre]
         if nb is not None:
             _accum(grads, nb, g.sum(axis=(0,) + axes))
-        if gxp is not None:
-            _accum(grads, nx, gxp[(slice(None),) + region([k // 2 for k in ks])])
+        if gx is not None:
+            _accum(grads, nx, gx)
 
     return _output(data, (nx, nw, nb), back)
 
@@ -721,8 +825,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
 
     Training mode normalises with batch statistics and, when ``state``
     is given, updates running estimates with the stated momentum; eval
-    mode normalises with the running estimates.  When no input needs a
-    gradient, the output is built in place and no normalised copy is kept.
+    mode normalises with the running estimates.  The normalised input,
+    ``xhat``, is one new array computed in place.  When no input needs a
+    gradient the output overwrites it; otherwise the backward keeps
+    ``xhat``, and the output's ``_rebuild`` recomputes the output from it,
+    so that a consumer's backward (conv, linear) need not keep a copy.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d: expected (B,C,H,W), got {x.data.shape}")
@@ -746,16 +853,20 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
         mean = state.running_mean.astype(x.data.dtype)
         var = state.running_var.astype(x.data.dtype)
     inv = 1.0 / np.sqrt(var + eps)
-    gd = gamma.data
+    xhat = x.data - mean[None, :, None, None]
+    xhat *= inv[None, :, None, None]
+    gd, bd = gamma.data[:, None, None], beta.data[:, None, None]
     nx, ngamma, nbeta = _node_of(x), _node_of(gamma), _node_of(beta)
-    if nx is ngamma is nbeta is None:  # in place, with no xhat kept: the same bits
-        data = x.data - mean[None, :, None, None]
-        data *= inv[None, :, None, None]
-        data *= gd[None, :, None, None]
-        data += beta.data[None, :, None, None]
-        return _output(data, (), None)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    data = gd[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    if nx is ngamma is nbeta is None:  # the output in xhat's place: the same bits
+        xhat *= gd
+        xhat += bd
+        return _output(xhat, (), None)
+
+    def rebuild(i=None):
+        # the forward's own ops on what the backward keeps: the output, or its item ``i``
+        out = gd * (xhat if i is None else xhat[i])
+        out += bd
+        return out
 
     def back(g, grads):
         gxhat = g * xhat  # one product for gamma's gradient and the input's
@@ -764,14 +875,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
         del gxhat
         _accum(grads, nbeta, g.sum(axis=axes))
         if nx is not None:
-            coeff = (gd * inv)[None, :, None, None]
+            coeff = gd * inv[:, None, None]
             if training:
                 gm = g.mean(axis=axes)[None, :, None, None]
                 _accum(grads, nx, coeff * (g - gm - xhat * gx))
             else:
                 _accum(grads, nx, coeff * g)
 
-    return _output(data, (nx, ngamma, nbeta), back)
+    out = _output(rebuild(), (nx, ngamma, nbeta), back)
+    out._rebuild = rebuild
+    return out
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

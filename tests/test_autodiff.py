@@ -5,7 +5,12 @@ float64 shadow path of the same ops; analytic gradients must agree to
 relative error < 1e-3.
 """
 
+import ctypes
+import sys
 import tracemalloc
+import weakref
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +369,160 @@ def test_conv_weight_gradient_within_float32_tolerance_of_one_batch_gemm():
     assert np.abs(wt.grad - one_gemm).max() <= 1e-5 * np.abs(one_gemm).max()
 
 
+def _one_buffer_conv(x, w, b, g):
+    """The one-buffer kernel that the split one replaced, as its reference:
+    per batch item one im2col buffer over every kernel tap and output
+    position, and one GEMM each for the output, the weight gradient and
+    the column gradient.  Returns the output and the x, w and b gradients
+    for the upstream gradient ``g``."""
+    (bsz, cin), spatial = x.shape[:2], x.shape[2:]
+    (cout, _), ks = w.shape[:2], w.shape[2:]
+    axes = tuple(range(2, 2 + len(spatial)))
+    length = int(np.prod(spatial))
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((k // 2, k // 2) for k in ks))
+
+    def region(offsets):
+        return (slice(None),) + tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
+
+    w2 = w.reshape(cout, -1)
+    buf = np.empty((cin * int(np.prod(ks)), length), dtype=np.result_type(w2, xp))
+
+    def columns(i):
+        cols = buf.reshape(cin, *ks, *spatial)
+        for tap in np.ndindex(*ks):
+            cols[(slice(None),) + tap] = xp[i][region(tap)]
+        return buf
+
+    out = np.empty((bsz, cout, *spatial), dtype=buf.dtype)
+    for i in range(bsz):
+        np.matmul(w2, columns(i), out=out[i].reshape(cout, length))
+    out += b.reshape((cout,) + (1,) * len(spatial))
+    gxp = np.zeros_like(xp)
+    for i in range(bsz):
+        g2 = np.ascontiguousarray(g[i].reshape(cout, length).T)
+        part = g2.T @ columns(i).T
+        if i == 0:
+            gw = part
+        else:  # the weight gradient sums one GEMM per item, in item order
+            gw += part
+        gcols = np.matmul(w2.T, g2.T, out=buf).reshape(cin, *ks, *spatial)
+        for tap in np.ndindex(*ks):
+            gxp[i][region(tap)] += gcols[(slice(None),) + tap]
+    gx = gxp[(slice(None),) + region([k // 2 for k in ks])]
+    return out, gx, gw.reshape(w.shape), g.sum(axis=(0,) + axes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 3, 5]), st.integers(1, 24), st.integers(2, 24),
+       st.integers(1, 3), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from([2**18, 2**20, ad.CONV_BUFFER_BYTES]), st.booleans(), st.data())
+def test_split_conv_keeps_the_one_buffer_bits(n, k, cin, cout, bsz, dtype, split_bytes, near_bound, data):
+    # The draws put the unsplit im2col buffer on both sides of the split
+    # size, up to 2.5 times it, or one kernel tap's GEMMs at or just under
+    # the multiply-add floor.  At the stock split size every piece the byte
+    # bound allows is far above the floor; at the smaller ones drawn here
+    # only the floor keeps the pieces on OpenBLAS's GEMM path.  A single
+    # output channel is left out, as in the channel-last reference's draws.
+    size, taps = np.dtype(dtype).itemsize, k ** n
+    if near_bound:
+        length = ad.MIN_SPLIT_MACS // (cout * cin) - data.draw(st.integers(0, 40))
+    else:
+        length = int(data.draw(st.floats(0.5, 2.5)) * split_bytes) // (cin * taps * size)
+    length = max(1, min(length, int(2.5 * split_bytes) // (cin * taps * size)))
+    lead = data.draw(st.integers(1, 22)) if n == 2 else 1
+    spatial = (lead,) * (n - 1) + (max(1, length // lead),)
+    _assert_conv_keeps_the_one_buffer_bits(spatial, (cout, cin) + (k,) * n, bsz, dtype, split_bytes,
+                                           data.draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("x_shape, w_shape, split_bytes", [
+    ((1, 20, 22, 3000), (20, 20, 3, 3), ad.CONV_BUFFER_BYTES),  # 6 tiles, and taps one by one
+    ((2, 20, 22, 600), (20, 20, 3, 3), ad.CONV_BUFFER_BYTES),  # 2 spans of taps
+    ((4, 1, 22, 600), (20, 1, 3, 3), ad.CONV_BUFFER_BYTES),  # a kernel row is 792k multiply-adds
+    ((1, 1, 200, 2400), (20, 1, 3, 3), 2**20),  # one tap's weight gradient would be a GEMV
+    ((2, 8, 8, 3276), (4, 8, 5, 5), 2**20),  # one tap is 838k multiply-adds
+], ids=["stock-block", "stock-branch1", "cin1-row", "cin1-tap", "tap-under-floor"])
+def test_split_conv_keeps_the_one_buffer_bits_at_the_edges(x_shape, w_shape, split_bytes):
+    _assert_conv_keeps_the_one_buffer_bits(x_shape[2:], w_shape, x_shape[0], np.float32, split_bytes, 5)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread, where the split rule is
+    stated: at two threads, splitting a weight-gradient GEMM with 2-8
+    output channels over 119,837 positions changed its last bits (over
+    120,000 it did not)."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    lib = next((lib for lib in map(ctypes.CDLL, map(str, libs))
+                if hasattr(lib, "scipy_openblas_set_num_threads64_")), None)
+    if lib is None:
+        pytest.skip("the split rule is stated for numpy's bundled OpenBLAS, which is not loaded")
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def _assert_conv_keeps_the_one_buffer_bits(spatial, w_shape, bsz, dtype, split_bytes, seed):
+    rng = np.random.default_rng(seed)
+    cout, cin = w_shape[:2]
+    x, g = (rng.standard_normal(shape).astype(dtype) for shape in ((bsz, cin) + spatial, (bsz, cout) + spatial))
+    w = rng.standard_normal(w_shape).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    with _one_blas_thread(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "CONV_BUFFER_BYTES", split_bytes)
+        out = (ad.conv1d if len(spatial) == 1 else ad.conv2d)(xt, wt, bt)
+        ad.backward(ad.tsum(ad.mul_const(out, g)))
+        got = {"out": out.data, "x": xt.grad, "w": wt.grad, "b": bt.grad}
+        want = dict(zip(got, _one_buffer_conv(x, w, b, g)))
+    for name in got:
+        assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
+
+
+def _largest_rise(fn) -> int:
+    """Run ``fn`` under tracemalloc and return the largest rise of traced
+    memory within one line of Python, which is at least the size of any
+    one array allocated on that line (numpy reports its buffers)."""
+    largest, start = 0, 0
+
+    def trace(frame, event, arg):
+        nonlocal largest, start
+        current, peak = tracemalloc.get_traced_memory()
+        largest = max(largest, peak - start)
+        tracemalloc.reset_peak()
+        start = current
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return largest
+
+
+def test_conv_allocates_no_array_above_the_split_size():
+    # one stock block conv, forward and backward, on one 60 s item: the
+    # forward's 47.5 MB im2col buffer is tiled and the backward's split by
+    # tap, and the padded input and its gradient span one item (5.8 MB).
+    # With one buffer per item the largest rise reads 47.5 MB.
+    rng = np.random.default_rng(12)
+    x, w, b = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+               for shape in ((1, 20, 22, 3000), (20, 20, 3, 3), (20,)))
+    r = rng.standard_normal((1, 20, 22, 3000)).astype(np.float32)
+    largest = _largest_rise(lambda: ad.backward(ad.tsum(ad.mul_const(ad.conv2d(x, w, b), r))))
+    assert 0 < largest <= ad.CONV_BUFFER_BYTES, largest / 1e6
+    assert x.grad.shape == x.shape and np.isfinite(w.grad).all()
+
+
 def _composed_attention(q, k, v):
     """The five-node attention that the fused node replaced, as its
     reference: q @ k^T, scaled by 1/sqrt(D), softmax, then @ v."""
@@ -497,6 +656,88 @@ def test_graph_free_batchnorm_gives_the_same_bits(training):
         outs.append((out.data, state.running_mean, state.running_var))
     for got, want in zip(*outs):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_rebuild_gives_the_output_bits(training, dtype):
+    # whole and per item, and through a reshape or transpose that keeps
+    # the batch axis; one that moves it passes no rebuild on
+    rng = np.random.default_rng(8)
+    x = Tensor((rng.standard_normal((3, 4, 5, 6)) * 3 + 1).astype(dtype), requires_grad=True)
+    gamma, beta = (Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True) for _ in range(2))
+    state = ad.BatchNormState(4, dtype)
+    state.running_mean += 0.5
+    out = ad.batchnorm2d(x, gamma, beta, state=state, training=training)
+    moved = ad.transpose(out, (0, 3, 1, 2))
+    for view in (out, moved, ad.reshape(moved, (3, 6, 20)), ad.transpose(out, (0, 2, 1, 3))):
+        assert view._rebuild().dtype == view.data.dtype and np.array_equal(view._rebuild(), view.data)
+        for i in range(3):
+            assert np.array_equal(view._rebuild(i), view.data[i])
+    assert ad.transpose(out, (1, 0, 2, 3))._rebuild is None
+    assert ad.reshape(out, (6, 2, 5, 6))._rebuild is None
+
+
+# Paths from a (3, 4, 5, 6) batchnorm output to an op that reads its input
+# in the backward: the path, the op and its weight's shape.
+REBUILD_CASES = {
+    "conv2d": (lambda h: h, ad.conv2d, (5, 4, 3, 3)),
+    "conv2d-transposed": (lambda h: ad.transpose(h, (0, 2, 1, 3)), ad.conv2d, (2, 5, 3, 3)),
+    "conv1d-reshaped": (lambda h: ad.reshape(h, (3, 4, 30)), ad.conv1d, (2, 4, 5)),
+    "linear": (lambda h: h, ad.linear, (7, 6)),
+    "linear-transposed-reshaped": (lambda h: ad.reshape(ad.transpose(h, (0, 3, 1, 2)), (3, 6, 20)),
+                                   ad.linear, (7, 20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REBUILD_CASES))
+def test_a_batchnorm_input_gives_a_leafs_gradient_bits(case):
+    # the op reads a batchnorm output again through its rebuild, and a
+    # leaf's data directly: the output, the weight, bias and input
+    # gradients must be the same bits
+    path, op, w_shape = REBUILD_CASES[case]
+    rng = np.random.default_rng(9)
+    x = (rng.standard_normal((3, 4, 5, 6)) * 2 + 1).astype(np.float32)
+    gamma, beta = (rng.standard_normal(4).astype(np.float32) for _ in range(2))
+    w, b = rng.standard_normal(w_shape).astype(np.float32), rng.standard_normal(w_shape[0]).astype(np.float32)
+    h = path(ad.batchnorm2d(Tensor(x), Tensor(gamma, requires_grad=True), Tensor(beta), training=True))
+    leaf = Tensor(h.data.copy(), requires_grad=True)
+    assert h._rebuild is not None
+    arriving = []
+    back = h._backward
+    h._backward = lambda g, grads: (arriving.append(g.copy()), back(g, grads))
+    results = []
+    for inp in (h, leaf):
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        out = op(inp, wt, bt)
+        r = np.random.default_rng(10).standard_normal(out.shape).astype(np.float32)
+        ad.backward(ad.tsum(ad.mul_const(out, r)))
+        results.append((out.data, wt.grad, bt.grad))
+    results[0] += (arriving[0],)
+    results[1] += (leaf.grad,)
+    for name, got, want in zip(("out", "w", "b", "x"), *results):
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_backward_frees_the_normalised_input():
+    # xhat lives in the batchnorm's backward and in the rebuilds that a
+    # conv and a linear keep in place of their own copies; once backward
+    # has run, nothing holds it
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32), requires_grad=True)
+    h = ad.batchnorm2d(x, Tensor(np.ones(3, np.float32), requires_grad=True),
+                       Tensor(np.zeros(3, np.float32), requires_grad=True), training=True)
+    xhat = next(cell.cell_contents for cell in h._rebuild.__closure__
+                if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.shape == x.shape)
+    freed = weakref.ref(xhat)
+    w = Tensor(rng.standard_normal((2, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    v = Tensor(rng.standard_normal((4, 12)).astype(np.float32), requires_grad=True)
+    flat = ad.reshape(ad.transpose(h, (0, 3, 1, 2)), (2, 5, 12))
+    loss = ad.add(ad.tsum(ad.conv2d(h, w)), ad.tsum(ad.linear(flat, v)))
+    del xhat, h, flat  # as the forward code drops them
+    assert freed() is not None
+    ad.backward(loss)
+    assert freed() is None
 
 
 @pytest.mark.parametrize("shapes", [

@@ -316,7 +316,8 @@ def test_backward_frees_attention_probabilities_during_the_pass(monkeypatch):
 def test_forward_frees_the_outputs_no_backward_reads(monkeypatch):
     # a graph node keeps only what its backward reads: the conv2d and add
     # outputs (relu saves a mask) and the batchnorm output (the next conv
-    # pads its own copy) are freed during the forward, before backward runs
+    # or linear reads it again through its rebuild) are freed during the
+    # forward, before backward runs
     made, freed = Counter(), Counter()
 
     def recorded(op):
@@ -390,6 +391,35 @@ def test_training_step_builds_no_whole_batch_buffer():
     assert peak < 12.5 * feats.size * SMALL["channels"] * 4
 
 
+def test_stock_training_step_memory():
+    # one stock B=2 x 22 x 3000 training step (seed 86): the graph holds
+    # 80 MB after the forward and the step peaks at 86 MB traced, since
+    # conv and linear read batchnorm outputs again through their rebuild
+    # and conv buffers are bounded.  With padded and transposed copies of
+    # the batchnorm outputs and one im2col buffer per item: 108.5 and
+    # 131.9 MB.
+    model = DynamicsModel(ModelConfig(), seed=86)
+    rng = np.random.default_rng(14)
+    bsz, t = 2, 3000
+    feats = rng.standard_normal((bsz, 22, t)).astype(np.float32)
+    beat = np.zeros((bsz, t), dtype=np.uint8)
+    beat[:, ::50] = 1
+    targets = obj.TargetBatch(beat=beat, downbeat=beat.copy(), change_point=beat.copy(),
+                              dynamic_class=rng.integers(0, 6, size=(bsz, t)),
+                              valid=np.ones((bsz, t), dtype=bool))
+    model.params.zero_grads()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, _ = obj.multitask_loss(model.forward(feats, training=True), targets)
+        held = tracemalloc.get_traced_memory()[0] - base
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 90e6 and peak < 100e6, (held / 1e6, peak / 1e6)
+
+
 def test_frozen_forward_builds_no_graph():
     model = small_model()
     rng = np.random.default_rng(21)
@@ -407,12 +437,13 @@ def test_frozen_forward_builds_no_graph():
     assert np.array_equal(frozen.bn_state["input_bn"].running_mean, state["input_bn.running_mean"])
 
 
-@pytest.mark.parametrize("widths, limit_mb", [({}, 70.0), (dict(channels=8, blocks_per_branch=1), 15.0)],
+@pytest.mark.parametrize("widths, limit_mb", [({}, 30.0), (dict(channels=8, blocks_per_branch=1), 15.0)],
                          ids=["stock", "fit_model"])
 def test_one_window_eval_forward_peak(widths, limit_mb):
     # one 60 s window through a frozen model: the stock model peaks at
-    # 64 MB traced (77 MB with its graph), 47.5 MB of it the first conv's
-    # im2col buffer; the benchmark's fit model at 8.7 MB (51.3 MB with its graph)
+    # 25.4 MB traced (61.7 MB with its graph; 64.1 MB when its block convs
+    # built one 47.5 MB im2col buffer), the benchmark's fit model at 8.7 MB
+    # (48.0 MB with its graph)
     frozen = DynamicsModel(ModelConfig(**widths), seed=86).frozen()
     feats = rand_features(np.random.default_rng(3), t=3000)
     tracemalloc.start()
