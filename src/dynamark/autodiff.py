@@ -41,7 +41,8 @@ bits.
 An op none of whose inputs needs a gradient links no node at all, so a
 forward over tensors that need none (``ParameterStore.frozen``) builds
 no graph.  Then ``relu`` keeps no mask, ``batchnorm2d`` normalises in
-place and ``attention`` holds no (T, T) buffer.
+place and ``attention`` holds no (T, T) buffer, each with the same bits
+as the forward that builds a graph.
 """
 
 from __future__ import annotations
@@ -605,24 +606,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 CONV_BUFFER_BYTES = 8 << 20
 # A GEMM is split only in float32, and only into pieces of more than this
 # many multiply-adds with no dimension of 1; each piece then keeps the
-# unsplit GEMM's bits at one BLAS thread.  At or below 10**6, OpenBLAS on
-# AVX-512 CPUs picks a small-matrix kernel, and numpy runs a dimension of 1
-# as a matrix-vector product; both sum in another order.  Float64 pieces
-# changed the bits of a few elements even at 8 * 10**6 multiply-adds
-# (float64 is the gradient-check path, whose buffers are small).  At two
-# BLAS threads, splitting a weight-gradient GEMM with 2-8 output channels
-# over 119,837 positions changed its last bits.
+# unsplit GEMM's bits at one BLAS thread, which the package sets on import
+# (``parallel``).  At or below 10**6, OpenBLAS on AVX-512 CPUs picks a
+# small-matrix kernel, and numpy runs a dimension of 1 as a matrix-vector
+# product; both sum in another order.  Float64 pieces changed the bits of a
+# few elements even at 8 * 10**6 multiply-adds (float64 is the
+# gradient-check path, whose buffers are small).
 MIN_SPLIT_MACS = 10**6
 
 
-def _spans(n: int, unit_bytes: int, unit_macs: int, least: int = 1) -> list[tuple[int, int]]:
-    """Even spans of ``n`` units of an im2col buffer (output columns or
-    kernel taps), each of at most ``CONV_BUFFER_BYTES`` where every span can
-    keep at least ``least`` units and more than ``MIN_SPLIT_MACS``
-    multiply-adds; one unit takes ``unit_bytes`` of the buffer and
-    ``unit_macs`` of its GEMM."""
-    smallest = max(least, MIN_SPLIT_MACS // unit_macs + 1)
-    count = max(1, min(-(-n // max(1, CONV_BUFFER_BYTES // unit_bytes)), n // smallest))
+def _spans(n: int, unit_bytes: int, bound: int, unit_macs: int = 0, least: int = 1) -> list[tuple[int, int]]:
+    """Even spans of ``n`` units of a buffer (an im2col buffer's output
+    columns or kernel taps, attention's rows), each of at most ``bound``
+    bytes where every span can keep at least ``least`` units and, given
+    ``unit_macs``, more than ``MIN_SPLIT_MACS`` multiply-adds of its GEMM;
+    one unit takes ``unit_bytes`` of the buffer and ``unit_macs`` of the
+    GEMM."""
+    if unit_macs:
+        least = max(least, MIN_SPLIT_MACS // unit_macs + 1)
+    count = max(1, min(-(-n // max(1, bound // unit_bytes)), n // least))
     edges = [n * j // count for j in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -682,7 +684,7 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         return cols.reshape(cin * (t1 - t0), rows * (hi - lo))
 
     kk, split = cin * len(taps), dtype == np.float32  # see MIN_SPLIT_MACS
-    tiles = (_spans(width, kk * rows * size, cout * kk * rows, least=2 if rows == 1 else 1)
+    tiles = (_spans(width, kk * rows * size, CONV_BUFFER_BYTES, cout * kk * rows, least=2 if rows == 1 else 1)
              if split and cout > 1 and kk > 1 else [(0, width)])
     most = max(hi - lo for lo, hi in tiles) * rows
     data = np.empty((bsz, cout, *spatial), dtype=dtype)
@@ -704,7 +706,7 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     rebuild = None if nw is None else x._rebuild  # as in ``linear``
     xd = None if nw is None or rebuild else x.data
     length = rows * width
-    groups = (_spans(len(taps), cin * length * size, cout * cin * length)
+    groups = (_spans(len(taps), cin * length * size, CONV_BUFFER_BYTES, cout * cin * length)
               if split and cin > 1 and cout > 1 and length > 1 else [(0, len(taps))])
     w3 = w.data.reshape(cout, cin, len(taps))
     wt = [np.ascontiguousarray(w3[:, :, t0:t1]).reshape(cout, -1).T for t0, t1 in groups]
@@ -913,56 +915,38 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     return _output(data, (nx, ngamma, nbeta), back)
 
 
-# Score rows per pass of attention's softmax and backward (and, with no
-# gradient, of its p @ v).  With block
-# edges at multiples of 12, the float64 score gradient of short sequences
-# (T < 242) equals one GEMM over all rows bit for bit under OpenBLAS's
-# small-matrix kernels; at 32 or 64 rows a block's last rows round
-# differently.  From T = 242 (gradient) and T = 334 (forward) float64
-# differs at any block size; float32 matched at every T tried (to 3000).
-ROW_BLOCK = 48
-
-
-def _row_blocks(t: int) -> list[tuple[int, int]]:
-    """``ROW_BLOCK``-row spans of ``t`` rows, a one-row tail folded into
-    the span before it: a one-row matmul goes through GEMV, which rounds
-    differently from the GEMM of a taller block."""
-    edges = list(range(0, t, ROW_BLOCK)) + [t]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
+# Largest span of attention's rows, in bytes of probabilities (forward) or
+# of the two score-gradient temporaries (backward): a span's scores,
+# softmax and ``p @ v`` run while it sits in a core's L2 cache.
+# ``MIN_SPLIT_MACS`` can make a forward span larger: at T = 3000 and
+# D_v = 8 a span is 42 or 43 rows, about 0.5 MB.
+ATTENTION_SPAN_BYTES = 1 << 18
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Single-head scaled dot-product attention over the time axis.
 
     ``q`` and ``k`` are (B, T, D) and ``v`` is (B, T, D_v).  One fused node
-    that holds one (T, T) buffer of softmax probabilities, not one per
-    batch item.  The forward fills it for each item in turn, ``ROW_BLOCK``
-    rows at a time (scores, scale, max-shift, exp and normalisation while
-    the block is in cache), and multiplies it by that item's v; it keeps
-    the last item's probabilities (plus k^T).  The backward walks the
-    items from last to first: it uses the kept buffer first, then refills
-    the same buffer for each earlier item with the forward's exact ops, so
-    the recomputed probabilities equal the forward's bit for bit.  For
-    each item it takes the gradient of v from the probabilities, then
-    turns them into the gradient of the scores in place, ``ROW_BLOCK``
-    rows at a time, so it allocates no second (T, T) buffer; it can
-    therefore run only once, which ``backward`` ensures.  At B=1 nothing
-    is recomputed.  The ``p @ v`` product stays one GEMM per item, since
-    its bits depend on the row count.  Each output and gradient is
-    computed in the operand order of ``matmul``, ``scale`` and ``softmax``
-    applied in turn, so outputs and gradients equal that composition bit
-    for bit; the tests keep it as the reference.  That holds in float32
-    at every T tried (to 3000), in float64 only below T = 334 for the
-    output and T = 242 for the gradients of q and k (see ``ROW_BLOCK``).
+    with one forward loop, graph or not: for each batch item it walks spans
+    of rows, and for each span computes scores, scale, max-shift, exp and
+    normalisation while the span is in cache, then the span's rows of
+    ``p @ v``.  In float32 a span holds at most ``ATTENTION_SPAN_BYTES`` of
+    probabilities, but keeps more than ``MIN_SPLIT_MACS`` multiply-adds in
+    its ``p @ v``, which then gives the unsplit product's bits (``_spans``);
+    float64 is one span.  With no input needing a gradient (inference) the
+    spans share one span-sized buffer; otherwise they fill one (T, T)
+    buffer, whatever the batch size, and the node keeps the last item's
+    probabilities (plus k^T).  Either way the outputs are the same bits.
 
-    When none of q, k and v needs a gradient (inference), no (T, T)
-    buffer exists: each ``ROW_BLOCK`` of probabilities is multiplied by v
-    into its output rows and dropped.  The probabilities are the same
-    bits, but the blocked ``p @ v`` rounds differently from one GEMM: each
-    output is within 4e-6 of max |v| of the training path's (float32; at
-    most 8.2e-7 measured, over T = 1-145 and 500-3000).
+    The backward walks the items from last to first: it uses the kept
+    buffer first, then refills it for each earlier item with the forward's
+    exact ops.  For each item it takes the gradient of v from the
+    probabilities, then turns them into the gradient of the scores in
+    place, in pieces whose two temporaries stay within
+    ``ATTENTION_SPAN_BYTES`` (float32), so it allocates no second (T, T)
+    buffer and can run only once, which ``backward`` ensures.  Outputs and
+    gradients equal ``matmul``, ``scale`` and ``softmax`` composed, bit for
+    bit; the tests keep that composition as the reference.
     """
     shapes = (q.data.shape, k.data.shape, v.data.shape)
     if (any(len(s) != 3 for s in shapes) or len({s[0] for s in shapes}) != 1
@@ -971,42 +955,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
                          f"got q={q.data.shape}, k={k.data.shape}, v={v.data.shape}")
     qd, vd = q.data, v.data
     kt = np.ascontiguousarray(np.swapaxes(k.data, 1, 2))
-    bsz, t, _ = qd.shape
+    (bsz, t, _), (tk, dv) = qd.shape, vd.shape[1:]
     nq, nk, nv = _node_of(q), _node_of(k), _node_of(v)
     dtype = np.result_type(qd, kt)
     c = dtype.type(1.0 / np.sqrt(qd.shape[2]))
+    data = np.empty((bsz, t, dv), dtype=np.result_type(dtype, vd))
+    if data.dtype == np.float32 and dv > 1:  # see MIN_SPLIT_MACS
+        row = tk * dtype.itemsize
+        spans = _spans(t, row, ATTENTION_SPAN_BYTES, tk * dv, least=2)
+        pieces = _spans(t, 2 * row, ATTENTION_SPAN_BYTES, least=2)  # the backward's two temporaries
+    else:
+        spans = pieces = [(0, t)]
+    graph = not (nq is nk is nv is None)
+    # all of one item's probabilities when a backward reads them, else one span's
+    p = np.empty((t if graph else max(hi - lo for lo, hi in spans), tk), dtype=dtype)
 
-    def softmax_rows(i: int, lo: int, hi: int, rows: Array) -> None:
-        # rows ``lo:hi`` of item ``i``'s softmax probabilities into ``rows``
-        np.matmul(qd[i, lo:hi], kt[i], out=rows)
-        rows *= c
-        rows -= rows.max(axis=-1, keepdims=True)
-        np.exp(rows, out=rows)
-        rows /= rows.sum(axis=-1, keepdims=True)
-
-    data = np.empty((bsz, t, vd.shape[2]), dtype=np.result_type(dtype, vd))
-    if nq is nk is nv is None:  # one row block of probabilities at a time
-        block = np.empty((ROW_BLOCK + 1, kt.shape[2]), dtype=dtype)  # + 1: a folded tail row
-        for i in range(bsz):
-            for lo, hi in _row_blocks(t):
-                softmax_rows(i, lo, hi, block[:hi - lo])
-                np.matmul(block[:hi - lo], vd[i], out=data[i, lo:hi])
-        return _output(data, (), None)
-
-    p = np.empty((t, kt.shape[2]), dtype=dtype)
-
-    def probabilities(i: int) -> None:
-        # item ``i``'s softmax probabilities into ``p``
-        for lo, hi in _row_blocks(t):
-            softmax_rows(i, lo, hi, p[lo:hi])
+    def probabilities(i: int, out: Array | None = None) -> None:
+        # item ``i``'s softmax probabilities into ``p``, and with ``out`` its ``p @ v``
+        for lo, hi in spans:
+            rows = p[lo:hi] if graph else p[:hi - lo]
+            np.matmul(qd[i, lo:hi], kt[i], out=rows)
+            rows *= c
+            rows -= rows.max(axis=-1, keepdims=True)
+            np.exp(rows, out=rows)
+            rows /= rows.sum(axis=-1, keepdims=True)
+            if out is not None:
+                np.matmul(rows, vd[i], out=out[lo:hi])
 
     for i in range(bsz):
-        probabilities(i)
-        np.matmul(p, vd[i], out=data[i])
+        probabilities(i, data[i])
+    if not graph:
+        return _output(data, (), None)
 
     def back(g, grads):
         gq = None if nq is None else np.empty(qd.shape, dtype=p.dtype)
-        gk = None if nk is None else np.empty((bsz, kt.shape[2], kt.shape[1]), dtype=p.dtype)
+        gk = None if nk is None else np.empty((bsz, tk, kt.shape[1]), dtype=p.dtype)
         gv = None if nv is None else np.empty(vd.shape, dtype=np.result_type(p, g))
         for i in reversed(range(bsz)):
             if i < bsz - 1:
@@ -1016,7 +999,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             if gq is None and gk is None:
                 continue
             vt = vd[i].T
-            for lo, hi in _row_blocks(t):
+            for lo, hi in pieces:
                 rows = p[lo:hi]
                 ds = g[i, lo:hi] @ vt  # gradient of these rows' probabilities
                 ds -= (ds * rows).sum(axis=-1, keepdims=True)

@@ -198,7 +198,9 @@ def window_starts(n_frames: int, window_s: int = SEGMENT_SECONDS, mode: str = "t
 
     Train mode advances by half a window and uses only fully covered
     windows (one zero-padded window when the recording is shorter);
-    eval mode tiles without overlap, padding the final window.
+    eval mode tiles without overlap, and its final window may run past
+    the recording's end: ``predict_frames`` crops that window to the
+    recording's frames, and ``make_segments`` zero-pads it.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")

@@ -10,6 +10,10 @@ count; ``extract --workers N`` gives each of its N processes an equal
 share through :func:`share_cpus`.  Training scores each epoch on a
 :func:`side_lane` while the calling thread trains on; the lane's
 :func:`map_in_order` leaves one CPU to the caller.
+
+On import, the package (``dynamark/__init__.py`` imports this module) sets
+numpy's bundled OpenBLAS to one thread, so the work's only threads are
+these and every float result is the same bits at any BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 # Set in each of extract's worker processes: that process's share of the CPUs.
 _share: int | None = None
@@ -161,3 +167,23 @@ def release_thread_heaps() -> None:
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread through its
+    ``scipy_openblas_set_num_threads64_`` call.  OpenBLAS splits a large
+    GEMM over its threads, which changes the last bits: at
+    ``OPENBLAS_NUM_THREADS=2`` most arrays of a stock training step differed
+    from their one-thread bits, from attention on.  Where numpy has no such
+    library, nothing changes."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            put = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if put is not None:
+            put.argtypes, put.restype = [ctypes.c_int], None
+            put(1)
+
+
+_one_blas_thread()

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import parallel
 from .autodiff import ParameterStore
 from .audio import FPS
-from .dataset import Recording, Segment, crop_window, make_segments, time_to_frame, window_starts
+from .dataset import Recording, Segment, make_segments, time_to_frame, window_starts
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from .metrics import mean_std, score_recording
 from .network import LATENT_DIM, NUM_EXPERTS, DynamicsModel, ModelConfig
@@ -234,19 +234,19 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
     three binary tasks.
 
     The forwards run on a frozen copy of the model (``model.frozen()``),
-    so they build no autodiff graph.  The windows run on
+    so they build no autodiff graph.  The last window reads only the
+    recording's frames, not a zero-padded full window.  The windows run on
     :func:`.parallel.map_in_order` and are joined in window order; each
     forward is the same B=1 pass as run alone, so the bits do not depend
     on the worker count.
     """
-    t = features.shape[1]
-    model = model.frozen()
+    model, win = model.frozen(), window_s * FPS
 
     def window(start: int) -> dict[str, np.ndarray]:
-        logits = model.forward(crop_window(features, start, window_s * FPS), training=False)
-        return {task: logit.data[0, :t - start] for task, logit in logits.items()}
+        logits = model.forward(features[:, start:start + win], training=False)
+        return {task: logit.data[0] for task, logit in logits.items()}
 
-    rows = parallel.map_in_order(window, window_starts(t, window_s, mode="eval"))
+    rows = parallel.map_in_order(window, window_starts(features.shape[1], window_s, mode="eval"))
     frames = {task: np.concatenate([r[task] for r in rows], axis=0) for task in TASKS}
     return {task: ad.softmax_np(v) if task == "dynamics" else ad.sigmoid_np(v)
             for task, v in frames.items()}

@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+
 import pytest
 
 from _synth import write_wav
@@ -34,3 +37,15 @@ def wav_writer(tmp_path):
         return write_wav(tmp_path / name, data, rate, sampwidth)
 
     return _write
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a worker running: a non-daemon thread it
+    started (``map_in_order``, ``side_lane``) or a child process
+    (``extract --workers N``) still alive when it ends."""
+    before = set(threading.enumerate())
+    yield
+    threads = [t.name for t in threading.enumerate() if t not in before and not t.daemon]
+    children = [p.name for p in multiprocessing.active_children()]
+    assert not threads and not children, f"left running: threads {threads}, child processes {children}"

@@ -5,12 +5,9 @@ float64 shadow path of the same ops; analytic gradients must agree to
 relative error < 1e-3.
 """
 
-import ctypes
 import sys
 import tracemalloc
 import weakref
-from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,28 +443,6 @@ def test_split_conv_keeps_the_one_buffer_bits_at_the_edges(x_shape, w_shape, spl
     _assert_conv_keeps_the_one_buffer_bits(x_shape[2:], w_shape, x_shape[0], np.float32, split_bytes, 5)
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread, where the split rule is
-    stated: at two threads, splitting a weight-gradient GEMM with 2-8
-    output channels over 119,837 positions changed its last bits (over
-    120,000 it did not)."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
-    lib = next((lib for lib in map(ctypes.CDLL, map(str, libs))
-                if hasattr(lib, "scipy_openblas_set_num_threads64_")), None)
-    if lib is None:
-        pytest.skip("the split rule is stated for numpy's bundled OpenBLAS, which is not loaded")
-    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
 def _assert_conv_keeps_the_one_buffer_bits(spatial, w_shape, bsz, dtype, split_bytes, seed):
     rng = np.random.default_rng(seed)
     cout, cin = w_shape[:2]
@@ -475,7 +450,7 @@ def _assert_conv_keeps_the_one_buffer_bits(spatial, w_shape, bsz, dtype, split_b
     w = rng.standard_normal(w_shape).astype(dtype)
     b = rng.standard_normal(cout).astype(dtype)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    with _one_blas_thread(), pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ad, "CONV_BUFFER_BYTES", split_bytes)
         out = (ad.conv1d if len(spatial) == 1 else ad.conv2d)(xt, wt, bt)
         ad.backward(ad.tsum(ad.mul_const(out, g)))
@@ -531,23 +506,23 @@ def _composed_attention(q, k, v):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 4 * ad.ROW_BLOCK + 1), st.integers(1, 9), st.integers(1, 9),
+@given(st.integers(1, 3), st.integers(1, 500), st.integers(1, 9), st.integers(1, 9),
        st.sampled_from([np.float32, np.float64]),
-       # with no input needing a gradient p @ v is row-blocked: see the graph-free test below
-       st.lists(st.booleans(), min_size=3, max_size=3).filter(any),
-       st.integers(0, 2**32 - 1))
-# one row past a block: a lone last row would take the GEMV path and round differently
-@example(2, ad.ROW_BLOCK + 1, 8, 8, np.float32, [True, True, True], 0)
-@example(2, ad.ROW_BLOCK + 1, 8, 8, np.float64, [True, True, True], 0)
+       st.lists(st.booleans(), min_size=3, max_size=3), st.integers(0, 2**32 - 1))
+# float32 rows in 7 spans, where MIN_SPLIT_MACS sets the span size, and in
+# 16, where ATTENTION_SPAN_BYTES does; the score gradient in 32 pieces
+@example(2, 1000, 8, 8, np.float32, [True, True, True], 0)
+@example(1, 1000, 8, 64, np.float32, [True, True, True], 0)
 # the backward overwrites the probabilities with the score gradient once
-# v's gradient is taken: only v, only q and k, only k, all three
-@example(2, 4 * ad.ROW_BLOCK + 1, 8, 8, np.float32, [False, False, True], 0)
-@example(2, 4 * ad.ROW_BLOCK + 1, 8, 8, np.float64, [False, False, True], 0)
-@example(2, 4 * ad.ROW_BLOCK + 1, 8, 8, np.float32, [True, True, False], 0)
-@example(2, 4 * ad.ROW_BLOCK + 1, 8, 8, np.float64, [True, True, False], 0)
-@example(1, 4 * ad.ROW_BLOCK + 1, 1, 8, np.float64, [False, True, False], 0)
-@example(2, 4 * ad.ROW_BLOCK + 1, 8, 8, np.float32, [True, True, True], 0)
-@example(2, 4 * ad.ROW_BLOCK + 1, 8, 8, np.float64, [True, True, True], 0)
+# v's gradient is taken: only v, only q and k, only k, all three; and no
+# input needing a gradient, which holds no (T, T) buffer
+@example(2, 1000, 8, 8, np.float32, [False, False, True], 0)
+@example(2, 500, 8, 8, np.float64, [False, False, True], 0)
+@example(2, 1000, 8, 8, np.float32, [True, True, False], 0)
+@example(2, 500, 8, 8, np.float64, [True, True, False], 0)
+@example(1, 500, 1, 8, np.float64, [False, True, False], 0)
+@example(2, 500, 8, 8, np.float64, [True, True, True], 0)
+@example(2, 1000, 8, 8, np.float32, [False, False, False], 0)
 def test_attention_matches_composed_reference_bit_for_bit(bsz, t, d, dv, dtype, needs, seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.standard_normal((bsz, t, width)).astype(dtype) for width in (d, d, dv)]
@@ -556,7 +531,8 @@ def test_attention_matches_composed_reference_bit_for_bit(bsz, t, d, dv, dtype, 
     for attend in (ad.attention, _composed_attention):
         leaves = [Tensor(a, requires_grad=need) for a, need in zip(arrays, needs)]
         out = attend(*leaves)
-        ad.backward(ad.tsum(ad.mul_const(out, g)))
+        if any(needs):
+            ad.backward(ad.tsum(ad.mul_const(out, g)))
         results.append([out.data] + [leaf.grad for leaf in leaves])
     for name, got, want in zip(("out", "q", "k", "v"), *results):
         if want is None:
@@ -571,9 +547,10 @@ def test_attention_matches_composed_reference_bit_for_bit(bsz, t, d, dv, dtype, 
 def test_attention_batch_equals_its_items_bit_for_bit(needs, dtype):
     # the backward refills its one probability buffer for every item but the
     # last: the recomputed probabilities must equal the forward's, so a
-    # batch's output and gradients equal its items' B=1 runs
+    # batch's output and gradients equal its items' B=1 runs.  In float32
+    # the rows make 2 spans, and the score gradient 12 pieces
     rng = np.random.default_rng(31)
-    t = 2 * ad.ROW_BLOCK + 5
+    t = 601
     arrays = [rng.standard_normal((3, length, width)).astype(dtype)
               for length, width in ((t, 8), (t + 7, 8), (t + 7, 6))]
     g = rng.standard_normal((3, t, 6)).astype(dtype)
@@ -597,7 +574,7 @@ def test_attention_holds_one_score_buffer():
     # after the forward only the last item's probabilities are held (one
     # T*T buffer, whatever the batch size); the backward refills it for
     # the other items and turns it into the score gradient in place,
-    # ROW_BLOCK rows at a time.  At B=1 the composed reference reads 3.0
+    # one span of rows at a time.  At B=1 the composed reference reads 3.0
     # and 6.0, and a second T*T buffer for the score gradient reads 2.1;
     # at B=3 a buffer per item reads 3.0 and 3.4.
     t = 1000
@@ -620,25 +597,38 @@ def test_attention_holds_one_score_buffer():
         assert peak <= 1.25 * buffer, (bsz, peak / buffer)
 
 
-def test_graph_free_attention_within_its_tolerance_of_the_training_path():
-    # with no input needing a gradient, each ROW_BLOCK of probabilities is
-    # multiplied by v into its output rows, so no (T, T) buffer is held and
-    # each output is within 4e-6 of max |v| of the one-GEMM training path
+def _attention_spans(t: int, dv: int) -> list[tuple[int, int]]:
+    """The spans of float32 rows that attention walks at T = ``t``."""
+    return ad._spans(t, 4 * t, ad.ATTENTION_SPAN_BYTES, t * dv, least=2)
+
+
+def test_graph_free_attention_gives_the_training_paths_bits():
+    # with no input needing a gradient the spans share one span-sized buffer
+    # of probabilities, so no (T, T) buffer is held, and each span's rows of
+    # p @ v are the training path's bits.  T runs to one past the first T
+    # whose rows make two spans (472 at D_v = 9, spans of the GEMM floor).
     rng = np.random.default_rng(17)
-    for t in [*range(1, 3 * ad.ROW_BLOCK + 2), 3000]:
-        q, k = (rng.standard_normal((2, t, 8)).astype(np.float32) for _ in range(2))
-        v = rng.standard_normal((2, t, 9)).astype(np.float32)
-        want = ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v)).data
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            got = ad.attention(Tensor(q), Tensor(k), Tensor(v))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert got._node is None and got.data.dtype == want.dtype
-        np.testing.assert_allclose(got.data, want, rtol=0, atol=4e-6 * np.abs(v).max(), err_msg=str(t))
-        assert peak <= want.nbytes + 4 * (ad.ROW_BLOCK + 1) * t * 4 + 4096, (t, peak)
+    two = next(t for t in range(2, 3000) if len(_attention_spans(t, 9)) == 2)
+    for bsz in (1, 3):
+        for t in [*range(1, two + 2), 120, 600, 1000, 3000]:
+            q, k = (rng.standard_normal((bsz, t, 8)).astype(np.float32) for _ in range(2))
+            v = rng.standard_normal((bsz, t, 9)).astype(np.float32)
+            want = ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v)).data
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                got = ad.attention(Tensor(q), Tensor(k), Tensor(v))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert got._node is None and got.data.dtype == want.dtype
+            assert np.array_equal(got.data, want), (bsz, t)
+            # the output, k^T and one span of probabilities, plus 64 KiB of
+            # numpy temporaries and Python objects (at most 41 KB measured)
+            span = max(hi - lo for lo, hi in _attention_spans(t, 9)) * t * 4
+            assert peak <= want.nbytes + k.nbytes + span + 65536, (bsz, t, peak)
+            if t == 3000:
+                assert span < t * t * 4 / 50
 
 
 @pytest.mark.parametrize("training", [True, False])

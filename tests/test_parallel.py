@@ -2,7 +2,11 @@
 the per-process share of ``extract --workers``, and the side lane that
 scores a training epoch."""
 
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +128,53 @@ def test_a_side_lane_leaves_one_cpu_to_its_caller(eight_cpus, monkeypatch):
     monkeypatch.setattr(parallel, "_share", 1)
     with parallel.side_lane() as lane:
         assert lane is None
+
+
+_STEP_AND_PREDICTION_DIGESTS = """
+import hashlib
+import numpy as np
+from dynamark import autodiff as ad, trainer
+from dynamark.network import DynamicsModel, ModelConfig
+from dynamark.objectives import FrameTargets, TargetBatch, multitask_loss
+
+rng = np.random.default_rng(86)
+frames = 3000
+features = rng.standard_normal((2, 22, frames)).astype(np.float32)
+beat = np.zeros(frames, np.uint8)
+beat[::50] = 1
+downbeat, change_point = beat * (np.arange(frames) % 200 == 0), beat * (np.arange(frames) % 450 == 0)
+targets = [FrameTargets(beat, downbeat.astype(np.uint8), change_point.astype(np.uint8),
+                        rng.integers(0, 6, frames)) for _ in range(2)]
+model = DynamicsModel(ModelConfig(), seed=86)
+optimizer = trainer.AdamW(model.params, lr=3e-4)
+logits = model.forward(features, training=True)
+loss, _ = multitask_loss(logits, TargetBatch.from_targets(targets))
+optimizer.zero_grad()
+ad.backward(loss)
+optimizer.step()
+arrays = [loss.data] + [logit.data for logit in logits.values()]
+arrays += [model.params[name].grad for name in model.params.names()]
+arrays += [model.params[name].data for name in model.params.names()]
+arrays += list(trainer.predict_frames(model, features[0, :, :1234], window_s=10).values())
+for a in arrays:
+    print(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+"""
+
+
+def test_training_and_prediction_do_not_depend_on_the_blas_thread_count():
+    # the package sets numpy's OpenBLAS to one thread on import, so a stock
+    # training step and a prediction give the same bits whatever
+    # OPENBLAS_NUM_THREADS says.  Without it, 130 of 132 arrays of a stock
+    # step differ between one thread and two.
+    src = str(Path(parallel.__file__).resolve().parents[1])
+
+    def digests(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _STEP_AND_PREDICTION_DIGESTS], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.split()
+
+    one = digests(1)
+    assert len(one) > 100 and digests(2) == one

@@ -351,7 +351,7 @@ def test_checkpoint_body_fuzz_raises_only_typed_errors(tiny_checkpoint_body, dat
 
 def _windowed_features(n_windows, window_s):
     """(22, T) features that ``predict_frames`` cuts into ``n_windows``
-    eval windows, the last one mostly padding."""
+    eval windows, the last one 37 frames long."""
     t = (n_windows - 1) * window_s * FPS + 37
     return np.random.default_rng(n_windows).standard_normal((22, t)).astype(np.float32)
 
@@ -374,6 +374,18 @@ def test_predict_frames_same_bits_at_any_worker_count(monkeypatch):
         assert pooled[task].dtype == want.dtype and np.array_equal(pooled[task], want), task
 
 
+def test_predict_frames_reads_only_the_recordings_frames_in_its_last_window():
+    # 75 s: the second window is the last 15 s alone, not 15 s and 45 s of zeros
+    model = small_model()
+    feats = np.random.default_rng(75).standard_normal((22, 75 * FPS)).astype(np.float32)
+    probs = trainer.predict_frames(model, feats)
+    logits = model.frozen().forward(feats[:, 60 * FPS:], training=False)
+    for task, logit in logits.items():
+        want = (ad.softmax_np if task == "dynamics" else ad.sigmoid_np)(logit.data[0])
+        got = probs[task][60 * FPS:]
+        assert got.dtype == want.dtype and np.array_equal(got, want), task
+
+
 def test_predict_frames_builds_no_graph(monkeypatch):
     forward, outputs = DynamicsModel.forward, []
     monkeypatch.setattr(DynamicsModel, "forward",
@@ -390,7 +402,7 @@ def test_predict_frames_holds_one_graph_per_worker(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
 
     def peak(n_windows):
-        feats = _windowed_features(n_windows, 10)
+        feats = _windowed_features(n_windows + 1, 10)[:, :n_windows * 10 * FPS]  # whole windows
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
