@@ -229,7 +229,9 @@ class _Resampler:
         self.starts, self.span = layout(self.width)
         patterns = len(self.starts)
         self.stride = patterns * self.width * down // up
-        self.rows = max(GEMM_SINGLE_THREAD_MNK // (self.width * self.span), 1)
+        # a chunk holds at most one second of output, or one cycle of patterns where that is longer
+        self.rows = max(min(GEMM_SINGLE_THREAD_MNK // (self.width * self.span),
+                            SAMPLE_RATE // (patterns * self.width)), 1)
         self.chunk = self.rows * patterns * self.width
         self.block = max(RESAMPLE_BLOCK_BYTES // (self.rows * patterns * self.span * 8), 1)  # chunks
         m = np.arange(patterns)[:, None, None] * self.width + np.arange(self.width)

@@ -15,6 +15,10 @@ consumes the graph it runs over, so each pass needs its own forward.
 A gradient changes hands once.  An op's backward gives ``_accum`` an
 array that no other pending gradient shares, and ``_accum`` keeps the
 first one that arrives for a node and adds later ones into it in place.
+A conv whose input already has a pending gradient (a residual sum's, or
+another conv's) takes that sum itself: it adds each batch item's input
+gradient into the pending array in place, and builds no batch-sized
+input gradient of its own.
 Most backwards build a fresh array; ``reshape``, and ``transpose`` or
 ``concat`` where the layout allows, hand on views of their incoming
 gradient (disjoint ones for ``concat``'s inputs), which nothing else
@@ -712,7 +716,13 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     wt = [np.ascontiguousarray(w3[:, :, t0:t1]).reshape(cout, -1).T for t0, t1 in groups]
 
     def back(g, grads):
-        gx = None if nx is None else np.empty((bsz, cin, *spatial), dtype=xdtype)
+        # x's pending gradient (a residual sum's, or another conv's) takes each
+        # item's input gradient in place, the sum ``_accum`` would take; like
+        # any pending gradient, it shares no memory with ``g`` (module docstring)
+        gx = None if nx is None else grads.get(id(nx))
+        pending = gx is not None and gx.dtype == xdtype
+        if nx is not None and not pending:
+            gx = np.empty((bsz, cin, *spatial), dtype=xdtype)
         xp = None if nw is None else padded()
         gxp = None if nx is None else padded()
         # unmapped until written, so untouched when only the bias needs a gradient
@@ -733,10 +743,13 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
                     gcols = gcols.reshape(cin, t1 - t0, *spatial)
                     for j in range(t0, t1):
                         gxp[region(taps[j], 0, width)] += gcols[:, j - t0]
-                gx[i] = gxp[centre]
+                if pending:
+                    gx[i] += gxp[centre]
+                else:
+                    gx[i] = gxp[centre]
         if nb is not None:
             _accum(grads, nb, g.sum(axis=(0,) + axes))
-        if gx is not None:
+        if not pending:
             _accum(grads, nx, gx)
 
     return _output(data, (nx, nw, nb), back)
@@ -832,6 +845,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
     gradient the output overwrites it; otherwise the backward keeps
     ``xhat``, and the output's ``_rebuild`` recomputes the output from it,
     so that a consumer's backward (conv, linear) need not keep a copy.
+    The training backward builds one batch-sized array, ``g * xhat``, and
+    writes the input gradient into it one batch item at a time.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d: expected (B,C,H,W), got {x.data.shape}")
@@ -873,16 +888,22 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
     def back(g, grads):
         gxhat = g * xhat  # one product for gamma's gradient and the input's
         _accum(grads, ngamma, gxhat.sum(axis=axes))
-        gx = gxhat.mean(axis=axes)[None, :, None, None] if nx is not None and training else None
-        del gxhat
         _accum(grads, nbeta, g.sum(axis=axes))
-        if nx is not None:
-            coeff = gd * inv[:, None, None]
-            if training:
-                gm = g.mean(axis=axes)[None, :, None, None]
-                _accum(grads, nx, coeff * (g - gm - xhat * gx))
-            else:
-                _accum(grads, nx, coeff * g)
+        if nx is None:
+            return
+        coeff = gd * inv[:, None, None]
+        if not training:
+            del gxhat
+            _accum(grads, nx, coeff * g)
+            return
+        # coeff * (g - gm - xhat * gx): the same ops in the same order, one
+        # item at a time into gxhat, which nothing reads after its sum and mean
+        gx, gm = gxhat.mean(axis=axes)[:, None, None], g.mean(axis=axes)[:, None, None]
+        for i in range(len(g)):
+            gi = np.subtract(g[i], gm, out=gxhat[i])
+            gi -= xhat[i] * gx
+            gi *= coeff
+        _accum(grads, nx, gxhat)
 
     out = _output(rebuild(), (nx, ngamma, nbeta), back)
     out._rebuild = rebuild

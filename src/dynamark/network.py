@@ -117,14 +117,14 @@ class DynamicsModel:
                               state=self.bn_state[name], training=training)
 
     def _block(self, name: str, h: Tensor, training: bool) -> Tensor:
-        """One residual conv block.  Its conv, sum and relu outputs die on
-        return, since no backward reads them."""
-        y = ad.conv2d(h, self.params[f"{name}.conv.w"], self.params[f"{name}.conv.b"])
-        if f"{name}.proj.w" in self.params:
-            res = ad.conv2d(h, self.params[f"{name}.proj.w"], self.params[f"{name}.proj.b"])
-        else:
-            res = h
-        return self._apply_bn(f"{name}.bn", ad.relu(ad.add(y, res)), training)
+        """One residual conv block: batchnorm of the relu of conv(h) plus
+        the residual, ``h`` or its projection.  No backward reads the conv
+        or sum output, and no local names them, so each dies as soon as the
+        next op has read it, before the batchnorm runs."""
+        p = self.params
+        res = ad.conv2d(h, p[f"{name}.proj.w"], p[f"{name}.proj.b"]) if f"{name}.proj.w" in p else h
+        return self._apply_bn(
+            f"{name}.bn", ad.relu(ad.add(ad.conv2d(h, p[f"{name}.conv.w"], p[f"{name}.conv.b"]), res)), training)
 
     def _branch(self, x4d: Tensor, b: int, training: bool) -> Tensor:
         cfg = self.cfg

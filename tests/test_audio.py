@@ -79,12 +79,14 @@ def test_decode_resampled_sine_spectral_peak(wav_writer):
     assert abs(freqs[spec.argmax()] - 1000.0) < 1.0
 
 
-@pytest.mark.parametrize("rate", [8000, 16000, 32000, 44100, 48000, 88200, 96000])
+@pytest.mark.parametrize("rate", [8000, 16000, 32000, 44100, 48000, 88200, 96000, 44101, 48001, 22051])
 def test_resampler_matches_resample_poly(rate):
-    # every rate span_cases draws but the native one; lengths from one sample
-    # to several chunks.  The GEMMs sum scipy's products in another order and
-    # with fused multiply-adds: the largest gap is 7.4e-16 * max|x| on these
-    # inputs and 1.2e-15 * max|x| on 60 s of noise at these rates
+    # every rate span_cases draws but the native one, plus two rare rates it
+    # does not draw; lengths from one sample to several chunks.  The GEMMs
+    # sum scipy's products in another order and with fused multiply-adds:
+    # the largest gap is 7.4e-16 * max|x| on these inputs at the common
+    # rates, 1.5e-15 at the rare ones, and 1.2e-15 * max|x| on 60 s of
+    # noise at the common rates
     up, down, h = audio._polyphase(rate)
     resample = audio._Resampler(rate)
     rng = np.random.default_rng(rate)
@@ -94,6 +96,37 @@ def test_resampler_matches_resample_poly(rate):
         got = resample(x, 0, 0, resample.n_out(n))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 4e-15 * np.abs(x).max(), n
+
+
+# (width, patterns, rows) of the resampler at common rates, whose chunks of
+# 0.07-0.77 s are the same as before chunks were capped at one second, and
+# at rare rates, where one second of output is one cycle of 490 or 245
+# patterns (the chunks were 18-38 s)
+RESAMPLER_LAYOUTS = {8000: (147, 3, 15), 16000: (63, 7, 38), 32000: (63, 7, 27), 44100: (49, 1, 33),
+                     48000: (21, 7, 115), 96000: (21, 7, 82),
+                     44101: (45, 490, 1), 48001: (45, 490, 1), 22051: (90, 245, 1)}
+
+
+@pytest.mark.parametrize("rate", sorted(RESAMPLER_LAYOUTS))
+def test_resampler_layout_and_its_gemms(rate):
+    # the layout is pinned, and the outputs are the bits of one
+    # (rows, span) @ (span, width) GEMM per chunk and pattern on that layout
+    resample = audio._Resampler(rate)
+    width, patterns, rows = RESAMPLER_LAYOUTS[rate]
+    assert (resample.width, len(resample.starts), resample.rows) == (width, patterns, rows)
+    assert resample.chunk == rows * patterns * width <= max(SAMPLE_RATE, patterns * width)
+    x = np.random.default_rng(rate).uniform(-1.0, 1.0, 3 * resample.chunk * resample.down // resample.up)
+    n_out, chunks = resample.n_out(len(x)), -(-resample.n_out(len(x)) // resample.chunk)
+    pad = max(0, -int(resample.starts[0]))
+    padded = np.zeros(pad + int(resample.starts[-1]) + chunks * rows * resample.stride + resample.span)
+    padded[pad:pad + len(x)] = x
+    want = np.empty((chunks, rows, patterns, width))
+    for c in range(chunks):
+        for p, start in enumerate(resample.starts):
+            first = pad + int(start) + c * rows * resample.stride
+            windows = np.stack([padded[first + j * resample.stride:][:resample.span] for j in range(rows)])
+            want[c, :, p] = windows @ resample.toeplitz[p]
+    assert np.array_equal(resample(x, 0, 0, n_out), want.reshape(-1)[:n_out])
 
 
 _FEATURE_DIGESTS = """
@@ -304,7 +337,7 @@ def span_cases(draw):
     and worker count to run it with.  Lengths reach from a few samples,
     too short to analyse, past two spans plus a tail of 1-3 frames."""
     span_frames = draw(st.integers(1, 20))
-    rate = draw(st.sampled_from([8000, 16000, 22050, 32000, 44100, 48000, 88200, 96000]))
+    rate = draw(st.sampled_from([8000, 16000, 22050, 32000, 44100, 48000, 88200, 96000, 44101]))
     shortest = audio.WINDOW * rate // SAMPLE_RATE + 1  # just over one window once resampled
     longest = (2 * span_frames + 3) * audio.HOP * rate // SAMPLE_RATE
     too_short = draw(st.sampled_from([False] * 9 + [True]))
@@ -338,6 +371,8 @@ def _write_span_case(path, fmt, channels, rate, n, defect, seed):
 @given(span_cases())
 @example(dict(fmt="int16", channels=2, rate=44100, n=2 * 3000 * 882 + 1000, defect="none",
               seed=0, span_frames=audio.SPAN_FRAMES, workers=2))  # the real span size
+@example(dict(fmt="int16", channels=1, rate=44101, n=3 * 44101 + 500, defect="none",
+              seed=0, span_frames=40, workers=2))  # spans across one-second chunks of 490 patterns
 @example(dict(fmt="int16", channels=1, rate=48000, n=1, defect="none",
               seed=0, span_frames=1, workers=7))  # one sample, more workers than spans
 @example(dict(fmt="float32", channels=2, rate=SAMPLE_RATE, n=11 * audio.HOP + 1, defect="none",

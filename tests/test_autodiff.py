@@ -180,11 +180,61 @@ GRAD_CASES = {
 CASE_IDS = {"softmax": "softmax-over-last-dim", "attention": "scaled-dot-product-attention"}
 
 
-@pytest.mark.parametrize("kind", sorted(GRAD_CASES), ids=lambda kind: CASE_IDS.get(kind, kind))
+# backward paths that one op alone does not take: a conv whose input
+# gradient goes into one that is already pending, and a batchnorm of one
+# item and of a residual block
+def _case_conv2d_beside_residual(rng):
+    x = rand_leaf(rng, (2, 2, 4, 5))
+    w = rand_leaf(rng, (2, 2, 3, 3))
+    b = rand_leaf(rng, (2,))
+    r = np.asarray(rng.standard_normal((2, 2, 4, 5)), dtype=np.float64)
+    return lambda x, w, b: ad.tsum(ad.mul_const(ad.add(ad.conv2d(x, w, b), x), r)), [x, w, b]
+
+
+def _case_conv2d_beside_conv2d(rng):
+    x = rand_leaf(rng, (2, 2, 4, 5))
+    w = rand_leaf(rng, (3, 2, 3, 3))
+    p = rand_leaf(rng, (3, 2, 1, 1))
+    r = np.asarray(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64)
+    return lambda x, w, p: ad.tsum(ad.mul_const(ad.add(ad.conv2d(x, w), ad.conv2d(x, p)), r)), [x, w, p]
+
+
+def _case_batchnorm2d_one_item(rng):
+    x = rand_leaf(rng, (1, 3, 2, 5))
+    g = rand_leaf(rng, (3,))
+    b = rand_leaf(rng, (3,))
+    r = np.asarray(rng.standard_normal((1, 3, 2, 5)), dtype=np.float64)
+    return lambda x, g, b: ad.tsum(ad.mul_const(ad.batchnorm2d(x, g, b, training=True), r)), [x, g, b]
+
+
+def _case_residual_block(rng):
+    # a network block without its relu: batchnorm(conv(h) + h) of a batchnorm output h
+    x = rand_leaf(rng, (2, 2, 3, 4))
+    w = rand_leaf(rng, (2, 2, 3, 3))
+    g = rand_leaf(rng, (2,))
+    ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
+    r = np.asarray(rng.standard_normal((2, 2, 3, 4)), dtype=np.float64)
+
+    def f(x, w, g):
+        h = ad.batchnorm2d(x, g, zeros, training=True)
+        return ad.tsum(ad.mul_const(ad.batchnorm2d(ad.add(ad.conv2d(h, w), h), ones, zeros, training=True), r))
+
+    return f, [x, w, g]
+
+
+PATH_CASES = {
+    "conv2d-beside-residual": _case_conv2d_beside_residual,
+    "conv2d-beside-conv2d": _case_conv2d_beside_conv2d,
+    "batchnorm2d-one-item": _case_batchnorm2d_one_item,
+    "residual-block": _case_residual_block,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAD_CASES) + sorted(PATH_CASES), ids=lambda kind: CASE_IDS.get(kind, kind))
 @pytest.mark.parametrize("seed", range(10))
 def test_layer_gradcheck(kind, seed):
     rng = np.random.default_rng(1000 + seed)
-    f, leaves = GRAD_CASES[kind](rng)
+    f, leaves = {**GRAD_CASES, **PATH_CASES}[kind](rng)
     check_gradients(f, leaves)
 
 
@@ -346,6 +396,45 @@ def test_conv_batch_equals_its_items_bit_for_bit(x_shape, w_shape, dtype):
     for item in items[1:]:
         want += item[2]
     assert np.array_equal(gw, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(1, 5), st.integers(1, 9), st.integers(1, 40),
+       st.sampled_from(["sum", "conv"]), st.booleans(), st.booleans(), st.sampled_from([np.float32, np.float64]),
+       st.integers(0, 2**32 - 1))
+def test_conv_adds_into_a_pending_input_gradient_bit_for_bit(n, bsz, cin, lead, width, other, own_first,
+                                                             residual, dtype, seed):
+    # x feeds a conv and one other consumer, a sum (a residual block) or a
+    # second conv (a block with a projection), whose outputs are added with
+    # the conv's first or second; ``residual`` adds x to the loss's sum as
+    # well, so that a gradient is pending before either conv runs.  The
+    # conv adds each item's input gradient into the pending one, so x's
+    # gradient must be the gradients each consumer gives alone, summed in
+    # the order the backward runs them.
+    shape = (bsz, cin) + ((lead,) if n == 2 else ()) + (width,)
+    rng = np.random.default_rng(seed)
+    x, r = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    w, w2 = (rng.standard_normal((cin, cin) + (3,) * n).astype(dtype) for _ in range(2))
+    conv = ad.conv1d if n == 1 else ad.conv2d
+
+    def loss(xs):
+        # xs: what the conv, the other consumer and the loss's sum read
+        own = conv(xs[0], Tensor(w, requires_grad=True))
+        mate = xs[1] if other == "sum" else conv(xs[1], Tensor(w2, requires_grad=True))
+        y = ad.add(own, mate) if own_first else ad.add(mate, own)
+        return ad.tsum(ad.mul_const(ad.add(y, xs[2]) if residual else y, r))
+
+    one = Tensor(x, requires_grad=True)
+    ad.backward(loss([one, one, one]))
+    apart = [Tensor(x, requires_grad=True) for _ in range(3)]
+    ad.backward(loss(apart))
+    # an add's backward leaves its inputs' gradients pending, and then its
+    # first input's ops run before its second's
+    order = ([2] if residual else []) + ([1, 0] if other == "sum" or not own_first else [0, 1])
+    want = apart[order[0]].grad.copy()
+    for i in order[1:]:
+        want += apart[i].grad
+    assert one.grad.dtype == want.dtype and np.array_equal(one.grad, want)
 
 
 def test_conv_weight_gradient_within_float32_tolerance_of_one_batch_gemm():
@@ -666,6 +755,30 @@ def test_batchnorm_rebuild_gives_the_output_bits(training, dtype):
             assert np.array_equal(view._rebuild(i), view.data[i])
     assert ad.transpose(out, (1, 0, 2, 3))._rebuild is None
     assert ad.reshape(out, (6, 2, 5, 6))._rebuild is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 7), st.integers(1, 9),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_batchnorm_input_gradient_is_the_composed_formula_bit_for_bit(bsz, c, h, w, dtype, seed):
+    # the training backward writes coeff * (g - gm - xhat * gx) one item
+    # at a time into the buffer of g * xhat; it must be the whole-batch
+    # expression's bits
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((bsz, c, h, w)) * 3 + 1).astype(dtype)
+    gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
+    g = rng.standard_normal(x.shape).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    ad.backward(ad.tsum(ad.mul_const(ad.batchnorm2d(xt, Tensor(gamma, requires_grad=True), Tensor(beta),
+                                                    training=True), g)))
+    axes, eps = (0, 2, 3), 1e-5
+    inv = 1.0 / np.sqrt(x.var(axis=axes) + eps)
+    xhat = (x - x.mean(axis=axes)[None, :, None, None]) * inv[None, :, None, None]
+    gx = (g * xhat).mean(axis=axes)[None, :, None, None]
+    gm = g.mean(axis=axes)[None, :, None, None]
+    coeff = gamma[:, None, None] * inv[:, None, None]
+    want = coeff * (g - gm - xhat * gx)
+    assert xt.grad.dtype == want.dtype and np.array_equal(xt.grad, want)
 
 
 # Paths from a (3, 4, 5, 6) batchnorm output to an op that reads its input

@@ -391,16 +391,11 @@ def test_training_step_builds_no_whole_batch_buffer():
     assert peak < 12.5 * feats.size * SMALL["channels"] * 4
 
 
-def test_stock_training_step_memory():
-    # one stock B=2 x 22 x 3000 training step (seed 86): the graph holds
-    # 80 MB after the forward and the step peaks at 86 MB traced, since
-    # conv and linear read batchnorm outputs again through their rebuild
-    # and conv buffers are bounded.  With padded and transposed copies of
-    # the batchnorm outputs and one im2col buffer per item: 108.5 and
-    # 131.9 MB.
+def _stock_step_memory(bsz, t):
+    """Traced bytes that one training step of the stock model (seed 86) on
+    random (bsz, 22, t) input holds after its forward, and its peak."""
     model = DynamicsModel(ModelConfig(), seed=86)
     rng = np.random.default_rng(14)
-    bsz, t = 2, 3000
     feats = rng.standard_normal((bsz, 22, t)).astype(np.float32)
     beat = np.zeros((bsz, t), dtype=np.uint8)
     beat[:, ::50] = 1
@@ -417,7 +412,29 @@ def test_stock_training_step_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return held, peak
+
+
+def test_stock_training_step_memory():
+    # one stock B=2 x 22 x 3000 training step (seed 86): the graph holds
+    # 80 MB after the forward and the step peaks at 86 MB traced, since
+    # conv and linear read batchnorm outputs again through their rebuild
+    # and conv buffers are bounded.  With padded and transposed copies of
+    # the batchnorm outputs and one im2col buffer per item: 108.5 and
+    # 131.9 MB.
+    held, peak = _stock_step_memory(2, 3000)
     assert held < 90e6 and peak < 100e6, (held / 1e6, peak / 1e6)
+
+
+def test_stock_training_step_frees_each_batch_sized_temporary_after_its_last_reader():
+    # one stock B=2 x 22 x 1000 training step peaks at 6.6 branch-0
+    # activations (B x C x F x T float32, 3.5 MB) over attention's (T, T)
+    # buffer; 7.6 while a conv's backward built a fresh input gradient
+    # beside the residual sum's pending one
+    bsz, t = 2, 1000
+    _, peak = _stock_step_memory(bsz, t)
+    units = (peak - t * t * 4) / (bsz * ModelConfig().channels * 22 * t * 4)
+    assert units < 7.0, units
 
 
 def test_frozen_forward_builds_no_graph():
