@@ -15,11 +15,11 @@ n-sample input yields ceil(n / 441) frames at exactly 50 fps.
 ``extract`` and ``annotate`` read a recording through :func:`wav_features`,
 which runs each 60 s span from WAV samples to feature columns on the
 worker threads of :mod:`.parallel`.  :func:`decode_and_prepare` followed by
-:func:`extract_features` is the serial whole-signal path whose bits it
-reproduces.  Both resample other rates to 22.05 kHz with
-:class:`_Resampler`, a polyphase Kaiser-windowed sinc computed as small
-GEMMs on one grid of output chunks, so that a span and the whole signal,
-and one BLAS thread and several, give the same bits.
+:func:`stft_power` and :func:`bssl` or :func:`log_mel` is the serial
+whole-signal path whose bits it reproduces.  Both resample other rates
+to 22.05 kHz with :class:`_Resampler`, a polyphase Kaiser-windowed sinc
+computed as small GEMMs on one grid of output chunks, so that a span and
+the whole signal, and one BLAS thread and several, give the same bits.
 """
 
 from __future__ import annotations
@@ -322,8 +322,8 @@ def decode_and_prepare(path) -> np.ndarray:
 
 def wav_features(path, kinds) -> dict[str, np.ndarray]:
     """(F, T) float32 features of each kind in ``kinds`` for the WAV at
-    ``path``: ``extract_features(decode_and_prepare(path), kind)`` bit for
-    bit, the same typed errors, in memory that does not grow with the
+    ``path``: ``bssl`` or ``log_mel`` of ``stft_power(decode_and_prepare(path))``
+    bit for bit, the same typed errors, in memory that does not grow with the
     recording beyond its decoded samples and the features.
 
     The frames are cut into spans of at most ``SPAN_FRAMES``, all of one
@@ -570,13 +570,6 @@ def log_mel(power: np.ndarray) -> np.ndarray:
 def _check_kind(kind: str) -> None:
     if kind not in FEATURE_BINS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {', '.join(FEATURE_BINS)}")
-
-
-def extract_features(samples: np.ndarray, kind: str = "bssl") -> np.ndarray:
-    """Convenience: samples at ``SAMPLE_RATE`` -> (F, T) float32 feature matrix."""
-    _check_kind(kind)
-    power = stft_power(samples)
-    return bssl(power) if kind == "bssl" else log_mel(power)
 
 
 # --------------------------------------------------------------------------

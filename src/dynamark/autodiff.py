@@ -22,7 +22,8 @@ input gradient of its own.
 Most backwards build a fresh array; ``reshape``, and ``transpose`` or
 ``concat`` where the layout allows, hand on views of their incoming
 gradient (disjoint ones for ``concat``'s inputs), which nothing else
-holds once the engine has popped it.  ``add`` is the one op whose two
+holds once the engine has popped it, and ``mul`` writes its second
+input's gradient into that array.  ``add`` is the one op whose two
 inputs would get the same array (``_unbroadcast`` returns ``g`` itself
 when the shapes match), so when both need a gradient its second input
 gets a copy.
@@ -305,14 +306,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
-
-    def back(g, grads):
-        _accum(grads, na, _unbroadcast(g, sa))
-        _accum(grads, nb, _unbroadcast(-g, sb))
-
-    return _output(data, (na, nb), back)
+    return add(a, neg(b))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -321,21 +315,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     na, nb = _node_of(a), _node_of(b)
 
     def back(g, grads):
-        _accum(grads, na, _unbroadcast(g * db, da.shape))
-        _accum(grads, nb, _unbroadcast(g * da, db.shape))
+        if na is not None:
+            _accum(grads, na, _unbroadcast(g * db, da.shape))
+        if nb is not None:
+            g *= da  # ``g`` is this node's own, and nothing reads it after
+            _accum(grads, nb, _unbroadcast(g, db.shape))
 
     return _output(data, (na, nb), back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    c = x.data.dtype.type(c)
-    data = x.data * c
-    nx = _node_of(x)
-
-    def back(g, grads):
-        _accum(grads, nx, g * c)
-
-    return _output(data, (nx,), back)
+    return mul_const(x, c)
 
 
 def mul_const(x: Tensor, c: Array) -> Tensor:
@@ -351,12 +341,7 @@ def mul_const(x: Tensor, c: Array) -> Tensor:
 
 
 def neg(x: Tensor) -> Tensor:
-    nx = _node_of(x)
-
-    def back(g, grads):
-        _accum(grads, nx, -g)
-
-    return _output(-x.data, (nx,), back)
+    return mul_const(x, -1.0)
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

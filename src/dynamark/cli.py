@@ -143,7 +143,7 @@ def _write_json(path, report: dict) -> None:
 # --------------------------------------------------------------------------
 
 def _extract_one(wav_path: str, out_path: str, kind: str) -> dict:
-    """Pure per-file unit of work; safe to run in worker processes."""
+    """Pure per-file unit of work; safe to run on worker threads."""
     try:
         values = wav_features(wav_path, [kind])[kind]
         save_features(out_path, values, kind)
@@ -182,15 +182,8 @@ def cmd_extract(opts: dict) -> tuple[int, dict]:
             outputs.append(out_path)
         else:
             todo.append((str(wav_path), str(out_path)))
-    if workers > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        # Each process runs its spans on its share of the CPUs, not on all of them.
-        with ProcessPoolExecutor(max_workers=workers, initializer=parallel.share_cpus,
-                                 initargs=(workers,)) as pool:
-            done = list(pool.map(_extract_one, [w for w, _ in todo],
-                                 [o for _, o in todo], [kind] * len(todo)))
-    else:
-        done = [_extract_one(w, o, kind) for w, o in todo]
+    # Each recording's spans run on its thread's share of the CPUs.
+    done = parallel.map_in_order(lambda job: _extract_one(*job, kind), todo, threads=workers)
     for entry in done:
         results.append(entry)
         if entry["status"] == "failed":
@@ -417,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--feature", choices=FEATURE_BINS)
     p.add_argument("--force", action="store_true", default=None)
-    p.add_argument("--workers", type=int, help="parallel extraction processes (default 1)")
+    p.add_argument("--workers", type=int, help="recordings extracted at once, one thread each (default 1)")
     p.add_argument("--config")
     p.add_argument("--json", action="store_true")
 

@@ -187,10 +187,8 @@ def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
         cls = LABEL_TO_CLASS[ann.markings[i]]
         end = frames[i + 1] if i + 1 < len(frames) else n_frames
         dynamic_class[frame:end] = cls
-    targets = FrameTargets(beat=beat, downbeat=downbeat, change_point=change_point,
-                           dynamic_class=dynamic_class)
-    targets.validate()
-    return targets
+    return FrameTargets(beat=beat, downbeat=downbeat, change_point=change_point,
+                        dynamic_class=dynamic_class)
 
 
 def window_starts(n_frames: int, window_s: int = SEGMENT_SECONDS, mode: str = "train") -> list[int]:

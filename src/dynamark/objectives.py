@@ -54,14 +54,6 @@ class FrameTargets:
     def n_frames(self) -> int:
         return len(self.beat)
 
-    def validate(self) -> None:
-        if not np.all(self.beat[self.downbeat > 0] > 0):
-            raise ShapeError("FrameTargets: downbeat frames must be beat frames")
-        if not np.all(self.beat[self.change_point > 0] > 0):
-            raise ShapeError("FrameTargets: change-point frames must be beat frames")
-        if self.dynamic_class.min(initial=0) < 0 or self.dynamic_class.max(initial=0) >= N_DYNAMIC_CLASSES:
-            raise ShapeError("FrameTargets: dynamic_class outside [0, 6)")
-
 
 @dataclass
 class TargetBatch:

@@ -2,14 +2,15 @@
 process may run on.
 
 Only independent pieces of work go through :func:`map_in_order`: the
-front-end spans of one recording (``audio.wav_features``, at most 60 s
-each) and its 60 s inference windows.  Each piece computes exactly what
-it would serially, so outputs are the same bits at any worker count.
-``taskset``, a cgroup CPU set and a cgroup CPU quota all limit the
-count; ``extract --workers N`` gives each of its N processes an equal
-share through :func:`share_cpus`.  Training scores each epoch on a
-:func:`side_lane` while the calling thread trains on; the lane's
-:func:`map_in_order` leaves one CPU to the caller.
+recordings of ``extract --workers N``, the front-end spans of one
+recording (``audio.wav_features``, at most 60 s each) and its 60 s
+inference windows.  Each piece computes exactly what it would serially,
+so outputs are the same bits at any worker count.  ``taskset``, a cgroup
+CPU set and a cgroup CPU quota all limit the count, and a pool thread
+gets its share of the caller's, so pools started on pool threads
+together start no more threads than the count.  Training scores each
+epoch on a :func:`side_lane` while the calling thread trains on; the
+lane's :func:`map_in_order` leaves one CPU to the caller.
 
 On import, the package (``dynamark/__init__.py`` imports this module) sets
 numpy's bundled OpenBLAS to one thread, so the work's only threads are
@@ -29,33 +30,24 @@ from pathlib import Path
 
 import numpy as np
 
-# Set in each of extract's worker processes: that process's share of the CPUs.
-_share: int | None = None
-# ``cap`` is set on a side lane's thread: the workers left to it.
+# ``cap`` is set on each thread of a pool that this module starts: the
+# workers left to that thread.
 _lane = threading.local()
 
 
 def worker_count() -> int:
     """CPUs in the process's affinity mask (``os.cpu_count()`` where the
-    platform has no affinity call), no more than a cgroup CPU quota grants,
-    no more than this process's share set by :func:`share_cpus` and, on a
-    :func:`side_lane`, no more than the lane's share."""
+    platform has no affinity call), no more than a cgroup CPU quota grants
+    and, on a thread of :func:`map_in_order` or :func:`side_lane`, no more
+    than that thread's share."""
     try:
         count = len(os.sched_getaffinity(0))
     except AttributeError:
         count = os.cpu_count() or 1
-    for limit in (quota_cpus(), _share, getattr(_lane, "cap", None)):
+    for limit in (quota_cpus(), getattr(_lane, "cap", None)):
         if limit is not None:
             count = min(count, limit)
     return max(1, count)
-
-
-def share_cpus(n_processes: int) -> None:
-    """Limit this process to 1/``n_processes`` of :func:`worker_count`, at
-    least one thread: the initializer of each of ``n_processes`` worker
-    processes, so that together they start no more threads than CPUs."""
-    global _share
-    _share = max(1, worker_count() // n_processes)
 
 
 def _read_quota(directory: Path) -> int | None:
@@ -114,19 +106,23 @@ def quota_cpus(root: Path = Path("/sys/fs/cgroup"),
     return min(limits) if limits else None
 
 
-def map_in_order(fn, items) -> list:
-    """``[fn(item) for item in items]``, run on up to :func:`worker_count`
-    threads; a single item, or a single worker, runs inline."""
-    items = list(items)
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cap_lane(workers: int) -> None:
     _lane.cap = workers
+
+
+def map_in_order(fn, items, threads: int | None = None) -> list:
+    """``[fn(item) for item in items]``, run on ``threads`` threads (by
+    default :func:`worker_count`), no more than there are items; one
+    thread runs inline.  On each pool thread :func:`worker_count` is the
+    caller's divided by the threads, at least one."""
+    items = list(items)
+    workers = worker_count()
+    threads = min(workers if threads is None else threads, len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads, initializer=_cap_lane,
+                            initargs=(max(1, workers // threads),)) as pool:
+        return list(pool.map(fn, items))
 
 
 @contextlib.contextmanager

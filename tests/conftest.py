@@ -42,8 +42,8 @@ def wav_writer(tmp_path):
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
     """Fail a test that leaves a worker running: a non-daemon thread it
-    started (``map_in_order``, ``side_lane``) or a child process
-    (``extract --workers N``) still alive when it ends."""
+    started (``map_in_order``, ``side_lane``) or a child process still
+    alive when it ends."""
     before = set(threading.enumerate())
     yield
     threads = [t.name for t in threading.enumerate() if t not in before and not t.daemon]

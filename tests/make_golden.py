@@ -28,7 +28,7 @@ import numpy as np
 
 from _synth import write_corpus
 from dynamark import autodiff as ad
-from dynamark.audio import FPS, decode_and_prepare, extract_features
+from dynamark.audio import FPS, bssl, decode_and_prepare, stft_power
 from dynamark.dataset import load_annotation, rasterize
 from dynamark.network import DynamicsModel, ModelConfig
 from dynamark.objectives import TASKS, TargetBatch, multitask_loss
@@ -79,7 +79,7 @@ def checkpoint_report() -> EventReport:
     cp = load_checkpoint(CHECKPOINT)
     with tempfile.TemporaryDirectory() as tmp:
         (rec,) = write_corpus(tmp, n_clips=1, seconds=CLIP_SECONDS, seed=MODEL_SEED)
-        features = extract_features(decode_and_prepare(Path(tmp) / "audio" / f"{rec}.wav"), "bssl")
+        features = bssl(stft_power(decode_and_prepare(Path(tmp) / "audio" / f"{rec}.wav")))
     return annotate_features(model_from_checkpoint(cp), features, window_s=cp.train_config.segment_s)
 
 

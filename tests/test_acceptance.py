@@ -222,13 +222,13 @@ def test_criterion_8_determinism_and_persistence(protocol_corpus, tmp_path):
     for task, logits in before.items():
         assert np.array_equal(logits.data, after[task].data), task
 
-    from dynamark.audio import decode_and_prepare, extract_features, save_features
+    from dynamark.audio import bssl, decode_and_prepare, save_features, stft_power
     from scipy.io import wavfile
     rng = np.random.default_rng(0)
     wav_path = tmp_path / "x.wav"
     wavfile.write(wav_path, SAMPLE_RATE, (rng.standard_normal(22050) * 0.1).astype(np.float32))
     out_a = tmp_path / "a.dynf"
     out_b = tmp_path / "b.dynf"
-    save_features(out_a, extract_features(decode_and_prepare(wav_path), "bssl"), "bssl")
-    save_features(out_b, extract_features(decode_and_prepare(wav_path), "bssl"), "bssl")
+    save_features(out_a, bssl(stft_power(decode_and_prepare(wav_path))), "bssl")
+    save_features(out_b, bssl(stft_power(decode_and_prepare(wav_path))), "bssl")
     assert out_a.read_bytes() == out_b.read_bytes()

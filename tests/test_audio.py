@@ -318,8 +318,8 @@ def _reference_features(path, kinds):
     """The serial whole-signal front end that ``wav_features`` replaces in
     the CLI: its features, or the type and message of its error."""
     try:
-        samples = decode_and_prepare(path)
-        return {kind: audio.extract_features(samples, kind) for kind in kinds}
+        power = stft_power(decode_and_prepare(path))
+        return {kind: bssl(power) if kind == "bssl" else log_mel(power) for kind in kinds}
     except DynamarkError as exc:
         return type(exc), str(exc)
 
@@ -437,7 +437,7 @@ def test_span_features_memory_does_not_grow_with_the_recording(tmp_path):
     for minutes in (4, 8):
         paths.append(tmp_path / f"{minutes}min.wav")
         wavfile.write(paths[-1], 44100, np.tile(block, (60 * minutes, 1)))
-    whole = [_traced_peak(lambda p: audio.extract_features(decode_and_prepare(p), "logmel"), p)
+    whole = [_traced_peak(lambda p: log_mel(stft_power(decode_and_prepare(p))), p)
              for p in paths]
     spans = [_traced_peak(audio.wav_features, p, ["logmel"]) for p in paths]
     assert spans[1] - spans[0] < 0.5 * (whole[1] - whole[0]), (spans, whole)
@@ -712,17 +712,10 @@ def test_load_features_byte_mutation_fuzz(small_feature_file, edits, keep):
     assert values.size * 4 + 17 == path.stat().st_size
 
 
-def test_extract_features_shapes():
-    samples = np.zeros(2 * SAMPLE_RATE)
-    assert audio.extract_features(samples, "bssl").shape == (22, 100)
-    assert audio.extract_features(samples, "logmel").shape == (128, 100)
-    with pytest.raises(ConfigError):
-        audio.extract_features(samples, "mfcc")
-
-
-def test_feature_kinds_come_from_one_table(monkeypatch):
+def test_feature_kinds_come_from_one_table(monkeypatch, tmp_path):
     # the DYNF file ids name the same kinds as the bin-count table
     assert audio.FEATURE_KINDS.keys() == audio.FEATURE_BINS.keys()
     monkeypatch.setitem(audio.FEATURE_BINS, "cqt", 84)
+    path = write_wav(tmp_path / "x.wav", np.zeros(SAMPLE_RATE), SAMPLE_RATE)
     with pytest.raises(ConfigError, match="expected one of bssl, logmel, cqt"):
-        audio.extract_features(np.zeros(SAMPLE_RATE), "mfcc")
+        audio.wav_features(path, ["mfcc"])

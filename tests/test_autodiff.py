@@ -931,6 +931,38 @@ def test_add_gives_its_inputs_separate_gradients():
     np.testing.assert_array_equal(x.grad, 2.0 + 11.0 * c.reshape(2, 3))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elementwise_ops_give_the_numpy_formulas_bits(dtype):
+    # mul's backward writes one input's gradient into its incoming one, and
+    # sub, neg and scale are add and mul_const; each output and gradient
+    # still has the bits of its numpy formula, signed zeros included
+    rng = np.random.default_rng(0)
+    a0, b0 = rng.standard_normal((3, 4)).astype(dtype), rng.standard_normal(4).astype(dtype)
+    a0[0, :2], b0[:2] = (0.0, -0.0), (-0.0, 0.0)
+    r = rng.standard_normal((3, 4)).astype(dtype)  # the gradient each output gets
+    r[1, :2] = (0.0, -0.0)
+
+    def run(f, *leaves):
+        ts = [Tensor(x.copy(), requires_grad=needs) for x, needs in leaves]
+        out = f(*ts)
+        ad.backward(ad.tsum(ad.mul_const(out, r)))
+        return [out.data] + [t.grad for t, (_, needs) in zip(ts, leaves) if needs]
+
+    def same(got, want):
+        assert [x.dtype for x in got] == [dtype] * len(want)
+        assert [x.tobytes() for x in got] == [np.asarray(x, dtype).tobytes() for x in want]
+
+    zero = np.zeros_like(a0)  # a leaf's gradient starts at +0
+    same(run(ad.mul, (a0, True), (b0, True)), [a0 * b0, zero + r * b0, 0 * b0 + (r * a0).sum(axis=0)])
+    same(run(ad.mul, (a0, False), (b0, True)), [a0 * b0, 0 * b0 + (r * a0).sum(axis=0)])
+    same(run(ad.mul, (a0, True), (b0, False)), [a0 * b0, zero + r * b0])
+    same(run(lambda a: ad.mul(a, a), (a0, True)), [a0 * a0, zero + r * a0 + r * a0])
+    same(run(ad.sub, (a0, True), (b0, True)), [a0 - b0, zero + r, 0 * b0 + (-r).sum(axis=0)])
+    same(run(ad.neg, (a0, True)), [-a0, zero - r])
+    for c in (0.125, 1 / 3, -1.0, 1 / np.sqrt(8), 7.0):
+        same(run(lambda a: ad.scale(a, c), (a0, True)), [a0 * dtype(c), zero + r * dtype(c)])
+
+
 def test_shape_only_backward_holds_one_gradient():
     # tsum's backward builds the one gradient buffer; reshape and a
     # layout-keeping transpose hand views of it on, and the zero-grad leaf

@@ -17,7 +17,7 @@ from dynamark.network import ModelConfig
 from dynamark.objectives import DYNAMIC_LABELS
 from dynamark.trainer import TrainConfig
 
-from _synth import write_corpus
+from _synth import synth_clip, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +46,22 @@ def test_extract_writes_dynf(corpus, extracted):
     assert manifest["tool_version"]
 
 
-def test_extract_parallel_identical_bytes(corpus, extracted, tmp_path):
-    out = tmp_path / "par"
-    code = main(["extract", "--audio-dir", str(corpus / "audio"), "--out-dir", str(out),
-                 "--workers", "2"])
-    assert code == 0
-    for path in sorted(out.glob("*.dynf")):
-        assert path.read_bytes() == (extracted / path.name).read_bytes()
+def test_extract_parallel_identical_bytes(corpus, tmp_path):
+    # the corpus's two clips and a 44.1 kHz stereo one of more than one span
+    audio = tmp_path / "audio"
+    shutil.copytree(corpus / "audio", audio)
+    samples = synth_clip(seconds=70.0, seed=5, rate=44100)[0] * 20000
+    wavfile.write(audio / "stereo.wav", 44100, np.stack([samples, samples / 2], axis=1).astype(np.int16))
+    serial = tmp_path / "serial"
+    assert main(["extract", "--audio-dir", str(audio), "--out-dir", str(serial)]) == 0
+    names = sorted(path.name for path in serial.glob("*.dynf"))
+    assert len(names) == 3
+    for workers in ("2", "3"):
+        out = tmp_path / f"workers{workers}"
+        assert main(["extract", "--audio-dir", str(audio), "--out-dir", str(out), "--workers", workers]) == 0
+        assert sorted(path.name for path in out.glob("*.dynf")) == names
+        for name in names:
+            assert (out / name).read_bytes() == (serial / name).read_bytes(), (workers, name)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,23 +1,27 @@
 """How many threads inference may use: affinity mask, cgroup CPU quota and
-the per-process share of ``extract --workers``, and the side lane that
-scores a training epoch."""
+the share of each pool thread, such as one recording's of ``extract
+--workers``, and the side lane that scores a training epoch."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynamark import cli, parallel
+from dynamark.audio import SAMPLE_RATE
+
+from _synth import write_wav
 
 
 @pytest.fixture
 def eight_cpus(monkeypatch):
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(parallel, "quota_cpus", lambda: None)
-    monkeypatch.setattr(parallel, "_share", None)
 
 
 def _cgroup_tree(tmp_path, membership, files):
@@ -66,68 +70,52 @@ def test_worker_count_obeys_affinity_quota_and_share(eight_cpus, monkeypatch):
     assert parallel.worker_count() == 3
     monkeypatch.setattr(parallel, "quota_cpus", lambda: 64)
     assert parallel.worker_count() == 8
-    parallel.share_cpus(3)
-    assert parallel.worker_count() == 2
-    monkeypatch.setattr(parallel, "_share", None)
-    parallel.share_cpus(16)
-    assert parallel.worker_count() == 1
-
-
-def test_share_cpus_limits_a_worker_process():
-    want = max(1, parallel.worker_count() // 2)
-    with ProcessPoolExecutor(max_workers=1, initializer=parallel.share_cpus,
-                             initargs=(2,)) as pool:
-        assert pool.submit(parallel.worker_count).result() == want
-    assert parallel._share is None
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments, runs the
-    initializer once and maps inline."""
-    seen = {}
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.seen.update(max_workers=max_workers, initializer=initializer, initargs=initargs)
-        self.initializer, self.initargs = initializer, initargs
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        self.initializer(*self.initargs)
-        return [fn(*args) for args in zip(*iterables)]
+    # each pool thread gets the caller's count divided by the threads, at least one
+    counts = parallel.map_in_order(lambda _: parallel.worker_count(), range(3), threads=3)
+    assert counts == [2, 2, 2]
+    counts = parallel.map_in_order(lambda _: parallel.worker_count(), range(16), threads=16)
+    assert counts == [1] * 16
+    assert parallel.worker_count() == 8  # the caller keeps its count
 
 
 def test_extract_workers_share_the_cpus(eight_cpus, monkeypatch, tmp_path):
-    # extract --workers 4 starts four processes, each running its spans
-    # on 8 // 4 = 2 threads, not on all eight
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    counts = []
-    monkeypatch.setattr(cli, "_extract_one",
-                        lambda w, o, kind: counts.append(parallel.worker_count())
-                        or {"input": w, "status": "failed", "error": "not run"})
+    # extract --workers 4 runs four recordings at once on four threads of
+    # this process, each running its spans on 8 // 4 = 2 threads, not on
+    # all eight; it starts no child process and leaves no thread running
+    at_once = threading.Barrier(4, timeout=30)
+    seen = []
+
+    def features(path, kinds, run=cli.wav_features):
+        seen.append((parallel.worker_count(), threading.current_thread() is threading.main_thread(),
+                     multiprocessing.active_children()))
+        at_once.wait()
+        return run(path, kinds)
+
+    monkeypatch.setattr(cli, "wav_features", features)
     audio = tmp_path / "audio"
     audio.mkdir()
-    for name in ("a", "b"):
-        (audio / f"{name}.wav").write_bytes(b"")
-    cli.main(["extract", "--audio-dir", str(audio), "--out-dir", str(tmp_path / "out"),
-              "--workers", "4"])
-    assert _RecordingPool.seen == {"max_workers": 4, "initializer": parallel.share_cpus,
-                                   "initargs": (4,)}
-    assert counts == [2, 2]
+    rng = np.random.default_rng(0)
+    for name in "abcd":
+        write_wav(audio / f"{name}.wav", rng.uniform(-0.5, 0.5, SAMPLE_RATE), SAMPLE_RATE)
+    before = set(threading.enumerate())
+    assert cli.main(["extract", "--audio-dir", str(audio), "--out-dir", str(tmp_path / "out"),
+                     "--workers", "4"]) == 0
+    assert seen == [(2, False, [])] * 4
+    assert set(threading.enumerate()) <= before
+    assert len(list((tmp_path / "out").glob("*.dynf"))) == 4
 
 
-def test_a_side_lane_leaves_one_cpu_to_its_caller(eight_cpus, monkeypatch):
+def test_a_side_lane_leaves_one_cpu_to_its_caller(eight_cpus):
     with parallel.side_lane() as lane:
         assert lane.submit(parallel.worker_count).result(timeout=10) == 7
         assert parallel.worker_count() == 8  # the caller keeps its count
-    monkeypatch.setattr(parallel, "_share", 1)
-    with parallel.side_lane() as lane:
-        assert lane is None
+
+    def lane_on_a_pool_thread(_):
+        with parallel.side_lane() as lane:
+            return lane
+
+    # each of eight pool threads has one worker, so it gets no lane
+    assert parallel.map_in_order(lane_on_a_pool_thread, range(8)) == [None] * 8
 
 
 _STEP_AND_PREDICTION_DIGESTS = """
