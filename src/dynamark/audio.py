@@ -156,24 +156,16 @@ def _gain(peak, path) -> float:
     return gain
 
 
-def _mono_normalised(raw: np.ndarray, path) -> np.ndarray:
-    """Decoded WAV samples (N,) or (N, C) of ``path`` -> float64 mono at
-    -1 dBFS peak (see :func:`_downmix` and :func:`_gain`)."""
-    x = _downmix(raw)
-    x *= _gain(max(x.max(), -x.min()), path)
-    return x
-
-
-def _polyphase(src_rate: int, taps_per_phase: int = 64,
-               beta: float = 9.0) -> tuple[int, int, np.ndarray]:
-    """``up``, ``down`` and the Kaiser-windowed sinc of the rational
-    polyphase resampler from ``src_rate`` to ``SAMPLE_RATE``."""
+def _polyphase(src_rate: int) -> tuple[int, int, np.ndarray]:
+    """``up``, ``down`` and the Kaiser-windowed sinc (64 taps per phase,
+    beta 9) of the rational polyphase resampler from ``src_rate`` to
+    ``SAMPLE_RATE``."""
     g = math.gcd(src_rate, SAMPLE_RATE)
     up, down = SAMPLE_RATE // g, src_rate // g
-    n_taps = taps_per_phase * up
+    n_taps = 64 * up
     n = np.arange(n_taps) - (n_taps - 1) / 2.0
     cutoff = 1.0 / max(up, down)
-    h = cutoff * np.sinc(cutoff * n) * np.kaiser(n_taps, beta)
+    h = cutoff * np.sinc(cutoff * n) * np.kaiser(n_taps, 9.0)
     h /= h.sum()
     return up, down, h
 
@@ -293,6 +285,8 @@ def _read_wav(path: Path) -> tuple[int, np.ndarray]:
         raise
     except Exception as exc:
         raise DecodeError(f"cannot decode {path}: {exc}") from exc
+    if rate < 1:
+        raise DecodeError(f"{path}: header gives a sample rate of {rate} Hz")
     if raw.size == 0:
         raise EmptyInputError(f"{path}: zero-length audio")
     return int(rate), raw
@@ -303,17 +297,20 @@ def decode_and_prepare(path) -> np.ndarray:
     float64 samples at ``SAMPLE_RATE``, serially and over the whole
     recording.
 
-    Downmix is the mean of channels; normalisation happens before
-    resampling; all-zero input is left unnormalised, and a peak too small
-    to scale to -1 dBFS is a :class:`DecodeError`.  The resampler is
-    :class:`_Resampler`: scipy's ``resample_poly`` with the filter of
-    :func:`_polyphase`, up to the last bits, as blocked GEMMs.  The CLI runs
-    :func:`wav_features` instead, which gives the features of these
-    samples bit for bit in bounded memory.
+    Downmix is the mean of channels (:func:`_downmix`); normalisation
+    happens before resampling, with the gain of :func:`_downmix_peak` as
+    in :func:`wav_features`; all-zero input is left unnormalised, and a
+    peak too small to scale to -1 dBFS is a :class:`DecodeError`.  The
+    resampler is :class:`_Resampler`: scipy's ``resample_poly`` with the
+    filter of :func:`_polyphase`, up to the last bits, as blocked GEMMs.
+    The CLI runs :func:`wav_features` instead, which gives the features
+    of these samples bit for bit in bounded memory.
     """
     path = Path(path)
     rate, raw = _read_wav(path)
-    x = _mono_normalised(raw, path)
+    gain = _gain(_downmix_peak(raw), path)  # its channel sum is freed before ``x`` is built
+    x = _downmix(raw)
+    x *= gain
     if rate == SAMPLE_RATE:
         return x
     resample = _Resampler(rate)
@@ -486,9 +483,10 @@ def critical_band_matrix() -> np.ndarray:
 
 
 @_built_once
-def spreading_matrix(n_bands: int = N_BARK_BANDS) -> np.ndarray:
-    """Schroeder spreading function across critical bands (power domain)."""
-    i = np.arange(n_bands)
+def spreading_matrix() -> np.ndarray:
+    """Schroeder spreading function across the ``N_BARK_BANDS`` critical
+    bands (power domain)."""
+    i = np.arange(N_BARK_BANDS)
     x = i[:, None] - i[None, :] + 0.474
     db = 15.81 + 7.5 * x - 17.5 * np.sqrt(1.0 + x * x)
     return 10.0 ** (db / 10.0)

@@ -214,7 +214,7 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
     k = min(opts["k_folds"], len(pieces))
     fold_of_piece = make_folds(pieces, k=k, seed=train_cfg.seed)
     write_segment_manifest(out_dir / "segments.json", recordings, fold_of_piece,
-                           window_s=train_cfg.segment_s, mode=train_cfg.tiling)
+                           train_cfg.segment_s, train_cfg.tiling)
     folds = [opts["fold"]] if opts["fold"] is not None else list(range(k))
 
     outputs = [out_dir / "segments.json"]
@@ -360,8 +360,7 @@ def cmd_annotate(opts: dict) -> tuple[int, dict]:
     beats_override = None
     if opts.get("beats_from"):
         beats_override = _read_beats_from(Path(opts["beats_from"]))
-    report = annotate_features(model, features, beat_times_override=beats_override,
-                               window_s=cp.train_config.segment_s)
+    report = annotate_features(model, features, cp.train_config.segment_s, beats_override)
     prefix = Path(opts["out_prefix"]) if opts.get("out_prefix") else audio_path.with_suffix("")
     prefix.parent.mkdir(parents=True, exist_ok=True)
     json_path = Path(f"{prefix}.events.json")

@@ -28,7 +28,6 @@ from .audio import FEATURE_BINS, FPS, load_features
 from .errors import ConfigError, EmptyInputError, SchemaError
 from .objectives import DYNAMIC_LABELS, LABEL_TO_CLASS, FrameTargets
 
-SEGMENT_SECONDS = 60
 TRAIN_HOP_FRACTION = 0.5
 
 
@@ -37,7 +36,6 @@ class RecordingAnnotation:
     """Beat-aligned ground truth for one performance."""
 
     piece_id: str
-    performer_id: str
     beat_times: np.ndarray
     downbeat_flags: np.ndarray
     markings: list[str]  # carried-forward, "blank" before the first mark
@@ -61,7 +59,6 @@ class Segment:
     features: np.ndarray  # (F, T_seg)
     targets: FrameTargets
     recording_id: str
-    start_s: float
     n_valid: int  # frames before zero padding starts
 
 
@@ -146,7 +143,6 @@ def load_annotation(beat_file, marking_file) -> RecordingAnnotation:
     stem = beat_file.stem.removesuffix("_beats")
     return RecordingAnnotation(
         piece_id=stem.split("__")[0],
-        performer_id=stem.split("__")[1] if "__" in stem else stem,
         beat_times=np.asarray(times, dtype=np.float64),
         downbeat_flags=np.asarray(downbeats, dtype=bool),
         markings=carried,
@@ -159,18 +155,19 @@ def time_to_frame(t: float) -> int:
     return int(np.floor(t * FPS + 0.5))
 
 
-def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
-    """Frame-level targets at 50 fps from a beat-aligned annotation."""
+def rasterize(ann: RecordingAnnotation, length: int) -> FrameTargets:
+    """Frame-level targets at 50 fps over ``length`` frames from a
+    beat-aligned annotation."""
     frames = [time_to_frame(t) for t in ann.beat_times]
     # half-up rounding can push the final beat to frame ceil(duration*fps)
     needed = max(int(np.ceil(ann.duration * FPS)), frames[-1] + 1 if frames else 0)
-    if n_frames < needed:
-        raise SchemaError(f"rasterize: {n_frames} frames cannot hold a {ann.duration:.2f}s annotation "
+    if length < needed:
+        raise SchemaError(f"rasterize: {length} frames cannot hold a {ann.duration:.2f}s annotation "
                           f"(needs >= {needed})")
-    beat = np.zeros(n_frames, dtype=np.uint8)
-    downbeat = np.zeros(n_frames, dtype=np.uint8)
-    change_point = np.zeros(n_frames, dtype=np.uint8)
-    dynamic_class = np.zeros(n_frames, dtype=np.int64)
+    beat = np.zeros(length, dtype=np.uint8)
+    downbeat = np.zeros(length, dtype=np.uint8)
+    change_point = np.zeros(length, dtype=np.uint8)
+    dynamic_class = np.zeros(length, dtype=np.int64)
     for i in range(1, len(frames)):
         if frames[i] == frames[i - 1]:
             raise SchemaError(f"beats {i - 1} and {i} both round to frame {frames[i]}: "
@@ -185,27 +182,29 @@ def rasterize(ann: RecordingAnnotation, n_frames: int) -> FrameTargets:
     # carry the class forward from each beat frame to the next change
     for i, frame in enumerate(frames):
         cls = LABEL_TO_CLASS[ann.markings[i]]
-        end = frames[i + 1] if i + 1 < len(frames) else n_frames
+        end = frames[i + 1] if i + 1 < len(frames) else length
         dynamic_class[frame:end] = cls
     return FrameTargets(beat=beat, downbeat=downbeat, change_point=change_point,
                         dynamic_class=dynamic_class)
 
 
-def window_starts(n_frames: int, window_s: int = SEGMENT_SECONDS, mode: str = "train") -> list[int]:
-    """First frames of the fixed windows a recording is cut into.
+def window_starts(t: int, window_s: int, mode: str) -> list[int]:
+    """First frames of the ``window_s``-second windows that a recording of
+    ``t`` frames is cut into; callers pass ``TrainConfig.segment_s``.
 
     Train mode advances by half a window and uses only fully covered
     windows (one zero-padded window when the recording is shorter);
     eval mode tiles without overlap, and its final window may run past
     the recording's end: ``predict_frames`` crops that window to the
     recording's frames, and ``make_segments`` zero-pads it.
+    ``TrainConfig.tiling`` names the mode that cuts training segments.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     win = window_s * FPS
     if mode == "eval":
-        return list(range(0, n_frames, win))
-    return list(range(0, n_frames - win + 1, int(win * TRAIN_HOP_FRACTION))) if n_frames >= win else [0]
+        return list(range(0, t, win))
+    return list(range(0, t - win + 1, int(win * TRAIN_HOP_FRACTION))) if t >= win else [0]
 
 
 def crop_window(arr: np.ndarray, start: int, length: int) -> np.ndarray:
@@ -216,20 +215,20 @@ def crop_window(arr: np.ndarray, start: int, length: int) -> np.ndarray:
     return out
 
 
-def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str = "",
-                  window_s: int = SEGMENT_SECONDS, mode: str = "train") -> list[Segment]:
-    """Slice a recording into the windows ``window_starts`` places.
-    Padded frames are flagged through ``n_valid``."""
+def make_segments(features: np.ndarray, targets: FrameTargets, recording_id: str,
+                  window_s: int, mode: str) -> list[Segment]:
+    """Slice a recording into the windows that ``window_starts(T, window_s,
+    mode)`` places, in order.  Padded frames are flagged through ``n_valid``."""
     t = features.shape[1]
     win = window_s * FPS
     return [Segment(features=crop_window(features, start, win),
                     targets=FrameTargets(*(crop_window(getattr(targets, f.name), start, win)
                                            for f in fields(FrameTargets))),
-                    recording_id=recording_id, start_s=start / FPS, n_valid=min(win, t - start))
+                    recording_id=recording_id, n_valid=min(win, t - start))
             for start in window_starts(t, window_s, mode)]
 
 
-def make_folds(piece_ids, k: int = 5, seed: int = 86) -> dict[str, int]:
+def make_folds(piece_ids, k: int, seed: int) -> dict[str, int]:
     """Seeded shuffle + round robin; all recordings of a piece share a fold."""
     if k < 2:
         raise ConfigError(f"cannot make {k} folds: cross-validation needs at least 2")
@@ -242,7 +241,7 @@ def make_folds(piece_ids, k: int = 5, seed: int = 86) -> dict[str, int]:
 
 
 def write_segment_manifest(path, recordings, fold_of_piece: dict[str, int],
-                           window_s: int = SEGMENT_SECONDS, mode: str = "train") -> None:
+                           window_s: int, mode: str) -> None:
     """JSON manifest: recording ids, fold ids, and segment offsets; the
     training segments are placed as ``window_starts`` does in ``mode``."""
     entries = []

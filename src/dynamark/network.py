@@ -54,7 +54,7 @@ class ModelConfig:
 class DynamicsModel:
     """Owns the parameter store, batchnorm state and the forward pass."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 86):
+    def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         self.params = ParameterStore()
         self.bn_state: dict[str, BatchNormState] = {}

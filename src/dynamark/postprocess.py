@@ -87,25 +87,24 @@ class EventReport:
                                  int(t in downbeats), int(t in change_points)])
 
 
-def pick_peaks(probs: np.ndarray, threshold: float = PEAK_THRESHOLD,
-               radius: int = PEAK_RADIUS) -> np.ndarray:
-    """Frames that exceed ``threshold`` and are window maxima.
+def pick_peaks(probs: np.ndarray) -> np.ndarray:
+    """Frames that exceed ``PEAK_THRESHOLD`` and are window maxima.
 
-    A frame survives when it is >= every neighbour within ``radius``
-    and no earlier surviving frame lies within ``radius`` (so selected
-    frames are at least radius+1 apart; plateau ties go to the earlier
-    frame).  A NaN frame is never picked, nor is any frame within
-    ``radius`` of one, since its window maximum is NaN.
+    A frame survives when it is >= every neighbour within ``PEAK_RADIUS``
+    and no earlier surviving frame lies within ``PEAK_RADIUS`` (so selected
+    frames are at least PEAK_RADIUS + 1 apart; plateau ties go to the
+    earlier frame).  A NaN frame is never picked, nor is any frame within
+    ``PEAK_RADIUS`` of one, since its window maximum is NaN.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.size == 0:
         return np.zeros(0, dtype=np.intp)
-    padded = np.pad(probs, radius, constant_values=-np.inf)
-    win_max = sliding_window_view(padded, 2 * radius + 1).max(axis=-1)
-    candidates = np.nonzero((probs > threshold) & (probs >= win_max))[0]
+    padded = np.pad(probs, PEAK_RADIUS, constant_values=-np.inf)
+    win_max = sliding_window_view(padded, 2 * PEAK_RADIUS + 1).max(axis=-1)
+    candidates = np.nonzero((probs > PEAK_THRESHOLD) & (probs >= win_max))[0]
     picked: list[int] = []
     for t in candidates:
-        if picked and t - picked[-1] <= radius:
+        if picked and t - picked[-1] <= PEAK_RADIUS:
             continue
         picked.append(int(t))
     return np.asarray(picked, dtype=np.intp)
@@ -137,14 +136,14 @@ def snap_to_nearest(values, anchors) -> np.ndarray:
     return np.searchsorted(anchors, anchors[nearest])
 
 
-def change_points(cp_probs: np.ndarray, beat_frames,
-                  threshold: float = CHANGE_POINT_THRESHOLD) -> np.ndarray:
-    """Candidate frames above ``threshold``, snapped to beat indices.
+def change_points(cp_probs: np.ndarray, beat_frames) -> np.ndarray:
+    """Candidate frames above ``CHANGE_POINT_THRESHOLD``, snapped to beat
+    indices.
 
     Returns sorted unique indices into ``beat_frames``; empty when
     there are no beats to snap to.
     """
-    candidates = np.nonzero(np.asarray(cp_probs, dtype=np.float64) > threshold)[0]
+    candidates = np.nonzero(np.asarray(cp_probs, dtype=np.float64) > CHANGE_POINT_THRESHOLD)[0]
     return np.unique(snap_to_nearest(candidates, beat_frames))
 
 

@@ -227,11 +227,10 @@ def model_from_checkpoint(cp: Checkpoint) -> DynamicsModel:
 # prediction / evaluation
 # --------------------------------------------------------------------------
 
-def predict_frames(model: DynamicsModel, features: np.ndarray,
-                   window_s: int = 60) -> dict[str, np.ndarray]:
+def predict_frames(model: DynamicsModel, features: np.ndarray, window_s: int) -> dict[str, np.ndarray]:
     """Eval-mode per-frame probabilities for a whole recording, stitched
-    over windows: a (T, 6) softmax for dynamics, (T,) sigmoids for the
-    three binary tasks.
+    over its ``window_s``-second eval windows: a (T, 6) softmax for
+    dynamics, (T,) sigmoids for the three binary tasks.
 
     The forwards run on a frozen copy of the model (``model.frozen()``),
     so they build no autodiff graph.  The last window reads only the
@@ -246,16 +245,16 @@ def predict_frames(model: DynamicsModel, features: np.ndarray,
         logits = model.forward(features[:, start:start + win], training=False)
         return {task: logit.data[0] for task, logit in logits.items()}
 
-    rows = parallel.map_in_order(window, window_starts(features.shape[1], window_s, mode="eval"))
+    rows = parallel.map_in_order(window, window_starts(features.shape[1], window_s, "eval"))
     frames = {task: np.concatenate([r[task] for r in rows], axis=0) for task in TASKS}
     return {task: ad.softmax_np(v) if task == "dynamics" else ad.sigmoid_np(v)
             for task, v in frames.items()}
 
 
-def annotate_features(model: DynamicsModel, features: np.ndarray,
-                      beat_times_override=None, window_s: int = 60):
+def annotate_features(model: DynamicsModel, features: np.ndarray, window_s: int,
+                      beat_times_override=None):
     """Features -> EventReport via forward pass + post-processing."""
-    probs = predict_frames(model, features, window_s=window_s)
+    probs = predict_frames(model, features, window_s)
     override_frames = None
     if beat_times_override is not None:
         t = features.shape[1]
@@ -264,10 +263,10 @@ def annotate_features(model: DynamicsModel, features: np.ndarray,
     return build_event_report(probs, beat_frames_override=override_frames)
 
 
-def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int = 60) -> dict:
+def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int) -> dict:
     """The four validation F1s for one recording; dynamics are read from
     the class probabilities at the ground-truth beats."""
-    probs = predict_frames(model, rec.features, window_s=window_s)
+    probs = predict_frames(model, rec.features, window_s)
     report = build_event_report(probs)
     ann = rec.annotation
     t = rec.features.shape[1]
@@ -280,7 +279,7 @@ def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int = 60)
 TASK_F1_KEYS = tuple(f"{task}_f1" for task in TASKS)
 
 
-def evaluate_recordings(model: DynamicsModel, recordings, window_s: int = 60) -> dict:
+def evaluate_recordings(model: DynamicsModel, recordings, window_s: int) -> dict:
     """Per-recording F1s plus task means and their overall mean."""
     per_recording = {rec.recording_id: evaluate_recording(model, rec, window_s)
                      for rec in recordings}
@@ -352,7 +351,7 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
     segments = []
     for rec in train_recordings:
         segments.extend(make_segments(rec.features, rec.targets, rec.recording_id,
-                                      window_s=train_cfg.segment_s, mode=train_cfg.tiling))
+                                      train_cfg.segment_s, train_cfg.tiling))
     optimizer = AdamW(model.params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
 
@@ -368,7 +367,7 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
         return losses
 
     def validate(snapshot: DynamicsModel) -> dict:
-        return evaluate_recordings(snapshot, val_recordings, window_s=train_cfg.segment_s)
+        return evaluate_recordings(snapshot, val_recordings, train_cfg.segment_s)
 
     history = {"step_losses": [], "epoch_losses": [], "val_mean_f1": []}
     best: Checkpoint | None = None

@@ -67,7 +67,8 @@ def stock_model_outputs() -> dict[str, np.ndarray]:
     logits = model.frozen().forward(features, training=False)
     out = {f"logits.{head}": logits[head].data.copy() for head in HEADS}
     model.params.zero_grads()
-    loss, _ = multitask_loss(model.forward(features, training=True), TargetBatch.from_targets(targets))
+    loss, _ = multitask_loss(model.forward(features, training=True),
+                             TargetBatch.from_targets(targets, [frames] * bsz))
     ad.backward(loss)
     out["loss"] = loss.data.copy()
     out.update({f"grad.{name}": model.params[name].grad.copy() for name in GRAD_NAMES})

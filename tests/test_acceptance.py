@@ -78,29 +78,29 @@ def test_criterion_2_gradients():
             check_gradients(f, leaves)
     for seed in range(10):
         rng = np.random.default_rng(3000 + seed)
-        target = np.zeros(25, dtype=np.uint8)
-        target[list(rng.choice(25, size=2, replace=False))] = 1
-        logits = Tensor(np.asarray(rng.standard_normal(25) * 2, dtype=np.float64),
+        target, valid = np.zeros((1, 25), dtype=np.uint8), np.ones((1, 25), dtype=bool)
+        target[0, list(rng.choice(25, size=2, replace=False))] = 1
+        logits = Tensor(np.asarray(rng.standard_normal((1, 25)) * 2, dtype=np.float64),
                         requires_grad=True)
-        check_gradients(lambda l: obj.shift_tolerant_wbce(l, target, pos_weight=3.0), [logits])
-        dyn = Tensor(np.asarray(rng.standard_normal((9, 6)), dtype=np.float64),
+        check_gradients(lambda l: obj.shift_tolerant_wbce(l, target, valid), [logits])
+        dyn = Tensor(np.asarray(rng.standard_normal((1, 9, 6)), dtype=np.float64),
                      requires_grad=True)
-        classes = rng.integers(0, 6, size=9)
-        mask = np.zeros(9, dtype=np.uint8)
-        mask[list(rng.choice(9, size=3, replace=False))] = 1
-        check_gradients(lambda l: obj.masked_ce(l, classes, mask), [dyn])
+        classes = rng.integers(0, 6, size=(1, 9))
+        mask = np.zeros((1, 9), dtype=np.uint8)
+        mask[0, list(rng.choice(9, size=3, replace=False))] = 1
+        check_gradients(lambda l: obj.masked_ce(l, classes, mask, valid[:, :9]), [dyn])
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"
 
 
 def test_criterion_3_shift_tolerance():
-    target = np.zeros(40, dtype=np.uint8)
-    target[10] = 1
+    target, valid = np.zeros((1, 40), dtype=np.uint8), np.ones((1, 40), dtype=bool)
+    target[0, 10] = 1
 
     def loss_with_peak(at):
-        logits = np.full(40, -8.0)
-        logits[at] = 9.0
-        return obj.shift_tolerant_wbce(Tensor(logits), target, pos_weight=4.0).item()
+        logits = np.full((1, 40), -8.0)
+        logits[0, at] = 9.0
+        return obj.shift_tolerant_wbce(Tensor(logits), target, valid).item()
 
     base = loss_with_peak(10)
     for d in (0, 1, 2, 3):
@@ -180,8 +180,8 @@ def test_criterion_7_protocol_fidelity(protocol_corpus):
     sizes = sorted(np.bincount(list(folds.values()), minlength=5).tolist())
     assert sizes == [8, 9, 9, 9, 9]
     features, targets = fake_recording(150)
-    assert len(make_segments(features, targets, "r", mode="train")) == 4
-    assert len(make_segments(features, targets, "r", mode="eval")) == 3
+    assert len(make_segments(features, targets, "r", 60, "train")) == 4
+    assert len(make_segments(features, targets, "r", 60, "eval")) == 3
     fold_of_piece = {rec.piece_id: i % 2 for i, rec in enumerate(protocol_corpus)}
     base_model = ModelConfig(**SMALL)
     base_train = TrainConfig(epochs=1, batch_size=2, segment_s=10, seed=86)

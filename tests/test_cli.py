@@ -113,6 +113,22 @@ def test_extract_bad_file_nonzero_exit(tmp_path):
     assert code == 1
 
 
+def test_extract_zero_hz_wav_exit_1(tmp_path, capsys):
+    # a 16-bit mono WAV whose header gives 0 Hz and 0 bytes a second (bytes
+    # 24-31), which scipy still reads: a typed error naming the file, not a
+    # ZeroDivisionError in the resampler
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    wav = audio / "zero_hz.wav"
+    wavfile.write(wav, 22050, np.zeros(4410, dtype=np.int16))
+    blob = bytearray(wav.read_bytes())
+    blob[24:32] = bytes(8)
+    wav.write_bytes(bytes(blob))
+    code = main(["extract", "--audio-dir", str(audio), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{wav}: header gives a sample rate of 0 Hz" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained(corpus, extracted):
     out = corpus / "run"

@@ -41,7 +41,6 @@ def test_load_annotation_carry_forward(tmp_path):
     ann = load_annotation(bp, mp)
     assert ann.markings == ["blank", "p", "p"]
     assert ann.piece_id == "M17-4"
-    assert ann.performer_id == "p1"
     np.testing.assert_allclose(ann.beat_times, [0.5, 1.1, 1.7])
 
 
@@ -212,17 +211,23 @@ def fake_recording(duration_s, f=4):
     return features, targets
 
 
+def starts_s(features, segments):
+    """Where each segment starts in the recording, in seconds, found by
+    its first feature column (the features are noise, so it is unique)."""
+    return [np.nonzero((features == seg.features[:, :1]).all(axis=0))[0][0] / 50 for seg in segments]
+
+
 def test_segment_150s_train():
     features, targets = fake_recording(150)
-    segments = make_segments(features, targets, "r", mode="train")
-    assert [s.start_s for s in segments] == [0.0, 30.0, 60.0, 90.0]
+    segments = make_segments(features, targets, "r", 60, "train")
+    assert starts_s(features, segments) == [0.0, 30.0, 60.0, 90.0]
     assert all(s.n_valid == 3000 for s in segments)
 
 
 def test_segment_150s_eval():
     features, targets = fake_recording(150)
-    segments = make_segments(features, targets, "r", mode="eval")
-    assert [s.start_s for s in segments] == [0.0, 60.0, 120.0]
+    segments = make_segments(features, targets, "r", 60, "eval")
+    assert starts_s(features, segments) == [0.0, 60.0, 120.0]
     assert [s.n_valid for s in segments] == [3000, 3000, 1500]
     assert segments[-1].features[:, 1500:].sum() == 0
 
@@ -230,35 +235,36 @@ def test_segment_150s_eval():
 def test_segment_45s_single_padded():
     features, targets = fake_recording(45)
     for mode in ("train", "eval"):
-        segments = make_segments(features, targets, "r", mode=mode)
+        segments = make_segments(features, targets, "r", 60, mode)
         assert len(segments) == 1
         assert segments[0].n_valid == 2250
 
 
 def test_segment_eval_coverage_exact():
     features, targets = fake_recording(137)
-    segments = make_segments(features, targets, "r", mode="eval")
-    covered = np.concatenate([np.arange(s.n_valid) + int(s.start_s * 50) for s in segments])
+    segments = make_segments(features, targets, "r", 60, "eval")
+    covered = np.concatenate([np.arange(s.n_valid) + int(start * 50)
+                              for s, start in zip(segments, starts_s(features, segments))])
     np.testing.assert_array_equal(covered, np.arange(137 * 50))
 
 
 @pytest.mark.parametrize("duration", [60, 61, 89, 90, 150, 240])
 def test_segment_train_count_formula(duration):
     features, targets = fake_recording(duration)
-    segments = make_segments(features, targets, "r", mode="train")
+    segments = make_segments(features, targets, "r", 60, "train")
     assert len(segments) == (duration - 60) // 30 + 1
 
 
 def test_segment_window_30s():
     features, targets = fake_recording(90)
-    segments = make_segments(features, targets, "r", window_s=30, mode="train")
-    assert [s.start_s for s in segments] == [0.0, 15.0, 30.0, 45.0, 60.0]
+    segments = make_segments(features, targets, "r", 30, "train")
+    assert starts_s(features, segments) == [0.0, 15.0, 30.0, 45.0, 60.0]
     assert segments[0].features.shape[1] == 1500
 
 
 def test_segment_targets_aligned():
     features, targets = fake_recording(150)
-    segments = make_segments(features, targets, "r", mode="eval")
+    segments = make_segments(features, targets, "r", 60, "eval")
     recon = np.concatenate([s.targets.beat[:s.n_valid] for s in segments])
     np.testing.assert_array_equal(recon, targets.beat)
 
@@ -274,8 +280,8 @@ def test_make_folds_sizes():
 
 def test_make_folds_deterministic():
     pieces = [f"M{i:02d}" for i in range(42)]
-    assert make_folds(pieces, seed=7) == make_folds(pieces, seed=7)
-    assert make_folds(pieces, seed=7) != make_folds(pieces, seed=8)
+    assert make_folds(pieces, 5, seed=7) == make_folds(pieces, 5, seed=7)
+    assert make_folds(pieces, 5, seed=7) != make_folds(pieces, 5, seed=8)
 
 
 def test_make_folds_grouping():
@@ -288,23 +294,23 @@ def test_make_folds_grouping():
 
 def test_make_folds_too_few_pieces():
     with pytest.raises(EmptyInputError):
-        make_folds(["a", "b"], k=5)
+        make_folds(["a", "b"], k=5, seed=86)
 
 
 @pytest.mark.parametrize("k", [1, 0, -1])
 def test_make_folds_needs_two_folds(k):
     with pytest.raises(ConfigError, match=f"cannot make {k} folds"):
-        make_folds(["a", "b", "c"], k=k)
+        make_folds(["a", "b", "c"], k=k, seed=86)
 
 
-def _manifest_entry(path, duration_s, **window):
+def _manifest_entry(path, duration_s, window_s=60, mode="train"):
     """The one recording's entry in a segment manifest of a fake recording."""
     features, targets = fake_recording(duration_s)
-    ann = RecordingAnnotation(piece_id="M1", performer_id="p", beat_times=np.array([0.5]),
+    ann = RecordingAnnotation(piece_id="M1", beat_times=np.array([0.5]),
                               downbeat_flags=np.array([True]), markings=["blank"], duration=float(duration_s))
     rec = Recording(recording_id="M1__p", piece_id="M1", features=features,
                     annotation=ann, targets=targets)
-    write_segment_manifest(path, [rec], {"M1": 0}, **window)
+    write_segment_manifest(path, [rec], {"M1": 0}, window_s, mode)
     return json.loads(path.read_text())["recordings"][0]
 
 
@@ -321,8 +327,8 @@ def test_segment_manifest_lists_the_training_tiling(tmp_path, augment, starts):
     # manifest must list the segments training uses
     from dynamark.trainer import TrainConfig
     cfg = TrainConfig(segment_s=10, augment_overlap=augment)
-    entry = _manifest_entry(tmp_path / "manifest.json", 25, window_s=cfg.segment_s, mode=cfg.tiling)
+    entry = _manifest_entry(tmp_path / "manifest.json", 25, cfg.segment_s, cfg.tiling)
     assert entry["train_segment_starts_s"] == starts
     assert entry["eval_segment_starts_s"] == [0.0, 10.0, 20.0]
     features, targets = fake_recording(25)
-    assert starts == [seg.start_s for seg in make_segments(features, targets, window_s=10, mode=cfg.tiling)]
+    assert starts == starts_s(features, make_segments(features, targets, "r", 10, cfg.tiling))

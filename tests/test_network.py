@@ -13,9 +13,11 @@ from dynamark import autodiff as ad
 from dynamark import objectives as obj
 from dynamark.audio import wav_features
 from dynamark.autodiff import Tensor
+from dynamark.dataset import load_annotation, time_to_frame
 from dynamark.errors import ConfigError
 from dynamark.network import DynamicsModel, ModelConfig, param_count
-from dynamark.trainer import load_checkpoint, model_from_checkpoint
+from dynamark.postprocess import markings_at_beats
+from dynamark.trainer import load_checkpoint, model_from_checkpoint, predict_frames
 
 import make_golden
 from _synth import write_corpus
@@ -502,6 +504,24 @@ def test_padding_leaves_valid_frame_logits_unchanged(tmp_path):
     gaps = {task: float(np.abs(padded[task].data[0, :t] - plain[task].data[0, :t]).max())
             for task in obj.TASKS}
     assert max(gaps.values()) <= 1e-3, gaps
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the dynamics head was trained on beat frames only, so one or two frames off a beat it reads "
+    "another class. Committed checkpoint, 20 s synthetic clip, 33 beats: the marking read 2, 1, "
+    "1 and 2 frames before and after each annotated beat equals the one read on it at 21, 24, "
+    "24 and 6 % of beats"))
+def test_markings_hold_one_and_two_frames_off_the_beat(tmp_path):
+    model, features = _checkpoint_on_a_clip(tmp_path)
+    (beats,) = (tmp_path / "annotations").glob("*_beats.csv")
+    ann = load_annotation(beats, beats.with_name(beats.name.replace("_beats", "_markings")))
+    frames = np.array([time_to_frame(t) for t in ann.beat_times])
+    frames = frames[(frames >= 2) & (frames < features.shape[1] - 2)]
+    dynamics = predict_frames(model, features, window_s=60)["dynamics"]
+    on_beat = markings_at_beats(dynamics, frames)
+    held = {d: np.mean([a == b for a, b in zip(markings_at_beats(dynamics, frames + d), on_beat)])
+            for d in (-2, -1, 1, 2)}
+    assert min(held.values()) >= 0.9, held
 
 
 SHIFT_WINDOW = 950  # frames per window: a multiple of s^2 = 25 that leaves room for d = 25

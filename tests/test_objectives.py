@@ -13,27 +13,32 @@ from test_autodiff import check_gradients
 
 
 def flat_logits(t, low=-8.0):
-    return np.full(t, low, dtype=np.float64)
+    return np.full((1, t), low, dtype=np.float64)
+
+
+def row(t):
+    """A (1, t) batch of zero targets and its all-valid mask."""
+    return np.zeros((1, t), dtype=np.uint8), np.ones((1, t), dtype=bool)
 
 
 # -- shift_tolerant_wbce -------------------------------------------------------
 
 def test_wbce_perfect_prediction_near_zero():
-    target = np.zeros(60, dtype=np.uint8)
-    target[[10, 30, 50]] = 1
+    target, valid = row(60)
+    target[0, [10, 30, 50]] = 1
     logits = np.where(target == 1, 12.0, -12.0).astype(np.float64)
-    loss = obj.shift_tolerant_wbce(Tensor(logits), target).item()
+    loss = obj.shift_tolerant_wbce(Tensor(logits), target, valid).item()
     assert loss < 1e-3
 
 
 def test_wbce_shift_within_tolerance_is_free():
-    target = np.zeros(40, dtype=np.uint8)
-    target[10] = 1
+    target, valid = row(40)
+    target[0, 10] = 1
 
     def loss_with_peak(at):
         logits = flat_logits(40)
-        logits[at] = 9.0
-        return obj.shift_tolerant_wbce(Tensor(logits), target, pos_weight=4.0).item()
+        logits[0, at] = 9.0
+        return obj.shift_tolerant_wbce(Tensor(logits), target, valid).item()
 
     base = loss_with_peak(10)
     for d in (0, 1, 2, 3):
@@ -45,41 +50,42 @@ def test_wbce_shift_within_tolerance_is_free():
 
 
 def test_wbce_shift_five_worse_than_shift_two():
-    target = np.zeros(40, dtype=np.uint8)
-    target[10] = 1
+    target, valid = row(40)
+    target[0, 10] = 1
 
     def loss_with_peak(at):
         logits = flat_logits(40)
-        logits[at] = 9.0
-        return obj.shift_tolerant_wbce(Tensor(logits), target).item()
+        logits[0, at] = 9.0
+        return obj.shift_tolerant_wbce(Tensor(logits), target, valid).item()
 
     assert loss_with_peak(15) > loss_with_peak(12) + 1e-9
 
 
 def test_wbce_all_negative_target_allowed():
-    target = np.zeros(30, dtype=np.uint8)
-    loss = obj.shift_tolerant_wbce(Tensor(flat_logits(30)), target).item()
+    target, valid = row(30)
+    loss = obj.shift_tolerant_wbce(Tensor(flat_logits(30)), target, valid).item()
     assert 0.0 <= loss < 1e-3
 
 
 def test_wbce_pos_weight_scales_positive_term():
-    target = np.zeros(20, dtype=np.uint8)
-    target[10] = 1
+    # one positive in 20 frames: default_pos_weight gives 19, and the 6
+    # frames within +-3 of it leave the negative term
+    target, valid = row(20)
+    target[0, 10] = 1
     logits = flat_logits(20)
-    logits[10] = 0.0  # sigmoid 0.5 at the target
-    l1 = obj.shift_tolerant_wbce(Tensor(logits), target, pos_weight=1.0).item()
-    l2 = obj.shift_tolerant_wbce(Tensor(logits), target, pos_weight=10.0).item()
-    assert l2 > l1
+    logits[0, 10] = 0.0  # sigmoid 0.5 at the target
+    loss = obj.shift_tolerant_wbce(Tensor(logits), target, valid).item()
+    assert obj.default_pos_weight(target, valid) == 19.0
+    assert abs(loss - (19.0 * np.log(2.0) + 13 * np.log1p(np.exp(-8.0))) / 14) < 1e-12
 
 
 def test_wbce_valid_mask_excludes_padding():
-    target = np.zeros(30, dtype=np.uint8)
-    valid = np.ones(30, dtype=bool)
-    valid[20:] = False
+    target, valid = row(30)
+    valid[0, 20:] = False
     logits = flat_logits(30)
-    logits[25] = 20.0  # an awful prediction inside the padding
-    masked = obj.shift_tolerant_wbce(Tensor(logits), target, valid=valid).item()
-    clean = obj.shift_tolerant_wbce(Tensor(logits[:20]), target[:20]).item()
+    logits[0, 25] = 20.0  # an awful prediction inside the padding
+    masked = obj.shift_tolerant_wbce(Tensor(logits), target, valid).item()
+    clean = obj.shift_tolerant_wbce(Tensor(logits[:, :20]), target[:, :20], valid[:, :20]).item()
     assert abs(masked - clean) < 1e-9
 
 
@@ -95,15 +101,16 @@ def test_default_pos_weight_clamped():
 
 def test_wbce_gradcheck():
     rng = np.random.default_rng(21)
-    target = np.zeros(25, dtype=np.uint8)
-    target[[6, 18]] = 1
-    logits = Tensor(np.asarray(rng.standard_normal(25) * 2, dtype=np.float64), requires_grad=True)
-    check_gradients(lambda l: obj.shift_tolerant_wbce(l, target, pos_weight=3.0), [logits])
+    target, valid = row(25)
+    target[0, [6, 18]] = 1
+    logits = Tensor(np.asarray(rng.standard_normal((1, 25)) * 2, dtype=np.float64), requires_grad=True)
+    check_gradients(lambda l: obj.shift_tolerant_wbce(l, target, valid), [logits])
 
 
-def _loop_wbce(logits, target, tolerance, valid):
+def _loop_wbce(logits, target, valid):
     """The per-positive loop that the vectorised loss replaced, as its reference."""
     b, t = target.shape
+    tolerance = obj.SHIFT_TOLERANCE
     pos_flat, excluded = [], np.zeros((b, t), dtype=bool)
     for i in range(b):
         for c in np.nonzero(target[i] & valid[i])[0]:
@@ -125,16 +132,16 @@ def _loop_wbce(logits, target, tolerance, valid):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 4), st.data())
-def test_wbce_matches_loop_reference_bit_for_bit(b, t, tolerance, data):
+@given(st.integers(1, 3), st.integers(1, 40), st.data())
+def test_wbce_matches_loop_reference_bit_for_bit(b, t, data):
     # few distinct logit values, so windows hold ties; invalid frames anywhere
     frames = lambda elements: np.array(data.draw(st.lists(elements, min_size=b * t, max_size=b * t))).reshape(b, t)
     values = frames(st.integers(-3, 3)).astype(np.float32)
     target = frames(st.booleans())
     valid = frames(st.sampled_from([True, True, True, False]))
     results = []
-    for loss_fn in (lambda x: obj.shift_tolerant_wbce(x, target, tolerance, valid=valid),
-                    lambda x: _loop_wbce(x, target, tolerance, valid)):
+    for loss_fn in (lambda x: obj.shift_tolerant_wbce(x, target, valid),
+                    lambda x: _loop_wbce(x, target, valid)):
         x = Tensor(values, requires_grad=True)
         loss = loss_fn(x)
         ad.backward(loss)
@@ -147,6 +154,13 @@ def test_wbce_matches_loop_reference_bit_for_bit(b, t, tolerance, data):
 
 # -- masked_ce ------------------------------------------------------------------
 
+def masked_ce(logits, classes, mask):
+    """``masked_ce`` of one (T, 6) row as a (1, T, 6) batch, every frame valid."""
+    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
+    return obj.masked_ce(ad.reshape(logits, (1,) + logits.shape), classes[None], mask[None],
+                         np.ones((1, len(classes)), dtype=bool))
+
+
 def test_masked_ce_correct_one_hot():
     t = 12
     classes = np.array([0, 0, 2, 2, 2, 5, 5, 1, 1, 3, 3, 4])
@@ -154,14 +168,24 @@ def test_masked_ce_correct_one_hot():
     mask[[2, 5, 9]] = 1
     logits = np.full((t, 6), -10.0)
     logits[np.arange(t), classes] = 10.0
-    loss = obj.masked_ce(Tensor(logits), classes, mask).item()
+    loss = masked_ce(logits, classes, mask).item()
     assert loss < 1e-3
 
 
 def test_masked_ce_empty_mask_is_zero():
-    logits = Tensor(np.random.default_rng(0).standard_normal((8, 6)))
+    logits = np.random.default_rng(0).standard_normal((8, 6))
     classes = np.zeros(8, dtype=np.int64)
-    assert obj.masked_ce(logits, classes, np.zeros(8, dtype=np.uint8)).item() == 0.0
+    assert masked_ce(logits, classes, np.zeros(8, dtype=np.uint8)).item() == 0.0
+
+
+def test_masked_ce_skips_invalid_frames():
+    classes = np.array([[1, 2, 3]])
+    mask = np.ones((1, 3), dtype=np.uint8)
+    logits = np.zeros((1, 3, 6))
+    logits[0, 2, 0] = 50.0  # an awful prediction on a padded frame
+    valid = np.array([[True, True, False]])
+    masked = obj.masked_ce(Tensor(logits), classes, mask, valid).item()
+    assert abs(masked - np.log(6.0)) < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -170,14 +194,14 @@ def test_masked_ce_uniform_logits_is_log6(k):
     classes = np.random.default_rng(k).integers(0, 6, size=t)
     mask = np.zeros(t, dtype=np.uint8)
     mask[:k] = 1
-    loss = obj.masked_ce(Tensor(np.zeros((t, 6))), classes, mask).item()
+    loss = masked_ce(np.zeros((t, 6)), classes, mask).item()
     assert abs(loss - np.log(6.0)) < 1e-6
 
 
 def test_masked_ce_rejects_bad_class():
     classes = np.array([0, 7, 1])
     with pytest.raises(ShapeError, match="class id"):
-        obj.masked_ce(Tensor(np.zeros((3, 6))), classes, np.ones(3, dtype=np.uint8))
+        masked_ce(np.zeros((3, 6)), classes, np.ones(3, dtype=np.uint8))
 
 
 def test_masked_ce_locality():
@@ -186,10 +210,10 @@ def test_masked_ce_locality():
     classes = rng.integers(0, 6, size=10)
     mask = np.zeros(10, dtype=np.uint8)
     mask[[1, 4]] = 1
-    base = obj.masked_ce(Tensor(logits), classes, mask).item()
+    base = masked_ce(logits, classes, mask).item()
     perturbed = logits.copy()
     perturbed[7] += 100.0  # unmasked frame
-    after = obj.masked_ce(Tensor(perturbed), classes, mask).item()
+    after = masked_ce(perturbed, classes, mask).item()
     assert base == after
 
 
@@ -199,7 +223,7 @@ def test_masked_ce_gradcheck():
     classes = rng.integers(0, 6, size=9)
     mask = np.zeros(9, dtype=np.uint8)
     mask[[0, 3, 8]] = 1
-    check_gradients(lambda l: obj.masked_ce(l, classes, mask), [logits])
+    check_gradients(lambda l: masked_ce(l, classes, mask), [logits])
 
 
 # -- multitask_loss ---------------------------------------------------------------

@@ -136,7 +136,7 @@ targets = [FrameTargets(beat, downbeat.astype(np.uint8), change_point.astype(np.
 model = DynamicsModel(ModelConfig(), seed=86)
 optimizer = trainer.AdamW(model.params, lr=3e-4)
 logits = model.forward(features, training=True)
-loss, _ = multitask_loss(logits, TargetBatch.from_targets(targets))
+loss, _ = multitask_loss(logits, TargetBatch.from_targets(targets, [frames] * 2))
 optimizer.zero_grad()
 ad.backward(loss)
 optimizer.step()

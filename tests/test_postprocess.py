@@ -16,6 +16,8 @@ import dynamark
 
 from dynamark.errors import DynamarkError, SchemaError
 from dynamark.postprocess import (
+    PEAK_RADIUS,
+    PEAK_THRESHOLD,
     EventReport,
     build_event_report,
     change_points,
@@ -28,16 +30,16 @@ from dynamark.postprocess import (
 from _synth import mutate_bytes
 
 
-def brute_force_peaks(probs, threshold=0.5, radius=3):
+def brute_force_peaks(probs):
     """Literal transcription of the definition, used as the oracle."""
     picked = []
     for t in range(len(probs)):
-        if not probs[t] > threshold:
+        if not probs[t] > PEAK_THRESHOLD:
             continue
-        lo, hi = max(0, t - radius), min(len(probs), t + radius + 1)
+        lo, hi = max(0, t - PEAK_RADIUS), min(len(probs), t + PEAK_RADIUS + 1)
         if any(probs[u] > probs[t] for u in range(lo, hi)):
             continue
-        if picked and t - picked[-1] <= radius:
+        if picked and t - picked[-1] <= PEAK_RADIUS:
             continue
         picked.append(t)
     return picked
@@ -80,24 +82,23 @@ def test_peaks_match_brute_force_1000_trials():
         assert got == want, f"trial {trial}: {got} != {want}"
 
 
-def _scipy_peaks(probs, threshold, radius):
+def _scipy_peaks(probs):
     """``pick_peaks`` as it was written with ``scipy.ndimage``: the oracle."""
     probs = np.asarray(probs, dtype=np.float64)
-    win_max = maximum_filter1d(probs, size=2 * radius + 1, mode="constant", cval=-np.inf)
+    win_max = maximum_filter1d(probs, size=2 * PEAK_RADIUS + 1, mode="constant", cval=-np.inf)
     picked = []
-    for t in np.nonzero((probs > threshold) & (probs >= win_max))[0]:
-        if not picked or t - picked[-1] > radius:
+    for t in np.nonzero((probs > PEAK_THRESHOLD) & (probs >= win_max))[0]:
+        if not picked or t - picked[-1] > PEAK_RADIUS:
             picked.append(int(t))
     return picked
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.51, 0.8, 0.8, 0.9, 1.0]), min_size=1, max_size=40)
-       | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-       st.integers(0, 5), st.sampled_from([0.0, 0.5, 0.8]))
-def test_peaks_match_the_scipy_window_max(probs, radius, threshold):
+       | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_peaks_match_the_scipy_window_max(probs):
     # few distinct values make plateaus, short tracks make every frame an edge
-    assert pick_peaks(probs, threshold, radius).tolist() == _scipy_peaks(probs, threshold, radius)
+    assert pick_peaks(probs).tolist() == _scipy_peaks(probs)
 
 
 def test_peaks_never_within_radius_of_a_nan():
@@ -117,15 +118,6 @@ def test_training_and_inference_import_no_scipy():
                          timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
-
-
-def test_threshold_monotonicity():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        probs = rng.uniform(0, 1, size=150)
-        lo = set(pick_peaks(probs, threshold=0.4).tolist())
-        hi = set(pick_peaks(probs, threshold=0.6).tolist())
-        assert hi <= lo
 
 
 def test_markings_one_hot_readout():

@@ -326,7 +326,7 @@ def tiny_checkpoint_body(tmp_path_factory):
     cfg = ModelConfig(input_bins=2, scaling_factor=2, channels=1, blocks_per_branch=1,
                       attention_dim=1, use_mmoe=False)
     path = tmp_path_factory.mktemp("fuzz") / "tiny.dync"
-    save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg), TrainConfig(), epoch=1), path)
+    save_checkpoint(Checkpoint.from_model(DynamicsModel(cfg, seed=0), TrainConfig(), epoch=1), path)
     return path.read_bytes()[12:], path.with_name("mutated.dync")
 
 
@@ -378,7 +378,7 @@ def test_predict_frames_reads_only_the_recordings_frames_in_its_last_window():
     # 75 s: the second window is the last 15 s alone, not 15 s and 45 s of zeros
     model = small_model()
     feats = np.random.default_rng(75).standard_normal((22, 75 * FPS)).astype(np.float32)
-    probs = trainer.predict_frames(model, feats)
+    probs = trainer.predict_frames(model, feats, window_s=60)
     logits = model.frozen().forward(feats[:, 60 * FPS:], training=False)
     for task, logit in logits.items():
         want = (ad.softmax_np if task == "dynamics" else ad.sigmoid_np)(logit.data[0])
@@ -442,7 +442,7 @@ def test_train_seed_changes_trajectory(tiny_recordings):
 
 def test_empty_split_raises(tiny_recordings):
     with pytest.raises(TrainingError, match="empty"):
-        train_model(DynamicsModel(ModelConfig(**SMALL)), [], tiny_recordings, quick_cfg())
+        train_model(DynamicsModel(ModelConfig(**SMALL), seed=86), [], tiny_recordings, quick_cfg())
 
 
 def test_split_fold_partitions(tiny_recordings):
