@@ -3,7 +3,10 @@
 The engine is deliberately small: numpy arrays wrapped in a ``Tensor``
 node, a handful of elementwise/reduction primitives, and exactly the
 layer vocabulary the dynamics network needs (convolutions, pooling,
-normalisation, attention).  Compute dtype is float32; float64 inputs
+normalisation, attention), each in the one call shape the network uses:
+every linear and conv takes a bias, and ``batchnorm2d`` takes its
+running mean and variance as two arrays that the caller owns and that
+training updates in place.  Compute dtype is float32; float64 inputs
 are preserved end to end so the gradient-check harness can run the
 same code path in 64-bit.
 
@@ -106,18 +109,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -284,7 +275,7 @@ class ParameterStore:
         return all(t._needs for t in self._entries.values())
 
     def total_parameters(self) -> int:
-        return sum(t.size for _, t in self.items())
+        return sum(t.data.size for _, t in self.items())
 
 
 # --------------------------------------------------------------------------
@@ -344,23 +335,19 @@ def neg(x: Tensor) -> Tensor:
     return mul_const(x, -1.0)
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def tsum(x: Tensor, axis=None) -> Tensor:
+    data = x.data.sum(axis=axis)
     nx, shape = _node_of(x), x.data.shape
 
     def back(g, grads):
-        if axis is None:
-            _accum(grads, nx, np.broadcast_to(g, shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accum(grads, nx, np.broadcast_to(ge, shape).copy())
+        _accum(grads, nx, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy())
 
     return _output(np.asarray(data), (nx,), back)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(x: Tensor, axis=None) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
-    return scale(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tsum(x, axis=axis), 1.0 / n)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -527,7 +514,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _output(data, (nx,), back)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     nodes = [_node_of(t) for t in tensors]
@@ -563,15 +550,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # layers
 # --------------------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w.T + b`` over the last dimension; ``w`` is (out, in)."""
     if x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"linear: expected input dim {w.data.shape[1]}, got {x.data.shape}")
     wd = w.data
     data = x.data @ wd.T
-    if b is not None:
-        data += b.data
-    nx, nw, nb = _node_of(x), _node_of(w), None if b is None else _node_of(b)
+    data += b.data
+    nx, nw, nb = _node_of(x), _node_of(w), _node_of(b)
     # the weight gradient reads x again: through its rebuild if it has one, so no copy is kept
     rebuild = None if nw is None else x._rebuild
     xd, xshape = None if nw is None or rebuild else x.data, x.data.shape
@@ -580,8 +566,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         g2 = g.reshape(-1, g.shape[-1])
         if nw is not None:
             _accum(grads, nw, g2.T @ (xd if rebuild is None else rebuild()).reshape(-1, xshape[-1]))
-        if nb is not None:
-            _accum(grads, nb, g2.sum(axis=0))
+        _accum(grads, nb, g2.sum(axis=0))
         _accum(grads, nx, (g @ wd).reshape(xshape))
 
     return _output(data, (nx, nw, nb), back)
@@ -618,7 +603,7 @@ def _spans(n: int, unit_bytes: int, bound: int, unit_macs: int = 0, least: int =
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-size convolution over the trailing axes of ``x`` (B, C, *S)
     with ``w`` (O, C, *K), every K odd, by im2col and GEMM, one batch item
     at a time and with no buffer over ``CONV_BUFFER_BYTES`` where the
@@ -688,10 +673,9 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
             else:
                 tile = np.matmul(w2, cols, out=out[:cout * cols.shape[1]].reshape(cout, -1))
                 data[i][..., lo:hi] = tile.reshape(cout, *spatial[:-1], hi - lo)
-    if b is not None:
-        data += b.data.reshape((cout,) + (1,) * len(spatial))
+    data += b.data.reshape((cout,) + (1,) * len(spatial))
 
-    nx, nw, nb, wshape = _node_of(x), _node_of(w), None if b is None else _node_of(b), w.data.shape
+    nx, nw, nb, wshape = _node_of(x), _node_of(w), _node_of(b), w.data.shape
     rebuild = None if nw is None else x._rebuild  # as in ``linear``
     xd = None if nw is None or rebuild else x.data
     length = rows * width
@@ -732,15 +716,14 @@ def _conv_same(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
                     gx[i] += gxp[centre]
                 else:
                     gx[i] = gxp[centre]
-        if nb is not None:
-            _accum(grads, nb, g.sum(axis=(0,) + axes))
+        _accum(grads, nb, g.sum(axis=(0,) + axes))
         if not pending:
             _accum(grads, nx, gx)
 
     return _output(data, (nx, nw, nb), back)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-length 1D convolution over the last axis.
 
     ``x`` is (B, C_in, T), ``w`` is (C_out, C_in, K) with odd K.
@@ -750,14 +733,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _conv_same("conv1d", x, w, b)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-size 2D convolution; ``x`` (B,C,H,W), ``w`` (O,I,K,K), odd K."""
     if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
         raise ShapeError(f"conv2d: expected x (B,C,H,W) and w (O,I,K,K), got {x.data.shape} and {w.data.shape}")
     return _conv_same("conv2d", x, w, b)
 
 
-def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Transposed 1D convolution whose stride is its kernel size.
 
     ``x`` is (B, C_in, T), ``w`` is (C_in, C_out, K), so the output length
@@ -773,16 +756,14 @@ def conv_transpose1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     w2 = w.data.reshape(cin, cout * k)
     y = (x2 @ w2).reshape(bsz, t, cout, k)
     data = np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(bsz, cout, t * k)
-    if b is not None:
-        data += b.data[None, :, None]
+    data += b.data[None, :, None]
 
-    nx, nw, nb = _node_of(x), _node_of(w), None if b is None else _node_of(b)
+    nx, nw, nb = _node_of(x), _node_of(w), _node_of(b)
 
     def back(g, grads):
         g4 = np.ascontiguousarray(g.reshape(bsz, cout, t, k).transpose(0, 2, 1, 3)).reshape(bsz * t, cout * k)
         _accum(grads, nw, (x2.T @ g4).reshape(cin, cout, k))
-        if nb is not None:
-            _accum(grads, nb, g.sum(axis=(0, 2)))
+        _accum(grads, nb, g.sum(axis=(0, 2)))
         if nx is not None:
             gx = (g4 @ w2.T).reshape(bsz, t, cin).transpose(0, 2, 1)
             _accum(grads, nx, np.ascontiguousarray(gx))
@@ -811,21 +792,20 @@ def maxpool1d(x: Tensor, stride: int) -> Tensor:
     return _output(np.ascontiguousarray(data), (nx,), back)
 
 
-class BatchNormState:
-    """Running mean/variance for one batchnorm2d layer."""
-
-    def __init__(self, channels: int, dtype=np.float32):
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+# How far one training batch moves batchnorm's running statistics, and
+# the offset both norms add to a variance before its square root.
+BN_MOMENTUM = 0.1
+NORM_EPS = 1e-5
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | None = None,
-                training: bool = True, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array,
+                training: bool) -> Tensor:
     """Channelwise batch normalisation of a (B, C, H, W) tensor.
 
-    Training mode normalises with batch statistics and, when ``state``
-    is given, updates running estimates with the stated momentum; eval
-    mode normalises with the running estimates.  The normalised input,
+    Training mode normalises with batch statistics and moves the running
+    estimates, the (C,) arrays ``running_mean`` and ``running_var``, toward
+    them in place by ``BN_MOMENTUM`` (toward the unbiased batch variance);
+    eval mode normalises with the running estimates.  The normalised input,
     ``xhat``, is one new array computed in place.  When no input needs a
     gradient the output overwrites it; otherwise the backward keeps
     ``xhat``, and the output's ``_rebuild`` recomputes the output from it,
@@ -842,19 +822,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
     if training:
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        if state is not None:
-            n = x.data.size // c
-            unbiased = var * (n / max(n - 1, 1))
-            state.running_mean *= 1.0 - momentum
-            state.running_mean += momentum * mean.astype(state.running_mean.dtype)
-            state.running_var *= 1.0 - momentum
-            state.running_var += momentum * unbiased.astype(state.running_var.dtype)
+        n = x.data.size // c
+        unbiased = var * (n / max(n - 1, 1))
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased.astype(running_var.dtype)
     else:
-        if state is None:
-            raise ShapeError("batchnorm2d: eval mode requires running statistics")
-        mean = state.running_mean.astype(x.data.dtype)
-        var = state.running_var.astype(x.data.dtype)
-    inv = 1.0 / np.sqrt(var + eps)
+        mean = running_mean.astype(x.data.dtype)
+        var = running_var.astype(x.data.dtype)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = x.data - mean[None, :, None, None]
     xhat *= inv[None, :, None, None]
     gd, bd = gamma.data[:, None, None], beta.data[:, None, None]
@@ -895,14 +872,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState | 
     return out
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last dimension."""
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Layer normalisation over the last dimension, with ``NORM_EPS``."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layernorm: expected scale/shift of shape ({d},), got {gamma.data.shape} and {beta.data.shape}")
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mean) * inv
     gd = gamma.data
     data = gd * xhat + beta.data

@@ -278,19 +278,22 @@ def _labels_at_reference_beats(pred: EventReport, ref_beats: np.ndarray) -> list
     return [pred.markings[i] for i in snap_to_nearest(ref_beats, pred.beats)]
 
 
-def _pair_eval_files(pred_path: Path, ref_path: Path) -> list[tuple[str, Path, Path]]:
+def _pair_eval_files(pred_path: Path, ref_path: Path) -> dict[str, tuple[Path, Path]]:
+    """Prediction and reference file by recording stem."""
     if pred_path.is_file():
-        return [(pred_path.stem.removesuffix(".events"), pred_path, ref_path)]
-    pairs = []
+        return {pred_path.stem.removesuffix(".events"): (pred_path, ref_path)}
+    pairs = {}
     for pred_file in sorted(pred_path.glob("*.json")):
         if pred_file.stem.endswith((".manifest", "_manifest")):
             continue  # run manifests that annotate and eval write next to reports
         stem = pred_file.stem.removesuffix(".events")
+        if stem in pairs:  # <stem>.events.json and <stem>.json
+            raise SchemaError(f"{pairs[stem][0]} and {pred_file} are both predictions for {stem}")
         candidates = [ref_path / f"{stem}_beats.csv", ref_path / f"{stem}.json"]
         ref_file = next((c for c in candidates if c.exists()), None)
         if ref_file is None:
             raise SchemaError(f"no reference found for {stem} in {ref_path}")
-        pairs.append((stem, pred_file, ref_file))
+        pairs[stem] = (pred_file, ref_file)
     if not pairs:
         raise SchemaError(f"no prediction files in {pred_path}")
     return pairs
@@ -300,7 +303,7 @@ def cmd_eval(opts: dict) -> tuple[int, dict]:
     start = time.monotonic()
     pairs = _pair_eval_files(Path(opts["predictions"]), Path(opts["references"]))
     per_recording = {}
-    for stem, pred_file, ref_file in pairs:
+    for stem, (pred_file, ref_file) in pairs.items():
         pred = EventReport.from_json(pred_file)
         ref = _load_reference(ref_file)
         per_recording[stem] = score_recording(

@@ -107,6 +107,8 @@ def load_annotation(beat_file, marking_file) -> RecordingAnnotation:
             raise SchemaError(f"{beat_file}: row {lineno}: {exc}") from exc
         if not np.isfinite(t):
             raise SchemaError(f"{beat_file}: row {lineno}: beat time {time_s!r} is not finite")
+        if t < 0:  # ``rasterize`` would wrap the frame index round to the end
+            raise SchemaError(f"{beat_file}: row {lineno}: beat time {time_s!r} is negative")
         if idx != len(times):
             raise SchemaError(f"{beat_file}: row {lineno}: beat_index {idx} out of order (expected {len(times)})")
         if times and t <= times[-1]:

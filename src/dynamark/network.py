@@ -18,14 +18,13 @@ stays exactly 8.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, ParameterStore, Tensor
+from .autodiff import ParameterStore, Tensor
 from .errors import ConfigError, ShapeError, TrainingError
 from .objectives import N_DYNAMIC_CLASSES, TASKS
 
@@ -52,12 +51,14 @@ class ModelConfig:
 
 
 class DynamicsModel:
-    """Owns the parameter store, batchnorm state and the forward pass."""
+    """Owns the parameter store, the batchnorm running statistics and the
+    forward pass.  ``running_stats`` holds each batchnorm's running mean and
+    variance under their state-dict names (``input_bn.running_mean``, ...)."""
 
     def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         self.params = ParameterStore()
-        self.bn_state: dict[str, BatchNormState] = {}
+        self.running_stats: dict[str, np.ndarray] = {}
         self._build(np.random.default_rng(seed))
 
     # -- construction ------------------------------------------------------
@@ -73,7 +74,8 @@ class DynamicsModel:
     def _bn(self, name, channels):
         self.params.add(f"{name}.gamma", np.ones(channels, dtype=np.float32))
         self.params.add(f"{name}.beta", np.zeros(channels, dtype=np.float32))
-        self.bn_state[name] = BatchNormState(channels)
+        self.running_stats[f"{name}.running_mean"] = np.zeros(channels, dtype=np.float32)
+        self.running_stats[f"{name}.running_var"] = np.ones(channels, dtype=np.float32)
 
     def _build(self, rng):
         cfg = self.cfg
@@ -114,7 +116,8 @@ class DynamicsModel:
 
     def _apply_bn(self, name, x, training):
         return ad.batchnorm2d(x, self.params[f"{name}.gamma"], self.params[f"{name}.beta"],
-                              state=self.bn_state[name], training=training)
+                              self.running_stats[f"{name}.running_mean"],
+                              self.running_stats[f"{name}.running_var"], training)
 
     def _block(self, name: str, h: Tensor, training: bool) -> Tensor:
         """One residual conv block: batchnorm of the relu of conv(h) plus
@@ -228,16 +231,14 @@ class DynamicsModel:
         if not self.params.trainable:
             return self
         twin = DynamicsModel.__new__(DynamicsModel)
-        twin.cfg, twin.params, twin.bn_state = self.cfg, self.params.frozen(), copy.deepcopy(self.bn_state)
+        twin.cfg, twin.params = self.cfg, self.params.frozen()
+        twin.running_stats = {name: arr.copy() for name, arr in self.running_stats.items()}
         return twin
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and batchnorm running statistic, by name."""
         state = {name: t.data.copy() for name, t in self.params.items()}
-        for name, bn in self.bn_state.items():
-            state[f"{name}.running_mean"] = bn.running_mean.copy()
-            state[f"{name}.running_var"] = bn.running_var.copy()
-        return state
+        return state | {name: arr.copy() for name, arr in self.running_stats.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Replace the whole state; every name and shape must match the model."""
@@ -251,9 +252,7 @@ class DynamicsModel:
             raise ShapeError("state does not match the model: " + "; ".join(wrong))
         for name, t in self.params.items():
             t.data = np.array(state[name], dtype=t.data.dtype)
-        for name, bn in self.bn_state.items():
-            bn.running_mean = np.array(state[f"{name}.running_mean"], dtype=np.float32)
-            bn.running_var = np.array(state[f"{name}.running_var"], dtype=np.float32)
+        self.running_stats = {name: np.array(state[name], dtype=np.float32) for name in self.running_stats}
 
 
 def param_count(cfg: ModelConfig) -> int:

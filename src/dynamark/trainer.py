@@ -73,7 +73,8 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.steps = 0  # the bias-correction step count t, one for all parameters
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # name -> (m, v)
+        self.moments = {name: (np.zeros_like(p.data, dtype=np.float32), np.zeros_like(p.data, dtype=np.float32))
+                        for name, p in store.items()}  # name -> (m, v)
 
     def step(self) -> None:
         beta1, beta2 = self.BETAS
@@ -85,9 +86,6 @@ class AdamW:
                 continue
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
-            if name not in self.moments:
-                self.moments[name] = (np.zeros_like(p.data, dtype=np.float32),
-                                      np.zeros_like(p.data, dtype=np.float32))
             m, v = self.moments[name]
             g32 = g.astype(np.float32, copy=False)
             m *= beta1

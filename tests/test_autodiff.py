@@ -66,6 +66,15 @@ def rand_leaf(rng, shape, separate=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def stats(channels, dtype=np.float64):
+    """Fresh batchnorm running statistics: means at 0, variances at 1."""
+    return np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype)
+
+
+def zero_bias(n, dtype=np.float64):
+    return Tensor(np.zeros(n, dtype=dtype))
+
+
 def scalarize(rng, t):
     w = Tensor(np.asarray(rng.standard_normal(t.shape), dtype=np.float64))
     return ad.tsum(ad.mul(t, w)), w
@@ -121,7 +130,7 @@ def _case_batchnorm2d(rng):
     g = rand_leaf(rng, (2,))
     b = rand_leaf(rng, (2,))
     r = np.asarray(rng.standard_normal((3, 2, 4, 5)), dtype=np.float64)
-    return lambda x, g, b: ad.tsum(ad.mul_const(ad.batchnorm2d(x, g, b, state=None, training=True), r)), [x, g, b]
+    return lambda x, g, b: ad.tsum(ad.mul_const(ad.batchnorm2d(x, g, b, *stats(2), True), r)), [x, g, b]
 
 
 def _case_maxpool1d(rng):
@@ -196,7 +205,8 @@ def _case_conv2d_beside_conv2d(rng):
     w = rand_leaf(rng, (3, 2, 3, 3))
     p = rand_leaf(rng, (3, 2, 1, 1))
     r = np.asarray(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64)
-    return lambda x, w, p: ad.tsum(ad.mul_const(ad.add(ad.conv2d(x, w), ad.conv2d(x, p)), r)), [x, w, p]
+    zero = zero_bias(3)
+    return lambda x, w, p: ad.tsum(ad.mul_const(ad.add(ad.conv2d(x, w, zero), ad.conv2d(x, p, zero)), r)), [x, w, p]
 
 
 def _case_batchnorm2d_one_item(rng):
@@ -204,7 +214,7 @@ def _case_batchnorm2d_one_item(rng):
     g = rand_leaf(rng, (3,))
     b = rand_leaf(rng, (3,))
     r = np.asarray(rng.standard_normal((1, 3, 2, 5)), dtype=np.float64)
-    return lambda x, g, b: ad.tsum(ad.mul_const(ad.batchnorm2d(x, g, b, training=True), r)), [x, g, b]
+    return lambda x, g, b: ad.tsum(ad.mul_const(ad.batchnorm2d(x, g, b, *stats(3), True), r)), [x, g, b]
 
 
 def _case_residual_block(rng):
@@ -216,8 +226,8 @@ def _case_residual_block(rng):
     r = np.asarray(rng.standard_normal((2, 2, 3, 4)), dtype=np.float64)
 
     def f(x, w, g):
-        h = ad.batchnorm2d(x, g, zeros, training=True)
-        return ad.tsum(ad.mul_const(ad.batchnorm2d(ad.add(ad.conv2d(h, w), h), ones, zeros, training=True), r))
+        h = ad.batchnorm2d(x, g, zeros, *stats(2), True)
+        return ad.tsum(ad.mul_const(ad.batchnorm2d(ad.add(ad.conv2d(h, w, zeros), h), ones, zeros, *stats(2), True), r))
 
     return f, [x, w, g]
 
@@ -249,7 +259,7 @@ def test_layer_kinds_cover_vocabulary():
 def test_conv1d_identity_kernel():
     x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
     w = Tensor(np.array([[[0.0, 1.0, 0.0]]]))
-    out = ad.conv1d(x, w)
+    out = ad.conv1d(x, w, zero_bias(1))
     np.testing.assert_allclose(out.data, [[[1.0, 2.0, 3.0]]])
 
 
@@ -419,8 +429,8 @@ def test_conv_adds_into_a_pending_input_gradient_bit_for_bit(n, bsz, cin, lead, 
 
     def loss(xs):
         # xs: what the conv, the other consumer and the loss's sum read
-        own = conv(xs[0], Tensor(w, requires_grad=True))
-        mate = xs[1] if other == "sum" else conv(xs[1], Tensor(w2, requires_grad=True))
+        own = conv(xs[0], Tensor(w, requires_grad=True), zero_bias(cin, dtype))
+        mate = xs[1] if other == "sum" else conv(xs[1], Tensor(w2, requires_grad=True), zero_bias(cin, dtype))
         y = ad.add(own, mate) if own_first else ad.add(mate, own)
         return ad.tsum(ad.mul_const(ad.add(y, xs[2]) if residual else y, r))
 
@@ -446,7 +456,7 @@ def test_conv_weight_gradient_within_float32_tolerance_of_one_batch_gemm():
     w = rng.standard_normal((8, 6, 3, 3)).astype(np.float32)
     g = rng.standard_normal((4, 8, 12, 300)).astype(np.float32)
     wt = Tensor(w, requires_grad=True)
-    ad.backward(ad.tsum(ad.mul_const(ad.conv2d(Tensor(x), wt), g)))
+    ad.backward(ad.tsum(ad.mul_const(ad.conv2d(Tensor(x), wt, zero_bias(8, np.float32)), g)))
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, C, H, W, 3, 3)
     cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(6 * 9, -1)
@@ -727,12 +737,11 @@ def test_graph_free_batchnorm_gives_the_same_bits(training):
     gamma, beta = (rng.standard_normal(3).astype(np.float32) for _ in range(2))
     outs = []
     for needs in (True, False):
-        state = ad.BatchNormState(3)
-        state.running_mean += 0.5
-        out = ad.batchnorm2d(Tensor(x), Tensor(gamma, requires_grad=needs), Tensor(beta),
-                             state=state, training=training)
+        mean, var = stats(3, np.float32)
+        mean += 0.5
+        out = ad.batchnorm2d(Tensor(x), Tensor(gamma, requires_grad=needs), Tensor(beta), mean, var, training)
         assert (out._node is None) is not needs
-        outs.append((out.data, state.running_mean, state.running_var))
+        outs.append((out.data, mean, var))
     for got, want in zip(*outs):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -745,9 +754,9 @@ def test_batchnorm_rebuild_gives_the_output_bits(training, dtype):
     rng = np.random.default_rng(8)
     x = Tensor((rng.standard_normal((3, 4, 5, 6)) * 3 + 1).astype(dtype), requires_grad=True)
     gamma, beta = (Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True) for _ in range(2))
-    state = ad.BatchNormState(4, dtype)
-    state.running_mean += 0.5
-    out = ad.batchnorm2d(x, gamma, beta, state=state, training=training)
+    mean, var = stats(4, dtype)
+    mean += 0.5
+    out = ad.batchnorm2d(x, gamma, beta, mean, var, training)
     moved = ad.transpose(out, (0, 3, 1, 2))
     for view in (out, moved, ad.reshape(moved, (3, 6, 20)), ad.transpose(out, (0, 2, 1, 3))):
         assert view._rebuild().dtype == view.data.dtype and np.array_equal(view._rebuild(), view.data)
@@ -770,7 +779,7 @@ def test_batchnorm_input_gradient_is_the_composed_formula_bit_for_bit(bsz, c, h,
     g = rng.standard_normal(x.shape).astype(dtype)
     xt = Tensor(x, requires_grad=True)
     ad.backward(ad.tsum(ad.mul_const(ad.batchnorm2d(xt, Tensor(gamma, requires_grad=True), Tensor(beta),
-                                                    training=True), g)))
+                                                    *stats(c, dtype), True), g)))
     axes, eps = (0, 2, 3), 1e-5
     inv = 1.0 / np.sqrt(x.var(axis=axes) + eps)
     xhat = (x - x.mean(axis=axes)[None, :, None, None]) * inv[None, :, None, None]
@@ -803,7 +812,7 @@ def test_a_batchnorm_input_gives_a_leafs_gradient_bits(case):
     x = (rng.standard_normal((3, 4, 5, 6)) * 2 + 1).astype(np.float32)
     gamma, beta = (rng.standard_normal(4).astype(np.float32) for _ in range(2))
     w, b = rng.standard_normal(w_shape).astype(np.float32), rng.standard_normal(w_shape[0]).astype(np.float32)
-    h = path(ad.batchnorm2d(Tensor(x), Tensor(gamma, requires_grad=True), Tensor(beta), training=True))
+    h = path(ad.batchnorm2d(Tensor(x), Tensor(gamma, requires_grad=True), Tensor(beta), *stats(4, np.float32), True))
     leaf = Tensor(h.data.copy(), requires_grad=True)
     assert h._rebuild is not None
     arriving = []
@@ -829,14 +838,15 @@ def test_backward_frees_the_normalised_input():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32), requires_grad=True)
     h = ad.batchnorm2d(x, Tensor(np.ones(3, np.float32), requires_grad=True),
-                       Tensor(np.zeros(3, np.float32), requires_grad=True), training=True)
+                       Tensor(np.zeros(3, np.float32), requires_grad=True), *stats(3, np.float32), True)
     xhat = next(cell.cell_contents for cell in h._rebuild.__closure__
                 if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.shape == x.shape)
     freed = weakref.ref(xhat)
     w = Tensor(rng.standard_normal((2, 3, 3, 3)).astype(np.float32), requires_grad=True)
     v = Tensor(rng.standard_normal((4, 12)).astype(np.float32), requires_grad=True)
     flat = ad.reshape(ad.transpose(h, (0, 3, 1, 2)), (2, 5, 12))
-    loss = ad.add(ad.tsum(ad.conv2d(h, w)), ad.tsum(ad.linear(flat, v)))
+    loss = ad.add(ad.tsum(ad.conv2d(h, w, zero_bias(2, np.float32))),
+                  ad.tsum(ad.linear(flat, v, zero_bias(4, np.float32))))
     del xhat, h, flat  # as the forward code drops them
     assert freed() is not None
     ad.backward(loss)
@@ -878,7 +888,7 @@ def test_maxpool_then_transpose_restores_length():
     pooled = ad.maxpool1d(x, 5)
     assert pooled.shape == (1, 2, 600)
     w = Tensor(rng.standard_normal((2, 2, 5)).astype(np.float32))
-    up = ad.conv_transpose1d(pooled, w)
+    up = ad.conv_transpose1d(pooled, w, zero_bias(2, np.float32))
     assert up.shape == (1, 2, 3000)
 
 
@@ -886,12 +896,12 @@ def test_linearity_of_conv_and_linear():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 11)).astype(np.float32)
     w = Tensor(rng.standard_normal((4, 3, 3)).astype(np.float32))
-    y1 = ad.conv1d(Tensor(x), w).data
-    y2 = ad.conv1d(Tensor(2.0 * x), w).data
+    y1 = ad.conv1d(Tensor(x), w, zero_bias(4, np.float32)).data
+    y2 = ad.conv1d(Tensor(2.0 * x), w, zero_bias(4, np.float32)).data
     np.testing.assert_allclose(y2, 2.0 * y1, rtol=1e-5)
     wl = Tensor(rng.standard_normal((5, 11)).astype(np.float32))
-    z1 = ad.linear(Tensor(x), wl).data
-    z2 = ad.linear(Tensor(2.0 * x), wl).data
+    z1 = ad.linear(Tensor(x), wl, zero_bias(5, np.float32)).data
+    z2 = ad.linear(Tensor(2.0 * x), wl, zero_bias(5, np.float32)).data
     np.testing.assert_allclose(z2, 2.0 * z1, rtol=1e-5)
 
 
@@ -1043,9 +1053,9 @@ def test_shape_errors_name_op_and_shapes():
     x = Tensor(np.zeros((1, 2, 5)))
     w = Tensor(np.zeros((3, 4, 3)))
     with pytest.raises(ShapeError, match="conv1d"):
-        ad.conv1d(x, w)
+        ad.conv1d(x, w, zero_bias(3))
     with pytest.raises(ShapeError, match="linear"):
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), zero_bias(4))
 
 
 def test_determinism_bitwise():
@@ -1053,7 +1063,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((2, 3, 16)).astype(np.float32))
         w = Tensor(rng.standard_normal((4, 3, 3)).astype(np.float32), requires_grad=True)
-        out = ad.conv1d(x, w)
+        out = ad.conv1d(x, w, zero_bias(4, np.float32))
         loss = ad.tsum(ad.mul(out, out))
         w.zero_grad()
         ad.backward(loss)
@@ -1069,14 +1079,14 @@ def test_batchnorm_running_stats_and_eval_mode():
     x = Tensor(rng.standard_normal((8, 3, 4, 4)).astype(np.float32) * 2 + 1)
     gamma = Tensor(np.ones(3, dtype=np.float32))
     beta = Tensor(np.zeros(3, dtype=np.float32))
-    state = ad.BatchNormState(3)
-    out = ad.batchnorm2d(x, gamma, beta, state=state, training=True)
+    mean, var = stats(3, np.float32)
+    out = ad.batchnorm2d(x, gamma, beta, mean, var, True)
     np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
     np.testing.assert_allclose(out.data.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
-    # running estimates moved toward batch stats with momentum 0.1
+    # running estimates moved toward batch stats with momentum 0.1, in place
     batch_mean = x.data.mean(axis=(0, 2, 3))
-    np.testing.assert_allclose(state.running_mean, 0.1 * batch_mean, rtol=1e-5)
+    np.testing.assert_allclose(mean, 0.1 * batch_mean, rtol=1e-5)
     # eval mode uses the running estimates, not the batch
-    out_eval = ad.batchnorm2d(x, gamma, beta, state=state, training=False)
-    expect = (x.data - state.running_mean[None, :, None, None]) / np.sqrt(state.running_var[None, :, None, None] + 1e-5)
+    out_eval = ad.batchnorm2d(x, gamma, beta, mean, var, False)
+    expect = (x.data - mean[None, :, None, None]) / np.sqrt(var[None, :, None, None] + 1e-5)
     np.testing.assert_allclose(out_eval.data, expect, rtol=1e-5)

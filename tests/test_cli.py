@@ -243,23 +243,33 @@ def test_train_missing_features_actionable(corpus, tmp_path, capsys):
     assert "extract" in capsys.readouterr().err
 
 
-def _annotations_with_nan_beat(corpus, tmp_path):
-    """A copy of the corpus annotations whose first clip has a NaN beat time."""
+def _annotations_with_beat_time(corpus, tmp_path, index=2, time="nan"):
+    """A copy of the corpus annotations whose first clip has beat ``index``
+    at ``time``, NaN by default."""
     ann_dir = tmp_path / "annotations"
     shutil.copytree(corpus / "annotations", ann_dir)
     beats_csv = sorted(ann_dir.glob("*_beats.csv"))[0]
     lines = beats_csv.read_text().splitlines()
-    lines[3] = "2,nan,0"
+    lines[index + 1] = f"{index},{time},{lines[index + 1].split(',')[2]}"
     beats_csv.write_text("\n".join(lines) + "\n")
     return ann_dir, beats_csv
 
 
 def test_train_non_finite_beat_time_exit_1(corpus, extracted, tmp_path, capsys):
-    ann_dir, beats_csv = _annotations_with_nan_beat(corpus, tmp_path)
+    ann_dir, beats_csv = _annotations_with_beat_time(corpus, tmp_path)
     code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(ann_dir),
                  "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1"])
     assert code == 1
     assert f"{beats_csv.name}: row 4: beat time 'nan' is not finite" in capsys.readouterr().err
+
+
+def test_train_negative_beat_time_exit_1(corpus, extracted, tmp_path, capsys):
+    # a negative time used to wrap round to the end of the targets
+    ann_dir, beats_csv = _annotations_with_beat_time(corpus, tmp_path, index=0, time="-0.1")
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(ann_dir),
+                 "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1"])
+    assert code == 1
+    assert f"{beats_csv.name}: row 2: beat time '-0.1' is negative" in capsys.readouterr().err
 
 
 def test_train_non_finite_feature_exit_1(corpus, extracted, tmp_path, capsys):
@@ -298,7 +308,7 @@ def test_train_segment_s_below_one_exit_1(corpus, extracted, tmp_path, capsys, s
 
 def test_eval_non_finite_reference_beat_time_exit_1(corpus, tmp_path, capsys):
     from dynamark.postprocess import EventReport
-    ann_dir, beats_csv = _annotations_with_nan_beat(corpus, tmp_path)
+    ann_dir, beats_csv = _annotations_with_beat_time(corpus, tmp_path)
     pred_dir = tmp_path / "p"
     pred_dir.mkdir()
     EventReport(beats=[0.5, 1.0, 1.5], markings=["p"] * 3).write_json(
@@ -552,6 +562,22 @@ def test_eval_empty_prediction_zero_beat_f1(tmp_path):
     assert code == 0
     metrics = json.loads(out_file.read_text())
     assert metrics["per_recording"]["clip"]["beat_f1"] == 0.0
+
+
+def test_eval_two_reports_for_one_recording_exit_1(tmp_path, capsys):
+    # clip.events.json and clip.json both report on recording "clip"; the
+    # second used to replace the first's score without a word
+    from dynamark.postprocess import EventReport
+    pred_dir, ref_dir = tmp_path / "p", tmp_path / "r"
+    pred_dir.mkdir()
+    ref_dir.mkdir()
+    EventReport(beats=[1.0, 2.0], markings=["p", "p"]).write_json(ref_dir / "clip.json")
+    EventReport(beats=[1.0, 2.0], markings=["p", "p"]).write_json(pred_dir / "clip.events.json")
+    EventReport(beats=[1.5], markings=["f"]).write_json(pred_dir / "clip.json")
+    code = main(["eval", "--predictions", str(pred_dir), "--references", str(ref_dir)])
+    assert code == 1
+    assert (f"{pred_dir / 'clip.events.json'} and {pred_dir / 'clip.json'} are both predictions for clip"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("beats", [None, [2.0, 1.0]], ids=["null-beats", "beats-go-backwards"])

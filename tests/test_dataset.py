@@ -77,6 +77,15 @@ def test_load_annotation_rejects_non_finite_time(tmp_path, rows, bad_row):
         load_annotation(bp, mp)
 
 
+def test_load_annotation_rejects_negative_time(tmp_path):
+    # ``rasterize`` would wrap a negative frame round: beats at -0.1, 0.5
+    # and 1.0 s over 100 frames put beat 0, its downbeat and its marking at
+    # frame 95
+    bp, mp = write_annotation(tmp_path, "M7__x", [-0.1, 0.5, 1.0], {0: "pp"})
+    with pytest.raises(SchemaError, match=f"{re.escape(str(bp))}: row 2: beat time '-0.1' is negative"):
+        load_annotation(bp, mp)
+
+
 def test_load_annotation_rejects_bad_header(tmp_path):
     bp, mp = write_annotation(tmp_path, "M3__x", [0.5], {})
     bp.write_text("time,downbeat\n0.5,1\n")

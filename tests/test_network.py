@@ -211,7 +211,7 @@ def test_same_seed_same_init():
 
 def test_head_parameter_arithmetic():
     model = small_model()
-    head_sizes = {name: t.size for name, t in model.params.items() if name.startswith("head_")}
+    head_sizes = {name: t.data.size for name, t in model.params.items() if name.startswith("head_")}
     assert sum(head_sizes.values()) == 6 * 8 + 6 + 3 * (8 + 1)  # 81
 
 
@@ -451,9 +451,9 @@ def test_frozen_forward_builds_no_graph():
     assert all(out._node is None for out in [*logits.values(), *gates.values()])
     # the copy holds its own arrays: training the model leaves it as it was
     model.params["head_beat.b"].data += 1.0
-    model.bn_state["input_bn"].running_mean += 1.0
+    model.running_stats["input_bn.running_mean"] += 1.0
     assert np.array_equal(frozen.params["head_beat.b"].data, state["head_beat.b"])
-    assert np.array_equal(frozen.bn_state["input_bn"].running_mean, state["input_bn.running_mean"])
+    assert np.array_equal(frozen.running_stats["input_bn.running_mean"], state["input_bn.running_mean"])
 
 
 @pytest.mark.parametrize("widths, limit_mb", [({}, 30.0), (dict(channels=8, blocks_per_branch=1), 15.0)],
