@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__, parallel
 from .audio import FEATURE_BINS, FPS, load_features, save_features, total_loudness, wav_features
-from .dataset import _read_rows, load_annotation, load_corpus, make_folds, read_text, write_segment_manifest
+from .dataset import (BEATS_HEADER, _read_rows, load_annotation, load_corpus, make_folds, read_text,
+                      write_segment_manifest)
 from .errors import CheckpointError, ConfigError, DynamarkError, SchemaError
 from .metrics import mean_std, score_recording
 from .network import ModelConfig
@@ -334,8 +335,8 @@ def _read_beats_from(path: Path) -> list[float]:
     """Beat times from a beats CSV or a plain one-time-per-line file."""
     lines = read_text(path).strip().splitlines()
     try:
-        if lines and lines[0].replace(" ", "").startswith("beat_index,"):
-            times = [float(row[1]) for _, row in _read_rows(path, ["beat_index", "time_s", "is_downbeat"])]
+        if lines and lines[0].replace(" ", "").startswith(BEATS_HEADER[0] + ","):
+            times = [float(row[1]) for _, row in _read_rows(path, BEATS_HEADER)]
         else:
             times = [float(line) for line in lines if line.strip()]
     except ValueError as exc:
@@ -422,19 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")
     p.add_argument("--fold", type=int)
-    p.add_argument("--k-folds", type=int, dest="k_folds")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--segment-s", type=int, dest="segment_s")
-    p.add_argument("--channels", type=int)
-    p.add_argument("--blocks-per-branch", type=int, dest="blocks_per_branch")
-    p.add_argument("--attention-dim", type=int, dest="attention_dim")
-    p.add_argument("--scaling-factor", type=int, dest="scaling_factor")
-    p.add_argument("--no-mmoe", action="store_false", dest="use_mmoe", default=None)
-    p.add_argument("--no-augment", action="store_false", dest="augment_overlap", default=None)
+    p.add_argument("--k-folds", type=int)
+    # one flag per config field, the feature files setting input_bins; a switch turns a True default off
+    switches = {"use_mmoe": "--no-mmoe", "augment_overlap": "--no-augment"}
+    for f in fields(ModelConfig) + fields(TrainConfig):
+        if f.name in switches:
+            p.add_argument(switches[f.name], action="store_false", dest=f.name, default=None)
+        elif f.name != "input_bins":
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("eval", help="score prediction reports against references")

@@ -29,6 +29,7 @@ from .errors import ConfigError, EmptyInputError, SchemaError
 from .objectives import DYNAMIC_LABELS, LABEL_TO_CLASS, FrameTargets
 
 TRAIN_HOP_FRACTION = 0.5
+BEATS_HEADER = ("beat_index", "time_s", "is_downbeat")
 
 
 @dataclass
@@ -72,9 +73,9 @@ class Recording:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of a file; any other bytes are a ``SchemaError``."""
+    """The UTF-8 text of a file less a byte-order mark; other bytes are a ``SchemaError``."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -85,7 +86,7 @@ def _read_rows(path, expected_header):
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty file") from None
-    if [h.strip() for h in header] != expected_header:
+    if [h.strip() for h in header] != list(expected_header):
         raise SchemaError(f"{path}: row 1: expected header {','.join(expected_header)}, got {','.join(header)}")
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -100,7 +101,7 @@ def load_annotation(beat_file, marking_file) -> RecordingAnnotation:
     beat_file = Path(beat_file)
     times: list[float] = []
     downbeats: list[bool] = []
-    for lineno, (idx_s, time_s, db_s) in _read_rows(beat_file, ["beat_index", "time_s", "is_downbeat"]):
+    for lineno, (idx_s, time_s, db_s) in _read_rows(beat_file, BEATS_HEADER):
         try:
             idx, t, db = int(idx_s), float(time_s), int(db_s)
         except ValueError as exc:

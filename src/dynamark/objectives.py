@@ -4,6 +4,8 @@ binary targets plus beat-masked cross-entropy for dynamics.
 Both losses take the layout that :class:`TargetBatch` hands them: (B, T)
 logits for a binary task, (B, T, 6) for dynamics, (B, T) targets and a
 (B, T) ``valid`` mask that leaves padded frames out of every term.
+:func:`multitask_loss` sums one term per task and reports the total and
+the terms, keyed by ``TASKS``, as floats in a :class:`LossReport`.
 
 The shift-tolerant loss is a reconstruction: for every annotated
 positive frame the positive term uses the best prediction within a
@@ -51,18 +53,14 @@ class FrameTargets:
     def __post_init__(self):
         t = len(self.beat)
         for f in fields(self):
-            if len(getattr(self, f.name)) != t:
-                raise ShapeError(f"FrameTargets: {f.name} has length {len(getattr(self, f.name))}, expected {t}")
+            if (n := len(getattr(self, f.name))) != t:
+                raise ShapeError(f"{type(self).__name__}: {f.name} has length {n}, expected {t}")
 
 
 @dataclass
-class TargetBatch:
+class TargetBatch(FrameTargets):
     """Stacked (B, T) targets plus a validity mask for padded frames."""
 
-    beat: np.ndarray
-    downbeat: np.ndarray
-    change_point: np.ndarray
-    dynamic_class: np.ndarray
     valid: np.ndarray
 
     @classmethod
@@ -79,13 +77,10 @@ class TargetBatch:
 
 @dataclass
 class LossReport:
-    """The total loss and each task's term, as floats."""
+    """The total loss and each task's term keyed by ``TASKS``, as floats."""
 
     total: float
-    dynamics: float
-    change_point: float
-    beat: float
-    downbeat: float
+    terms: dict[str, float]
 
 
 def default_pos_weight(target: np.ndarray, valid: np.ndarray) -> float:
@@ -179,4 +174,4 @@ def multitask_loss(logits: dict[str, Tensor], targets: TargetBatch):
     # associate, and the golden loss pins this order
     ordered = list(terms.values())
     total = ad.add(ad.add(*ordered[:2]), ad.add(*ordered[2:]))
-    return total, LossReport(total=total.item(), **{task: t.item() for task, t in terms.items()})
+    return total, LossReport(total=total.item(), terms={task: t.item() for task, t in terms.items()})

@@ -27,12 +27,14 @@ CHANGE_POINT_THRESHOLD = 0.75
 
 
 def check_times(times, source) -> None:
-    """Raise ``SchemaError`` unless every time is finite and none goes
-    backwards; equal neighbours are legal (``--beats-from`` can put two
-    beats on one frame)."""
+    """Raise ``SchemaError`` unless every time is finite and not negative and
+    none goes backwards; equal neighbours are legal (``--beats-from`` can put
+    two beats on one frame)."""
     times = np.asarray(times, dtype=np.float64)
     if not np.isfinite(times).all():
         raise SchemaError(f"{source}: times must be finite")
+    if (times < 0).any():
+        raise SchemaError(f"{source}: time {times[times < 0][0]} is negative")
     if (np.diff(times) < 0).any():
         raise SchemaError(f"{source}: times go backwards")
 

@@ -200,6 +200,8 @@ def load_checkpoint(path) -> Checkpoint:
             count = int(np.prod(shape, dtype=np.int64)) if rank else 1
             arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
             offset += 4 * count
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinite values")
             tensors[name] = arr.copy()
         model_cfg = ModelConfig(**_drop_retired("model_config", config["model_config"]))
         train_cfg = TrainConfig(**_drop_retired("train_config", config["train_config"]))
@@ -378,6 +380,7 @@ def train_model(model: DynamicsModel, train_recordings, val_recordings,
             ahead = lane is not None and not last
             if ahead:
                 scoring = lane.submit(validate, snapshot)
+                # training stays on this thread: on a pool thread it raised fit's peak RSS
                 next_epoch = _attempt(train_epoch)
                 val = scoring.result()
             else:

@@ -397,6 +397,32 @@ def test_annotate_malformed_beats_from_exit_1(corpus, trained, tmp_path, capsys,
     assert str(beats_file) in capsys.readouterr().err
 
 
+def test_annotate_negative_beats_from_names_file_and_time(corpus, trained, tmp_path, capsys):
+    # the time used to surface as a frame outside the features, naming neither
+    wav = sorted((corpus / "audio").glob("*.wav"))[0]
+    beats_file = tmp_path / "grid.txt"
+    beats_file.write_text("-0.1\n0.5\n")
+    code = main(["annotate", str(wav), "--checkpoint", str(trained / "fold0.dync"),
+                 "--out-prefix", str(tmp_path / "scored"), "--beats-from", str(beats_file)])
+    assert code == 1
+    assert f"error: {beats_file}: time -0.1 is negative" in capsys.readouterr().err
+
+
+def test_annotate_non_finite_checkpoint_exit_1(corpus, trained, tmp_path, capsys):
+    # the CRC of the re-saved file is valid; a NaN head used to give an empty report and exit 0
+    from dynamark.trainer import load_checkpoint, save_checkpoint
+    cp = load_checkpoint(trained / "fold0.dync")
+    cp.state["head_beat.w"][:] = np.nan
+    cp.state["head_beat.b"][:] = np.nan
+    path = tmp_path / "nan.dync"
+    save_checkpoint(cp, path)
+    wav = sorted((corpus / "audio").glob("*.wav"))[0]
+    code = main(["annotate", str(wav), "--checkpoint", str(path), "--out-prefix", str(tmp_path / "nan")])
+    assert code == 1
+    assert f"error: {path}: tensor 'head_beat.b' holds NaN or infinite values" in capsys.readouterr().err
+    assert not (tmp_path / "nan.events.json").exists()
+
+
 def _extract_and_annotate_fail(samples, trained, tmp_path, capsys, message):
     audio = tmp_path / "audio"
     audio.mkdir()
@@ -580,7 +606,8 @@ def test_eval_two_reports_for_one_recording_exit_1(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("beats", [None, [2.0, 1.0]], ids=["null-beats", "beats-go-backwards"])
+@pytest.mark.parametrize("beats", [None, [2.0, 1.0], [-0.1, 1.0]],
+                         ids=["null-beats", "beats-go-backwards", "negative-beat"])
 def test_eval_malformed_report_exit_1(tmp_path, capsys, beats):
     from dynamark.postprocess import EventReport
     pred_dir = tmp_path / "p"
@@ -930,6 +957,31 @@ def test_every_config_field_is_a_train_option():
     unreachable = [f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)
                    if f.name != "input_bins" and f.name not in options]  # the feature files set input_bins
     assert unreachable == []
+
+
+# train's config-field flags: option string, dest, and type or store_false
+TRAIN_CONFIG_FLAGS = [
+    ("--attention-dim", "attention_dim", int),
+    ("--batch-size", "batch_size", int),
+    ("--blocks-per-branch", "blocks_per_branch", int),
+    ("--channels", "channels", int),
+    ("--epochs", "epochs", int),
+    ("--lr", "lr", float),
+    ("--no-augment", "augment_overlap", "store_false"),
+    ("--no-mmoe", "use_mmoe", "store_false"),
+    ("--scaling-factor", "scaling_factor", int),
+    ("--seed", "seed", int),
+    ("--segment-s", "segment_s", int),
+    ("--weight-decay", "weight_decay", float),
+]
+
+
+def test_train_config_flags_are_pinned():
+    # the flags are made from the config fields: renaming a field must not rename its flag unseen
+    run_options = {"features_dir", "annotations_dir", "out_dir", "fold", "k_folds"}
+    got = sorted((flag.option_strings[0], dest, "store_false" if flag.const is False else flag.type)
+                 for dest, flag in _flags(build_parser(), "train").items() if dest not in run_options)
+    assert got == TRAIN_CONFIG_FLAGS
 
 
 def test_exit_code_for_missing_input(tmp_path):

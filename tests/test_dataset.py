@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ def test_load_annotation_rejects_non_utf8(tmp_path, which, row):
     bp, mp = write_annotation(tmp_path, "M6__x", [0.5, 1.0, 1.5], {0: "p"})
     path = bp if which == "beats" else mp
     path.write_bytes(path.read_bytes() + row)
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_annotation(bp, mp)
+
+
+@pytest.mark.parametrize("which", ["beats", "markings"])
+def test_load_annotation_skips_a_byte_order_mark(tmp_path, which):
+    # spreadsheet exports start a CSV with U+FEFF, which used to read as part of the first header name
+    bp, mp = write_annotation(tmp_path, "M7__x", [0.5, 1.0, 1.5], {0: "p", 2: "ff"})
+    plain = load_annotation(bp, mp)
+    path = bp if which == "beats" else mp
+    path.write_bytes("\ufeff".encode() + path.read_bytes())
+    marked = load_annotation(bp, mp)
+    for f in fields(RecordingAnnotation):
+        assert np.array_equal(getattr(marked, f.name), getattr(plain, f.name)), f.name
+    path.write_bytes(path.read_bytes() + b"3,\xff\n")
     with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text")):
         load_annotation(bp, mp)
 

@@ -247,7 +247,7 @@ def _toy_batch(rng, b=2, t=30):
 def test_multitask_total_is_sum_of_terms():
     logits, targets = _toy_batch(np.random.default_rng(5))
     total, report = obj.multitask_loss(logits, targets)
-    terms = [getattr(report, task) for task in obj.TASKS]
+    terms = [report.terms[task] for task in obj.TASKS]
     assert abs(report.total - sum(terms)) < 1e-6
     assert min(terms) >= 0.0
     assert abs(total.item() - report.total) < 1e-9

@@ -233,6 +233,17 @@ def test_checkpoint_state_must_fit_the_model(tmp_path, capsys, corrupt, culprit)
     assert f"error: {path}: checkpoint state does not match" in err  # the error names the file
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_non_finite_tensor_is_refused(tmp_path, value):
+    # the file is sound (valid CRC, well-formed body); such weights used to load
+    cp = Checkpoint.from_model(small_model(), TrainConfig(), epoch=1)
+    cp.state["head_beat.w"][0, 2] = value
+    path = tmp_path / "nan.dync"
+    save_checkpoint(cp, path)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: tensor 'head_beat.w' holds NaN or infinite")):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("seconds", [0, -5])
 def test_segment_s_below_one_is_training_error(tmp_path, capsys, seconds):
     with pytest.raises(TrainingError, match=f"segment_s={seconds}"):
