@@ -18,10 +18,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, parallel
 from .audio import FEATURE_BINS, FPS, load_features, save_features, total_loudness, wav_features
@@ -168,6 +166,8 @@ def cmd_extract(opts: dict) -> tuple[int, dict]:
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     audio_dir = Path(opts["audio_dir"])
+    if not audio_dir.is_dir():
+        raise ConfigError(f"--audio-dir {audio_dir} is not a directory")
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = opts["feature"]
@@ -250,29 +250,14 @@ def cmd_train(opts: dict) -> tuple[int, dict]:
 # eval
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Reference:
-    beat_times: np.ndarray
-    downbeat_times: np.ndarray
-    markings: list[str]
-    change_point_beats: list[int]
-
-
-def _load_reference(path: Path) -> _Reference:
+def _load_reference(path: Path) -> EventReport:
+    """A report JSON, or the annotation CSV pair named by its beats file, as a report."""
     if path.suffix == ".json":
-        report = EventReport.from_json(path)
-        beats = np.asarray(report.beats)
-        cp = snap_to_nearest(report.change_points, beats).tolist()
-        return _Reference(beat_times=beats, downbeat_times=np.asarray(report.downbeats),
-                          markings=list(report.markings), change_point_beats=cp)
-    ann = load_annotation(path, Path(str(path).replace("_beats.csv", "_markings.csv")))
-    return _Reference(beat_times=ann.beat_times,
-                      downbeat_times=ann.beat_times[ann.downbeat_flags],
-                      markings=ann.markings,
-                      change_point_beats=ann.change_point_beats())
+        return EventReport.from_json(path)
+    return load_annotation(path, Path(str(path).replace("_beats.csv", "_markings.csv"))).as_report()
 
 
-def _labels_at_reference_beats(pred: EventReport, ref_beats: np.ndarray) -> list[str]:
+def _labels_at_reference_beats(pred: EventReport, ref_beats) -> list[str]:
     """Marking of the predicted beat nearest each reference beat."""
     if not pred.beats:
         return ["blank"] * len(ref_beats)
@@ -307,9 +292,7 @@ def cmd_eval(opts: dict) -> tuple[int, dict]:
     for stem, (pred_file, ref_file) in pairs.items():
         pred = EventReport.from_json(pred_file)
         ref = _load_reference(ref_file)
-        per_recording[stem] = score_recording(
-            pred, ref.beat_times, ref.downbeat_times, ref.change_point_beats,
-            _labels_at_reference_beats(pred, ref.beat_times), ref.markings)
+        per_recording[stem] = score_recording(pred, ref, _labels_at_reference_beats(pred, ref.beats))
     report = {"per_recording": per_recording}
     for key in TASK_F1_KEYS:
         report[key] = mean_std([r[key] for r in per_recording.values()])

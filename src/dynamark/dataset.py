@@ -27,6 +27,7 @@ import numpy as np
 from .audio import FEATURE_BINS, FPS, load_features
 from .errors import ConfigError, EmptyInputError, SchemaError
 from .objectives import DYNAMIC_LABELS, LABEL_TO_CLASS, FrameTargets
+from .postprocess import EventReport
 
 TRAIN_HOP_FRACTION = 0.5
 BEATS_HEADER = ("beat_index", "time_s", "is_downbeat")
@@ -40,7 +41,6 @@ class RecordingAnnotation:
     beat_times: np.ndarray
     downbeat_flags: np.ndarray
     markings: list[str]  # carried-forward, "blank" before the first mark
-    duration: float
 
     def change_point_beats(self) -> list[int]:
         """0-based beat indices where the carried marking changes."""
@@ -51,6 +51,13 @@ class RecordingAnnotation:
                 out.append(i)
                 previous = mark
         return out
+
+    def as_report(self) -> EventReport:
+        """The annotation as the event report it is scored as."""
+        beats = [float(t) for t in self.beat_times]
+        return EventReport(beats=beats, downbeats=[float(t) for t in self.beat_times[self.downbeat_flags]],
+                           markings=list(self.markings),
+                           change_points=[beats[i] for i in self.change_point_beats()])
 
 
 @dataclass
@@ -149,7 +156,6 @@ def load_annotation(beat_file, marking_file) -> RecordingAnnotation:
         beat_times=np.asarray(times, dtype=np.float64),
         downbeat_flags=np.asarray(downbeats, dtype=bool),
         markings=carried,
-        duration=float(times[-1]),
     )
 
 
@@ -158,15 +164,18 @@ def time_to_frame(t: float) -> int:
     return int(np.floor(t * FPS + 0.5))
 
 
+def frames_of(times, n_frames: int) -> np.ndarray:
+    """The frame nearest each time, clamped to the last of ``n_frames``."""
+    return np.asarray([min(time_to_frame(t), n_frames - 1) for t in times], dtype=np.intp)
+
+
 def rasterize(ann: RecordingAnnotation, length: int) -> FrameTargets:
     """Frame-level targets at 50 fps over ``length`` frames from a
     beat-aligned annotation."""
     frames = [time_to_frame(t) for t in ann.beat_times]
-    # half-up rounding can push the final beat to frame ceil(duration*fps)
-    needed = max(int(np.ceil(ann.duration * FPS)), frames[-1] + 1 if frames else 0)
-    if length < needed:
-        raise SchemaError(f"rasterize: {length} frames cannot hold a {ann.duration:.2f}s annotation "
-                          f"(needs >= {needed})")
+    if frames and length <= frames[-1]:
+        raise SchemaError(f"rasterize: {length} frames cannot hold the last beat, at frame {frames[-1]} "
+                          f"(needs >= {frames[-1] + 1})")
     beat = np.zeros(length, dtype=np.uint8)
     downbeat = np.zeros(length, dtype=np.uint8)
     change_point = np.zeros(length, dtype=np.uint8)

@@ -6,7 +6,9 @@ Event matching is a maximum-cardinality one-to-one matching inside the
 +-tolerance window (the F-measure of mir_eval), computed by one sweep
 over the sorted events, so the score does not depend on input order.
 ``score_recording`` gives the four task scores of one recording, for
-validation and for ``eval`` alike.
+validation and for ``eval`` alike: prediction and reference are both
+``EventReport``s, an annotation scored through ``as_report()``, and the
+change points of each side snap to the reference beats.
 Conventions: empty prediction and empty reference score F1 = 1; a
 one-sided empty scores 0; a class absent from both sides is excluded
 from the macro mean.
@@ -115,18 +117,19 @@ def changepoint_f1(pred_beat_indices, ref_beat_indices) -> F1Result:
     return F1Result.from_counts(tp, len(pred) - tp, len(ref) - tp)
 
 
-def score_recording(pred, ref_beats, ref_downbeats, ref_change_point_beats,
-                    pred_labels, ref_labels) -> dict:
+def score_recording(pred, ref, pred_labels) -> dict:
     """Beat, downbeat, dynamics and change-point F1 of one recording.
 
-    ``pred`` is an ``EventReport``; ``ref_beats`` must be ascending, and
-    predicted change points are snapped to them.  ``pred_labels`` and
-    ``ref_labels`` are markings per reference beat.
+    ``pred`` and ``ref`` are ``EventReport``s; ``ref.beats`` must be
+    ascending, and the change points of both sides are snapped to them.
+    ``pred_labels`` are the predicted markings per reference beat, scored
+    against ``ref.markings``.
     """
-    beat = event_f1(pred.beats, ref_beats)
-    downbeat = event_f1(pred.downbeats, ref_downbeats)
-    dynamics = dynamics_macro_f1(pred_labels, ref_labels)
-    cpt = changepoint_f1(snap_to_nearest(pred.change_points, ref_beats), ref_change_point_beats)
+    beat = event_f1(pred.beats, ref.beats)
+    downbeat = event_f1(pred.downbeats, ref.downbeats)
+    dynamics = dynamics_macro_f1(pred_labels, ref.markings)
+    cpt = changepoint_f1(snap_to_nearest(pred.change_points, ref.beats),
+                         snap_to_nearest(ref.change_points, ref.beats))
     return {"beat_f1": beat.f1, "downbeat_f1": downbeat.f1,
             "dynamics_f1": dynamics.macro_f1, "change_point_f1": cpt.f1,
             "detail": {"beat": asdict(beat), "downbeat": asdict(downbeat),

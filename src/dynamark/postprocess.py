@@ -41,7 +41,8 @@ def check_times(times, source) -> None:
 
 @dataclass
 class EventReport:
-    """Discrete predicted events, times in seconds."""
+    """Discrete events, times in seconds: a prediction, or the reference
+    that ``metrics.score_recording`` scores one against."""
 
     beats: list[float] = field(default_factory=list)
     downbeats: list[float] = field(default_factory=list)

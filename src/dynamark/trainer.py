@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import parallel
 from .autodiff import ParameterStore
 from .audio import FPS
-from .dataset import Recording, Segment, make_segments, time_to_frame, window_starts
+from .dataset import Recording, Segment, frames_of, make_segments, window_starts
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
 from .metrics import mean_std, score_recording
 from .network import LATENT_DIM, NUM_EXPERTS, DynamicsModel, ModelConfig
@@ -51,6 +51,8 @@ class TrainConfig:
             raise TrainingError(f"invalid training config: epochs={self.epochs}, must be >= 1")
         if self.segment_s < 1:
             raise TrainingError(f"invalid training config: segment_s={self.segment_s}, must be >= 1 second")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise TrainingError(f"invalid training config: seed={self.seed}, must be >= 0")
 
     @property
     def tiling(self) -> str:
@@ -257,9 +259,7 @@ def annotate_features(model: DynamicsModel, features: np.ndarray, window_s: int,
     probs = predict_frames(model, features, window_s)
     override_frames = None
     if beat_times_override is not None:
-        t = features.shape[1]
-        override_frames = np.asarray(
-            [min(time_to_frame(bt), t - 1) for bt in beat_times_override], dtype=np.intp)
+        override_frames = frames_of(beat_times_override, features.shape[1])
     return build_event_report(probs, beat_frames_override=override_frames)
 
 
@@ -267,13 +267,9 @@ def evaluate_recording(model: DynamicsModel, rec: Recording, window_s: int) -> d
     """The four validation F1s for one recording; dynamics are read from
     the class probabilities at the ground-truth beats."""
     probs = predict_frames(model, rec.features, window_s)
-    report = build_event_report(probs)
-    ann = rec.annotation
-    t = rec.features.shape[1]
-    gt_frames = [min(time_to_frame(bt), t - 1) for bt in ann.beat_times]
-    return score_recording(report, ann.beat_times, ann.beat_times[ann.downbeat_flags],
-                           ann.change_point_beats(),
-                           markings_at_beats(probs["dynamics"], gt_frames), ann.markings)
+    ref = rec.annotation.as_report()
+    gt_frames = frames_of(ref.beats, rec.features.shape[1])
+    return score_recording(build_event_report(probs), ref, markings_at_beats(probs["dynamics"], gt_frames))
 
 
 TASK_F1_KEYS = tuple(f"{task}_f1" for task in TASKS)
@@ -283,10 +279,7 @@ def evaluate_recordings(model: DynamicsModel, recordings, window_s: int) -> dict
     """Per-recording F1s plus task means and their overall mean."""
     per_recording = {rec.recording_id: evaluate_recording(model, rec, window_s)
                      for rec in recordings}
-    summary = {}
-    for key in TASK_F1_KEYS:
-        values = [r[key] for r in per_recording.values() if r[key] is not None]
-        summary[key] = float(np.mean(values)) if values else None
+    summary = {key: mean_std([r[key] for r in per_recording.values()])["mean"] for key in TASK_F1_KEYS}
     defined = [v for v in summary.values() if v is not None]
     summary["mean_f1"] = float(np.mean(defined)) if defined else 0.0
     return {"per_recording": per_recording, **summary}

@@ -105,6 +105,18 @@ def test_extract_empty_dir(tmp_path, capsys):
     assert "no .wav" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_extract_audio_dir_that_is_no_directory_exit_1(tmp_path, capsys, kind):
+    # a mistyped path used to warn of no .wav files, write an empty manifest and exit 0
+    audio = tmp_path / "audio"
+    if kind == "file":
+        audio.write_bytes(b"")
+    out = tmp_path / "out"
+    assert main(["extract", "--audio-dir", str(audio), "--out-dir", str(out)]) == 1
+    assert f"--audio-dir {audio} is not a directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_bad_file_nonzero_exit(tmp_path):
     audio = tmp_path / "audio"
     audio.mkdir()
@@ -304,6 +316,14 @@ def test_train_segment_s_below_one_exit_1(corpus, extracted, tmp_path, capsys, s
                  "--segment-s", seconds])
     assert code == 1
     assert f"segment_s={seconds}" in capsys.readouterr().err
+
+
+def test_train_negative_seed_exit_1(corpus, extracted, tmp_path, capsys):
+    # numpy's default_rng used to raise ValueError on it, an internal error (exit 2)
+    code = main(["train", "--features-dir", str(extracted), "--annotations-dir", str(corpus / "annotations"),
+                 "--out-dir", str(tmp_path / "out"), "--k-folds", "2", "--epochs", "1", "--seed", "-1"])
+    assert code == 1
+    assert "seed=-1" in capsys.readouterr().err
 
 
 def test_eval_non_finite_reference_beat_time_exit_1(corpus, tmp_path, capsys):
@@ -540,6 +560,32 @@ def test_eval_against_annotation_csvs(corpus, tmp_path):
     rec = metrics["per_recording"][stem]
     assert rec["beat_f1"] == 1.0 and rec["downbeat_f1"] == 1.0
     assert rec["dynamics_f1"] == 1.0 and rec["change_point_f1"] == 1.0
+
+
+def test_eval_scores_an_annotation_as_its_report(tmp_path):
+    # reports round times to milliseconds, so the annotation's beat times have at most 3 decimals
+    from dynamark.dataset import load_annotation
+    from dynamark.postprocess import EventReport
+    ann_dir, report_dir, pred_dir = tmp_path / "a", tmp_path / "r", tmp_path / "p"
+    for d in (ann_dir, report_dir, pred_dir):
+        d.mkdir()
+    beats = [0.512, 1.037, 1.5, 2.013, 2.498, 3.021, 3.517, 4.003]
+    (ann_dir / "clip_beats.csv").write_text("beat_index,time_s,is_downbeat\n" + "".join(
+        f"{i},{t},{int(i % 4 == 0)}\n" for i, t in enumerate(beats)))
+    (ann_dir / "clip_markings.csv").write_text("beat_index,marking\n1,p\n4,f\n6,mf\n")
+    load_annotation(ann_dir / "clip_beats.csv", ann_dir / "clip_markings.csv").as_report().write_json(
+        report_dir / "clip.json")
+    EventReport(beats=[0.5, 1.0, 1.55, 2.5, 3.0, 3.52, 4.2], downbeats=[0.5, 2.5],
+                markings=["p", "p", "p", "f", "f", "f", "mf"],
+                change_points=[0.5, 2.5, 4.2]).write_json(pred_dir / "clip.json")
+    scores = {}
+    for ref_dir in (ann_dir, report_dir):
+        out_file = tmp_path / f"{ref_dir.name}.json"
+        assert main(["eval", "--predictions", str(pred_dir), "--references", str(ref_dir),
+                     "--out", str(out_file)]) == 0
+        scores[ref_dir.name] = json.loads(out_file.read_text())["per_recording"]
+    assert scores["a"] == scores["r"]
+    assert 0 < scores["a"]["clip"]["change_point_f1"] < 1 and 0 < scores["a"]["clip"]["dynamics_f1"] < 1
 
 
 def test_eval_worked_example_two_thirds(tmp_path):

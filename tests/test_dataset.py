@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dynamark.dataset import (
     Recording,
     RecordingAnnotation,
+    frames_of,
     load_annotation,
     make_folds,
     make_segments,
@@ -19,7 +20,7 @@ from dynamark.dataset import (
     write_segment_manifest,
 )
 from dynamark.errors import ConfigError, DynamarkError, EmptyInputError, SchemaError
-from dynamark.postprocess import markings_at_beats
+from dynamark.postprocess import markings_at_beats, snap_to_nearest
 
 from _synth import mutate_bytes
 
@@ -214,12 +215,39 @@ def test_rasterize_too_short(tmp_path):
 
 def test_rasterize_boundary_beat_needs_extra_frame(tmp_path):
     # a beat at exactly 1.0 s rounds (half-up) to frame 50, so 50 frames
-    # cannot hold it even though ceil(duration * fps) == 50
+    # cannot hold it even though ceil(1.0 * fps) == 50
     ann = make_ann(tmp_path, [0.5, 1.0], {})
-    with pytest.raises(SchemaError, match="frames"):
+    with pytest.raises(SchemaError, match="50 frames cannot hold the last beat, at frame 50"):
         rasterize(ann, 50)
     targets = rasterize(ann, 51)
     assert targets.beat[50] == 1
+
+
+def test_frames_of_clamps_to_the_last_frame():
+    assert frames_of([0.0, 0.01, 1.0, 1.99, 5.0], 100).tolist() == [0, 1, 50, 99, 99]
+    assert frames_of([], 100).tolist() == []
+
+
+# -- annotation as a report ------------------------------------------------------
+
+def test_as_report_carries_the_annotation(tmp_path):
+    ann = make_ann(tmp_path, [0.3, 0.9, 1.5, 2.1], {1: "p", 3: "f"})
+    report = ann.as_report()
+    assert report.beats == [0.3, 0.9, 1.5, 2.1]
+    assert report.downbeats == [0.3, 2.1]  # every third beat from the first
+    assert report.markings == ["blank", "p", "p", "f"]
+    assert report.change_points == [0.9, 2.1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=st.lists(st.integers(1, 2000), min_size=1, max_size=30),
+       marks=st.lists(st.sampled_from(["blank", "pp", "p", "mf", "f", "ff"]), min_size=30, max_size=30))
+def test_as_report_change_points_snap_back_to_change_point_beats(steps, marks):
+    beats = np.cumsum(steps) / 1000.0
+    ann = RecordingAnnotation(piece_id="M1", beat_times=beats, downbeat_flags=np.zeros(len(beats), dtype=bool),
+                              markings=marks[:len(beats)])
+    report = ann.as_report()
+    assert snap_to_nearest(report.change_points, report.beats).tolist() == ann.change_point_beats()
 
 
 # -- segmentation --------------------------------------------------------------
@@ -332,7 +360,7 @@ def _manifest_entry(path, duration_s, window_s=60, mode="train"):
     """The one recording's entry in a segment manifest of a fake recording."""
     features, targets = fake_recording(duration_s)
     ann = RecordingAnnotation(piece_id="M1", beat_times=np.array([0.5]),
-                              downbeat_flags=np.array([True]), markings=["blank"], duration=float(duration_s))
+                              downbeat_flags=np.array([True]), markings=["blank"])
     rec = Recording(recording_id="M1__p", piece_id="M1", features=features,
                     annotation=ann, targets=targets)
     write_segment_manifest(path, [rec], {"M1": 0}, window_s, mode)

@@ -207,8 +207,9 @@ def test_score_recording_layout_is_the_eval_report_layout():
     # `eval` writes this dict as it is, so its key order, in `detail`, in
     # `per_class` and in each F1 result, is the report's layout
     pred = EventReport(beats=[0.5, 1.0, 1.5, 2.5], downbeats=[0.5], change_points=[1.52])
-    scores = score_recording(pred, [0.5, 1.0, 1.5, 2.0], [0.5, 1.5], [2],
-                             ["p", "f", "f", "f"], ["p", "p", "f", "f"])
+    ref = EventReport(beats=[0.5, 1.0, 1.5, 2.0], downbeats=[0.5, 1.5], markings=["p", "p", "f", "f"],
+                      change_points=[1.5])
+    scores = score_recording(pred, ref, ["p", "f", "f", "f"])
     assert json.dumps(scores) == (
         '{"beat_f1": 0.75, "downbeat_f1": 0.6666666666666666, "dynamics_f1": 0.7333333333333334, '
         '"change_point_f1": 1.0, "detail": {'

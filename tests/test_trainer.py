@@ -265,6 +265,7 @@ def test_segment_s_below_one_is_training_error(tmp_path, capsys, seconds):
 @pytest.mark.parametrize("field, value, message", [
     ("epochs", 0, "epochs=0"),
     ("epochs", -3, "epochs=-3"),
+    ("seed", -1, "seed=-1"),  # numpy's default_rng raised ValueError on it, deep in make_folds
 ])
 def test_no_epochs_or_unknown_task_is_training_error(tmp_path, capsys, field, value, message):
     with pytest.raises(TrainingError, match=message):
